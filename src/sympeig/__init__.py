@@ -19,7 +19,7 @@ from .factor import (
     williamson_small,
 )
 from .flops import FlopCounter, add_flops, count_flops
-from .metrics import MetricsReport, golub_werman, report, residue
+from .metrics import MetricsReport, feasibility, golub_werman, report, residue
 from .operators import (
     SpdOperator,
     canonical_frame,
@@ -50,7 +50,7 @@ from .solver import (
     solve,
     solve_basic,
 )
-from .stepper import LineSearchResult, StepState, bb_step, clamp_randomize, gll_search
+from .stepper import LineSearchResult, bb_step, clamp_randomize, gll_search
 from .testgen import (
     FAMILIES,
     GeneratorSpec,
@@ -77,7 +77,6 @@ __all__ = [
     "SolverParams",
     "SpdOperator",
     "SsvdFactors",
-    "StepState",
     "SympEigResult",
     "WilliamsonForm",
     "add_flops",
@@ -89,6 +88,7 @@ __all__ = [
     "construct_stationary_point",
     "count_flops",
     "evaluate",
+    "feasibility",
     "gen_dense",
     "gen_prescribed",
     "gen_slr",
@@ -116,5 +116,4 @@ __all__ = [
     "store_matrix",
     "symplectic_gram",
     "williamson_small",
-    "__version__",
 ]

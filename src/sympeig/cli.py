@@ -7,7 +7,6 @@ converge, 2 usage error, 3 I/O error, 4 numerical failure.
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -18,20 +17,11 @@ from scipy.io import mmread, mmwrite
 
 from . import __version__
 from .errors import NumericalFailure
-from .factor import srr
-from .metrics import golub_werman, residue
-from .operators import canonical_frame, load_matrix, poisson, store_matrix, symplectic_gram
+from .metrics import feasibility, golub_werman
+from .operators import DENSE_MAX_DIM, canonical_frame, load_matrix, store_matrix
 from .oracle import reference
-from .solver import (
-    SolverParams,
-    SolveStatus,
-    SympEigResult,
-    beta_best,
-    beta_suggest,
-    solve,
-    solve_basic,
-)
-from .testgen import FAMILIES, gen_dense, gen_prescribed, gen_slr, gen_sparse
+from .solver import SolverParams, SolveStatus, beta_best, beta_suggest, solve, solve_basic
+from .testgen import FAMILIES, GeneratorSpec
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 1
@@ -80,13 +70,21 @@ def _seed_of(args):
     return 0 if getattr(args, "seed", None) is None else args.seed
 
 
-def _parse_spectrum(text, n):
+def _parse_spectrum(text):
     if text is None:
         return None
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
-    if len(values) != n:
-        raise ValueError(f"--spectrum needs {n} values, got {len(values)}")
-    return values
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _generate(args):
+    """Build the instance the generator flags describe; returns
+    (op, descriptor, exact_reference_or_None)."""
+    spec = GeneratorSpec(
+        family=args.family, n=args.n, density=args.density, m=args.rank_width,
+        seed=_seed_of(args), spectrum=_parse_spectrum(args.spectrum),
+    )
+    op, ref = spec.make()
+    return op, {"source": "generated", **spec.describe()}, ref
 
 
 def _resolve_source(args):
@@ -95,27 +93,7 @@ def _resolve_source(args):
         return load_matrix(args.matrix), {"source": "file", "path": args.matrix}, None
     if not args.family or not args.n:
         raise ValueError("pass either --matrix or --family with --n")
-    seed = _seed_of(args)
-    descriptor = {
-        "source": "generated",
-        "family": args.family,
-        "n": args.n,
-        "seed": seed,
-    }
-    if args.family == "dense":
-        return gen_dense(args.n, seed=seed), descriptor, None
-    if args.family == "sparse":
-        descriptor["density"] = args.density
-        return gen_sparse(args.n, density=args.density, seed=seed), descriptor, None
-    if args.family == "slr":
-        descriptor["density"] = args.density
-        descriptor["m"] = args.rank_width
-        op = gen_slr(args.n, density=args.density, m=args.rank_width, seed=seed)
-        return op, descriptor, None
-    spectrum = _parse_spectrum(args.spectrum, args.n)
-    descriptor["spectrum"] = spectrum
-    op, ref = gen_prescribed(args.n, spectrum=spectrum, seed=seed)
-    return op, descriptor, ref
+    return _generate(args)
 
 
 def _build_params(args):
@@ -189,44 +167,19 @@ def _status_exit(status):
     return EXIT_NUMERICAL
 
 
-def _feasibility(x):
-    return float(np.linalg.norm(symplectic_gram(x) - poisson(x.shape[1] // 2)))
-
-
 def _run_variant(op, p, params, variant, beta_value):
-    """Run one solver variant; returns a SympEigResult either way."""
+    """Run one solver variant; `beta_value` None keeps its default beta."""
     if variant == "enhanced":
         if beta_value is not None:
             params.beta0 = beta_value
         return solve(op, p, params)
     beta = beta_value if beta_value is not None else beta_suggest(op, p)
-    start = time.perf_counter()
-    x, trace = solve_basic(op, canonical_frame(op.n, p), beta, params)
-    s_fin, d_fin = srr(op, x)
-    resid = residue(op, s_fin, d_fin)
-    reached = trace.outer[0].reached
-    return SympEigResult(
-        eigenvalues=d_fin,
-        eigenbasis=s_fin,
-        x_final=x,
-        status=SolveStatus.CONVERGED if reached else SolveStatus.MAX_ITERATIONS,
-        trace=trace,
-        beta_final=float(beta),
-        residue=resid,
-        feasibility=_feasibility(s_fin),
-        inner_iterations=len(trace.inner),
-        outer_iterations=1,
-        elapsed=time.perf_counter() - start,
-    )
+    return solve_basic(op, canonical_frame(op.n, p), beta, params)
 
 
 def cmd_gen(args):
     out = _out_dir(args)
-    fake = argparse.Namespace(
-        matrix=None, family=args.family, n=args.n, density=args.density,
-        rank_width=args.rank_width, spectrum=args.spectrum, seed=args.seed,
-    )
-    op, descriptor, ref = _resolve_source(fake)
+    op, descriptor, ref = _generate(args)
     base = os.path.join(out, f"{args.family}_n{args.n}_seed{args.seed}")
     paths = store_matrix(op, base + ".mtx")
     sidecar = {"version": __version__, **descriptor, "files": list(paths)}
@@ -302,7 +255,7 @@ def cmd_check(args):
     }
     if args.basis:
         x = np.asarray(mmread(args.basis))
-        feas = _feasibility(x)
+        feas = feasibility(x)
         findings["basis_feasibility"] = feas
         findings["symplectic"] = bool(feas <= args.feas_tol)
     print(json.dumps(_jsonable(findings), indent=2, sort_keys=True))
@@ -363,12 +316,8 @@ def cmd_bench(args):
     for family in families:
         for n in n_list:
             for seed in seeds:
-                fake = argparse.Namespace(
-                    matrix=None, family=family, n=n, density=None,
-                    rank_width=10, spectrum=None, seed=seed,
-                )
-                op, _, ref = _resolve_source(fake)
-                if ref is None and 2 * n <= 4000 and args.with_oracle:
+                op, ref = GeneratorSpec(family, n, seed=seed).make()
+                if ref is None and 2 * n <= DENSE_MAX_DIM and args.with_oracle:
                     ref = reference(op)
                 instances[(family, n, seed)] = (op, ref)
 
@@ -382,12 +331,9 @@ def cmd_bench(args):
         for variant in variants
     ]
     rows = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = []
-        for cell in cells:
-            op, ref = instances[(cell[0], cell[1], cell[3])]
-            futures.append(pool.submit(_bench_cell, op, ref, cell, args.tol))
-        rows = [future.result() for future in futures]
+    for cell in cells:
+        op, ref = instances[(cell[0], cell[1], cell[3])]
+        rows.append(_bench_cell(op, ref, cell, args.tol))
     rows.sort(key=lambda r: (r["family"], r["n"], r["p"], r["seed"], r["beta_label"], r["variant"]))
 
     meta = {
@@ -460,7 +406,6 @@ def build_parser():
     sp.add_argument("--betas", default="sug")
     sp.add_argument("--variants", default="enhanced")
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--jobs", type=int, default=None)
     sp.add_argument("--with-oracle", action="store_true",
                     help="attach the dense oracle (subspace errors, d_p betas)")
     sp.add_argument("--out")

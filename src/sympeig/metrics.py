@@ -27,15 +27,17 @@ def _orthonormal(x):
     return q
 
 
-def golub_werman(x, x_ref, dense_cutoff=1000):
+def golub_werman(x, x_ref):
     """Frobenius distance between the orthogonal projectors onto
     span(x) and span(x_ref).
 
-    For row counts up to `dense_cutoff` the projector difference is
-    formed explicitly; above it the identity
-    ||P - Q||_F^2 = c_1 + c_2 - 2 ||Q_1^T Q_2||_F^2 avoids any
-    2n-by-2n intermediate.  Symmetric in its arguments and invariant
-    under right-multiplication of either one by an invertible matrix.
+    With orthonormal bases Q_1, Q_2 and projectors P_i = Q_i Q_i^T it
+    sums the residuals of projecting each basis onto the other span,
+    ||P_1 - P_2||_F^2 = ||Q_2 - P_1 Q_2||_F^2 + ||Q_1 - P_2 Q_1||_F^2,
+    which stays accurate at small distances, holds for unequal widths,
+    and forms no 2n-by-2n intermediate.  Symmetric in its arguments and
+    invariant under right-multiplication of either one by an invertible
+    matrix.
     """
     x = np.asarray(x, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
@@ -43,11 +45,15 @@ def golub_werman(x, x_ref, dense_cutoff=1000):
         raise ValueError(f"row counts differ: {x.shape[0]} vs {x_ref.shape[0]}")
     q1 = _orthonormal(x)
     q2 = _orthonormal(x_ref)
-    if x.shape[0] <= dense_cutoff:
-        return float(np.linalg.norm(q1 @ q1.T - q2 @ q2.T))
     cross = q1.T @ q2
-    e2 = q1.shape[1] + q2.shape[1] - 2.0 * float(np.vdot(cross, cross))
-    return float(np.sqrt(max(e2, 0.0)))
+    return float(np.hypot(np.linalg.norm(q2 - q1 @ cross),
+                          np.linalg.norm(q1 - q2 @ cross.T)))
+
+
+def feasibility(x):
+    """Symplecticity violation ||X^T J_n X - J_p||_F of a basis X."""
+    gram = symplectic_gram(x)
+    return float(np.linalg.norm(gram - poisson(gram.shape[0] // 2)))
 
 
 def residue(op, x, d):
@@ -67,7 +73,7 @@ def residue(op, x, d):
     return float(np.linalg.norm(ax - target) / np.linalg.norm(ax))
 
 
-def report(op, x, result, reference=None, beta=None, dense_cutoff=1000):
+def report(op, x, result, reference=None, beta=None):
     """Aggregate the error measures for a computed basis.
 
     Parameters
@@ -94,18 +100,17 @@ def report(op, x, result, reference=None, beta=None, dense_cutoff=1000):
         d = result
     d = np.atleast_1d(np.asarray(d, dtype=float))
     p = d.size
-    feasibility = float(np.linalg.norm(symplectic_gram(x) - poisson(p)))
     gw = abs_err = rel_err = None
     if reference is not None:
         x_ref = reference.x_ref if reference.x_ref is not None else reference.frame(p)
-        gw = golub_werman(x, x_ref, dense_cutoff=dense_cutoff)
+        gw = golub_werman(x, x_ref)
         d_ref = reference.d[:p]
         abs_err = np.abs(d - d_ref)
         rel_err = abs_err / d_ref
     return MetricsReport(
         golub_werman=gw,
         residue=residue(op, x, d),
-        feasibility=feasibility,
+        feasibility=feasibility(x),
         objective=None if beta is None else objective(op, x, beta),
         eig_abs_err=abs_err,
         eig_rel_err=rel_err,

@@ -23,6 +23,9 @@ DENSE = "dense"
 SPARSE_CSR = "csr"
 SPARSE_LOW_RANK = "slr"
 
+# largest dimension 2n that is ever densified or diagonalized densely
+DENSE_MAX_DIM = 4000
+
 _LOW_RANK_SUFFIX_B = ".B.mtx"
 _LOW_RANK_SUFFIX_C = ".C.mtx"
 
@@ -134,7 +137,7 @@ class SpdOperator:
             return diag
         return diag + float((self._c ** 2).sum())
 
-    def densify(self, max_dim=4000):
+    def densify(self, max_dim=DENSE_MAX_DIM):
         """Materialize A as a dense array.
 
         Refuses when 2n exceeds `max_dim`; reduce n or raise the budget

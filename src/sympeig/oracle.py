@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from .factor import williamson_small
-from .operators import j_left
+from .operators import DENSE_MAX_DIM, j_left
 
 
 @dataclass
@@ -42,7 +42,7 @@ class ReferenceSpectrum:
         return self.s_full[:, np.r_[0:p, n : n + p]]
 
 
-def reference(op, p=None, max_dim=4000):
+def reference(op, p=None, max_dim=DENSE_MAX_DIM):
     """Exact symplectic spectrum of `op` by dense diagonalization.
 
     Parameters

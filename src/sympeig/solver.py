@@ -7,6 +7,8 @@ adapts the penalty weight from the Ritz values, restarts from the
 scaled eigenbasis, and tightens the inner tolerance geometrically.
 """
 
+import math
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -16,10 +18,10 @@ import numpy as np
 
 from .errors import NumericalFailure, RankDeficientError
 from .factor import restart_point, srr
-from .metrics import residue
-from .operators import canonical_frame, poisson, symplectic_gram
+from .metrics import feasibility, residue
+from .operators import canonical_frame
 from .penalty import evaluate
-from .stepper import StepState, bb_step, clamp_randomize, gll_search
+from .stepper import bb_step, clamp_randomize, gll_search
 
 # reference penalty weight as a multiple of the target eigenvalue
 BETA_BEST_FACTOR = (3.0 + np.sqrt(5.0)) / 2.0
@@ -65,6 +67,16 @@ class SolverParams:
     rank_safeguard: bool = False
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is bool or (f.name == "beta0" and value is None):
+                continue
+            if f.type is int:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                  or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
         if not 0 < self.gamma_lo <= self.gamma0 <= self.gamma_hi:
             raise ValueError(
                 f"need 0 < gamma_lo <= gamma0 <= gamma_hi, got "
@@ -208,7 +220,7 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, relative_stop, rando
         if k == 0:
             gamma = params.gamma0
         else:
-            gamma = bb_step(StepState(s_prev, z_prev, k, window, rng), params.gamma_hi)
+            gamma = bb_step(s_prev, z_prev, k, params.gamma_hi)
             if randomize:
                 gamma = clamp_randomize(
                     gamma, params.gamma_lo, params.gamma_hi,
@@ -237,21 +249,43 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, relative_stop, rando
     return x, ev, gnorm, reached, iters
 
 
+def _result(x, s_fin, d_fin, status, trace, beta, resid, start):
+    # feasibility of the returned eigenbasis, not of the penalty iterate
+    # (the latter sits at the minimizer with violation -D/beta by design)
+    return SympEigResult(
+        eigenvalues=None if d_fin is None else d_fin.copy(),
+        eigenbasis=s_fin,
+        x_final=x,
+        status=status,
+        trace=trace,
+        beta_final=float(beta),
+        residue=float(resid),
+        feasibility=feasibility(x if s_fin is None else s_fin),
+        inner_iterations=len(trace.inner),
+        outer_iterations=len(trace.outer),
+        elapsed=time.perf_counter() - start,
+    )
+
+
 def solve_basic(op, x0, beta, params=None):
     """Fixed-penalty descent (basic variant).
 
     Iterates X <- X - delta^t gamma G with the alternating BB step,
     clamped but not randomized, until ||G||_F < eps0 (absolute) or
-    k_max steps.
+    k_max steps, then extracts Ritz pairs from the final iterate by
+    symplectic Rayleigh-Ritz.
 
     Returns
     -------
-    (x, trace) : final iterate and the iteration trace.
+    SympEigResult
+        One outer stage; status CONVERGED when the gradient test was
+        met, MAX_ITERATIONS when k_max ran out first.
 
     Raises
     ------
     NumericalFailure
-        If the objective turns non-finite during the line search.
+        If the objective turns non-finite during the line search, or
+        the final iterate is too rank-deficient for the extraction.
     """
     params = (params or SolverParams()).validate()
     if beta <= 0:
@@ -264,11 +298,14 @@ def solve_basic(op, x0, beta, params=None):
         op, x0, beta, params.eps0, params, rng, trace,
         stage=0, relative_stop=False, randomize=False,
     )
+    s_fin, d_fin = srr(op, x)
+    resid = residue(op, s_fin, d_fin)
     trace.outer.append(
-        OuterStage(0, float(beta), params.eps0, None, reached, iters,
-                   float("nan"), None, time.perf_counter() - start)
+        OuterStage(0, float(beta), params.eps0, d_fin.copy(), reached, iters,
+                   resid, None, time.perf_counter() - start)
     )
-    return x, trace
+    status = SolveStatus.CONVERGED if reached else SolveStatus.MAX_ITERATIONS
+    return _result(x, s_fin, d_fin, status, trace, beta, resid, start)
 
 
 def solve(op, p, params=None):
@@ -342,24 +379,4 @@ def solve(op, p, params=None):
             eps = max(eps * params.delta_eps, _EPS_FLOOR)
     except (NumericalFailure, RankDeficientError):
         status = SolveStatus.NUMERICAL_FAILURE
-    # feasibility of the returned eigenbasis, not of the penalty iterate
-    # (the latter sits at the minimizer with violation -D/beta by design)
-    basis = s_fin if s_fin is not None else x
-    if basis is not None and basis.size:
-        gram = symplectic_gram(basis)
-        feasibility = float(np.linalg.norm(gram - poisson(basis.shape[1] // 2)))
-    else:
-        feasibility = float("nan")
-    return SympEigResult(
-        eigenvalues=None if d_fin is None else d_fin.copy(),
-        eigenbasis=s_fin,
-        x_final=x,
-        status=status,
-        trace=trace,
-        beta_final=float(beta),
-        residue=float(resid),
-        feasibility=feasibility,
-        inner_iterations=len(trace.inner),
-        outer_iterations=len(trace.outer),
-        elapsed=time.perf_counter() - start,
-    )
+    return _result(x, s_fin, d_fin, status, trace, beta, resid, start)

@@ -11,35 +11,18 @@ MAX_BACKTRACKS = 60
 _DEGENERATE = 1e-30
 
 
-@dataclass
-class StepState:
-    """Difference vectors and bookkeeping consumed by :func:`bb_step`.
-
-    s_prev = X^(k) - X^(k-1), z_prev = G^(k) - G^(k-1); `k` is the index
-    of the step about to be taken.  `f_window` holds the last accepted
-    objective values (at most L+1 of them) and `rng` is owned by the
-    caller so the step stream is reproducible.
-    """
-
-    s_prev: np.ndarray
-    z_prev: np.ndarray
-    k: int
-    f_window: object = None
-    rng: object = None
-
-
-def bb_step(state, gamma_hi=np.inf):
+def bb_step(s, z, k, gamma_hi=np.inf):
     """Alternating Barzilai-Borwein step length.
 
+    `s` = X^(k) - X^(k-1) and `z` = G^(k) - G^(k-1) are the iterate and
+    gradient differences, `k` the index of the step about to be taken.
     Even k uses <S,S>/|<S,Z>|, odd k uses |<S,Z>|/<Z,Z>.  A denominator
     below 1e-30 falls back to `gamma_hi` (the caller clamps anyway).
     """
-    if state.k < 1 or state.s_prev is None or state.z_prev is None:
+    if k < 1 or s is None or z is None:
         raise ValueError("bb_step needs the previous iterate and gradient differences")
-    s = state.s_prev
-    z = state.z_prev
     sz = abs(float(np.vdot(s, z)))
-    if state.k % 2 == 0:
+    if k % 2 == 0:
         numer, denom = float(np.vdot(s, s)), sz
     else:
         numer, denom = sz, float(np.vdot(z, z))

@@ -17,12 +17,18 @@ import scipy.linalg
 from scipy import sparse
 from scipy.sparse.linalg import eigsh
 
-from .operators import SpdOperator, j_left
+from .operators import DENSE_MAX_DIM, SpdOperator, j_left
 from .oracle import ReferenceSpectrum
 
 FAMILIES = ("dense", "sparse", "slr", "prescribed")
 
-_DENSE_EIG_BUDGET = 4000
+# the GeneratorSpec fields each family reads beyond n and seed
+_FAMILY_FIELDS = {
+    "dense": (),
+    "sparse": ("density",),
+    "slr": ("density", "m"),
+    "prescribed": ("spectrum",),
+}
 
 
 @dataclass
@@ -59,14 +65,23 @@ class GeneratorSpec:
             return op, None
         return gen_prescribed(self.n, spectrum=self.spectrum, seed=self.seed)
 
+    def describe(self):
+        """The family, n, seed and the fields that family reads."""
+        record = {"family": self.family, "n": self.n, "seed": self.seed}
+        for name in _FAMILY_FIELDS[self.family]:
+            record[name] = getattr(self, name)
+        return record
 
-def _extreme_eigvals(a_sparse):
+
+def _extreme_eigvals(a_sparse, rng):
     dim = a_sparse.shape[0]
-    if dim <= _DENSE_EIG_BUDGET:
+    if dim <= DENSE_MAX_DIM:
         w = np.linalg.eigvalsh(a_sparse.toarray())
         return float(w[0]), float(w[-1])
-    lo = eigsh(a_sparse, k=1, which="SA", tol=1e-6, return_eigenvectors=False)
-    hi = eigsh(a_sparse, k=1, which="LA", tol=1e-6, return_eigenvectors=False)
+    # ARPACK draws a random start vector unless given one
+    v0 = rng.uniform(-1.0, 1.0, dim)
+    lo = eigsh(a_sparse, k=1, which="SA", tol=1e-6, v0=v0, return_eigenvectors=False)
+    hi = eigsh(a_sparse, k=1, which="LA", tol=1e-6, v0=v0, return_eigenvectors=False)
     return float(lo[0]), float(hi[0])
 
 
@@ -107,7 +122,7 @@ def _sparse_core(n, density, rng):
         data_rvs=lambda size: rng.uniform(-1.0, 1.0, size),
     )
     sym = ((raw + raw.T) * 0.5).tocsr()
-    wmin, wmax = _extreme_eigvals(sym)
+    wmin, wmax = _extreme_eigvals(sym, rng)
     c, s = _affine_coeffs(wmin, wmax, n)
     out = (sym * c + sparse.identity(2 * n, format="csr") * s).tocsr()
     return sparse.csr_array(out)

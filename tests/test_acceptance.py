@@ -224,7 +224,7 @@ def test_criterion_06_beta_sensitivity_u_shape(emit):
         b_sug = beta_suggest(op, p)
         for key, beta in (("lo", 1.001 * d_p), ("sug", b_sug),
                           ("hi", 100.0 * b_sug)):
-            _, trace = solve_basic(op, x0, beta, params)
+            trace = solve_basic(op, x0, beta, params).trace
             counts[key].append(len(trace.inner))
     med = {k: float(np.median(v)) for k, v in counts.items()}
     ratio_lo = med["lo"] / med["sug"]

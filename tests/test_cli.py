@@ -130,10 +130,16 @@ class TestSolve:
         assert meta["params"]["tol"] == 1e-4
         assert meta["params"]["seed"] == 3
 
-    def test_bad_config_key_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("entry", [
+        pytest.param({"nope": 1}, id="unknown-key"),
+        pytest.param({"k_max": 100.5}, id="fractional-k_max"),
+        pytest.param({"tol": "1e-8"}, id="string-tol"),
+        pytest.param({"tol": float("nan")}, id="nan-tol"),
+    ])
+    def test_bad_config_key_is_usage_error(self, tmp_path, capsys, entry):
         path = ladder_path(tmp_path, 5)
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"nope": 1}))
+        config.write_text(json.dumps(entry))
         assert main(["solve", "--matrix", path, "--p", "2",
                      "--config", str(config)]) == 2
 
@@ -205,7 +211,7 @@ class TestBench:
         out_b = str(tmp_path / "b")
         args = ["bench", "--families", "prescribed,dense", "--n-list", "8",
                 "--p-list", "2", "--seeds", "0,1", "--betas", "sug",
-                "--variants", "enhanced", "--with-oracle", "--jobs", "2"]
+                "--variants", "enhanced", "--with-oracle"]
         assert main(args + ["--out", out_a]) == 0
         assert main(args + ["--out", out_b]) == 0
 

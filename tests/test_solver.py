@@ -75,17 +75,18 @@ class TestSolveBasic:
         n, p, beta = 5, 2, 4.0
         op = SpdOperator.from_dense(np.eye(2 * n))
         x0 = np.sqrt(1.0 - 1.0 / beta) * canonical_frame(n, p)
-        x, trace = solve_basic(op, x0, beta)
-        assert len(trace.inner) == 0
-        assert trace.outer[0].reached
-        np.testing.assert_array_equal(x, x0)
+        res = solve_basic(op, x0, beta)
+        assert len(res.trace.inner) == 0
+        assert res.trace.outer[0].reached
+        np.testing.assert_array_equal(res.x_final, x0)
 
     def test_hand_checked_global_value(self):
         # n = p = 1, A = diag(2, 8), beta = 10: global value 3.2
         op = SpdOperator.from_dense(np.diag([2.0, 8.0]))
-        x, trace = solve_basic(op, np.eye(2), 10.0, SolverParams(eps0=1e-8))
-        f = evaluate(op, x, 10.0).value
-        assert trace.outer[0].reached
+        res = solve_basic(op, np.eye(2), 10.0, SolverParams(eps0=1e-8))
+        f = evaluate(op, res.x_final, 10.0).value
+        assert res.trace.outer[0].reached
+        assert res.status is SolveStatus.CONVERGED
         assert f == pytest.approx(3.2, abs=1e-8)
 
     def test_bad_beta_rejected(self):
@@ -96,14 +97,15 @@ class TestSolveBasic:
     def test_iteration_cap_reported(self):
         op = ladder_operator(6)
         params = SolverParams(eps0=1e-12, k_max=3)
-        _, trace = solve_basic(op, canonical_frame(6, 2), 50.0, params)
-        assert not trace.outer[0].reached
-        assert len(trace.inner) == 3
+        res = solve_basic(op, canonical_frame(6, 2), 50.0, params)
+        assert not res.trace.outer[0].reached
+        assert res.status is SolveStatus.MAX_ITERATIONS
+        assert len(res.trace.inner) == 3
 
     def test_trace_rows_well_formed(self):
         op = ladder_operator(5)
         params = SolverParams(eps0=1e-6)
-        _, trace = solve_basic(op, canonical_frame(5, 2), 20.0, params)
+        trace = solve_basic(op, canonical_frame(5, 2), 20.0, params).trace
         ks = [row.k for row in trace.inner]
         assert ks == list(range(len(ks)))
         assert all(row.beta == 20.0 for row in trace.inner)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sympeig import NumericalFailure, StepState, bb_step, clamp_randomize, gll_search
+from sympeig import NumericalFailure, bb_step, clamp_randomize, gll_search
 
 
 def toy_eval(x):
@@ -14,30 +14,30 @@ class TestBbStep:
     @pytest.mark.parametrize("k", [1, 2])
     def test_equal_differences_give_unit_step(self, k):
         s = np.array([[1.0], [2.0]])
-        assert bb_step(StepState(s, s.copy(), k)) == pytest.approx(1.0)
+        assert bb_step(s, s.copy(), k) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_scaled_differences(self, k):
         z = np.array([[1.0], [2.0]])
-        assert bb_step(StepState(2.0 * z, z, k)) == pytest.approx(2.0)
+        assert bb_step(2.0 * z, z, k) == pytest.approx(2.0)
 
     def test_parity_selects_formula(self):
         s = np.array([[2.0], [0.0]])
         z = np.array([[1.0], [1.0]])
         # even k: <S,S>/|<S,Z>| = 4/2; odd k: |<S,Z>|/<Z,Z> = 2/2
-        assert bb_step(StepState(s, z, 2)) == pytest.approx(2.0)
-        assert bb_step(StepState(s, z, 1)) == pytest.approx(1.0)
+        assert bb_step(s, z, 2) == pytest.approx(2.0)
+        assert bb_step(s, z, 1) == pytest.approx(1.0)
 
     def test_orthogonal_differences_fall_back(self):
         s = np.array([[1.0], [0.0]])
         z = np.array([[0.0], [1.0]])
-        assert bb_step(StepState(s, z, 2), gamma_hi=1e5) == 1e5
+        assert bb_step(s, z, 2, gamma_hi=1e5) == 1e5
 
     def test_requires_history(self):
         with pytest.raises(ValueError):
-            bb_step(StepState(None, None, 0))
+            bb_step(None, None, 0)
         with pytest.raises(ValueError):
-            bb_step(StepState(None, np.ones((2, 1)), 1))
+            bb_step(None, np.ones((2, 1)), 1)
 
 
 class TestClampRandomize:

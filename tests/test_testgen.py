@@ -60,6 +60,12 @@ class TestGenSparse:
         b = gen_sparse(20, seed=5).densify()
         np.testing.assert_array_equal(a, b)
 
+    def test_deterministic_above_dense_budget(self):
+        # 2n = 4002 takes the iterative extreme-eigenvalue path
+        a = gen_sparse(2001, seed=0)
+        b = gen_sparse(2001, seed=0)
+        np.testing.assert_array_equal(a._sp.data, b._sp.data)
+
     def test_density_validated(self):
         with pytest.raises(ValueError):
             gen_sparse(20, density=1.5, seed=0)
