@@ -46,7 +46,6 @@ from .solver import (
     SympEigResult,
     beta_best,
     beta_suggest,
-    rank_safeguard,
     solve,
     solve_basic,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "poisson",
     "random_orthosymplectic",
     "random_symplectic_frame",
-    "rank_safeguard",
     "reference",
     "report",
     "residue",

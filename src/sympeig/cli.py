@@ -53,16 +53,22 @@ def _jsonable(value):
 
 
 def _add_source_args(sp, need_matrix=True):
-    sp.add_argument("--matrix", help="path to a Matrix Market file (.B.mtx for slr pairs)")
-    sp.add_argument("--family", choices=FAMILIES, help="generate the instance instead")
-    sp.add_argument("--n", type=int, help="half-dimension of a generated instance")
-    sp.add_argument("--density", type=float, help="sparsity of sparse/slr (default 10/n)")
+    """Instance flags; without `need_matrix` there is no --matrix and the
+    generator flags --family and --n are required."""
+    if need_matrix:
+        sp.add_argument("--matrix", help="path to a Matrix Market file (.B.mtx for slr pairs)")
+    sp.add_argument("--family", choices=FAMILIES, required=not need_matrix,
+                    help="generator family of the instance")
+    sp.add_argument("--n", type=int, required=not need_matrix,
+                    help="half-dimension of a generated instance")
+    sp.add_argument("--density", type=float,
+                    help="sparsity of sparse/slr (default min(1, 10/n))")
     sp.add_argument("--rank-width", type=int, default=10, help="low-rank width m of slr")
     sp.add_argument(
         "--spectrum", help="comma-separated prescribed eigenvalues (default 1..n)"
     )
     sp.add_argument(
-        "--seed", type=int, help="generator and solver seed (default 0)"
+        "--seed", type=int, help="generator (and solver) seed (default 0)"
     )
 
 
@@ -180,7 +186,7 @@ def _run_variant(op, p, params, variant, beta_value):
 def cmd_gen(args):
     out = _out_dir(args)
     op, descriptor, ref = _generate(args)
-    base = os.path.join(out, f"{args.family}_n{args.n}_seed{args.seed}")
+    base = os.path.join(out, f"{args.family}_n{args.n}_seed{_seed_of(args)}")
     paths = store_matrix(op, base + ".mtx")
     sidecar = {"version": __version__, **descriptor, "files": list(paths)}
     if ref is not None:
@@ -194,11 +200,11 @@ def cmd_gen(args):
 
 def cmd_solve(args):
     out = _out_dir(args)
-    op, descriptor, _ = _resolve_source(args)
+    op, descriptor, ref = _resolve_source(args)
     if not 1 <= args.p < op.n:
         raise ValueError(f"need 1 <= p < n, got p={args.p}, n={op.n}")
     params = _build_params(args)
-    beta_value = _resolve_beta(args.beta, op, args.p)
+    beta_value = _resolve_beta(args.beta, op, args.p, ref)
     result = _run_variant(op, args.p, params, args.variant, beta_value)
     meta = {
         "version": __version__,
@@ -224,7 +230,7 @@ def cmd_oracle(args):
     op, descriptor, _ = _resolve_source(args)
     if not 1 <= args.p <= op.n:
         raise ValueError(f"need 1 <= p <= n, got p={args.p}, n={op.n}")
-    ref = reference(op, args.p)
+    ref = reference(op)
     payload = {
         "version": __version__,
         "matrix": descriptor,
@@ -237,7 +243,7 @@ def cmd_oracle(args):
     with open(oracle_path, "w") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
     xref_path = os.path.join(out, "xref.mtx")
-    mmwrite(xref_path, ref.x_ref, precision=17)
+    mmwrite(xref_path, ref.frame(args.p), precision=17)
     print(oracle_path)
     print(xref_path)
     return EXIT_OK
@@ -365,19 +371,18 @@ def build_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
 
     sp = sub.add_parser("gen", help="generate a test instance and write it out")
-    sp.add_argument("--family", choices=FAMILIES, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--density", type=float)
-    sp.add_argument("--rank-width", type=int, default=10)
-    sp.add_argument("--spectrum")
-    sp.add_argument("--seed", type=int, default=0)
+    _add_source_args(sp, need_matrix=False)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("solve", help="compute the p smallest symplectic eigenvalues")
     _add_source_args(sp)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--beta", default="auto", help="'auto', 'sug', '<mult>sug', or a number")
+    sp.add_argument(
+        "--beta", default="auto",
+        help="'auto', 'sug', '<mult>sug', a number, or 'best' / '1.001dp' "
+        "(multiples of d_p; need the exact spectrum of --family prescribed)",
+    )
     sp.add_argument("--tol", type=float, help="final residual target (enhanced)")
     sp.add_argument("--variant", choices=("basic", "enhanced"), default="enhanced")
     sp.add_argument("--config", help="JSON file with solver parameter overrides")

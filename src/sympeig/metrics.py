@@ -102,8 +102,7 @@ def report(op, x, result, reference=None, beta=None):
     p = d.size
     gw = abs_err = rel_err = None
     if reference is not None:
-        x_ref = reference.x_ref if reference.x_ref is not None else reference.frame(p)
-        gw = golub_werman(x, x_ref)
+        gw = golub_werman(x, reference.frame(p))
         d_ref = reference.d[:p]
         abs_err = np.abs(d - d_ref)
         rel_err = abs_err / d_ref

@@ -1,8 +1,8 @@
 """Matrix-free SPD operators and Poisson-matrix kernels.
 
 The operator A is a symmetric positive definite 2n-by-2n real matrix
-held in one of three forms: dense, sparse CSR, or sparse-plus-low-rank
-B + C C^T.  The Poisson matrix
+held as B + C C^T: B dense or sparse CSR, C an optional thin dense
+factor.  The Poisson matrix
 
     J_k = [[ 0,  I_k],
            [-I_k, 0 ]]
@@ -38,38 +38,38 @@ def _check_square_even(shape, what="matrix"):
 
 
 class SpdOperator:
-    """Symmetric positive definite operator on R^(2n).
+    """Symmetric positive definite operator A = B + C C^T on R^(2n).
 
-    Instances are immutable after construction and safe to share across
-    threads.  Use one of the ``from_*`` constructors.
+    B is a dense array or a CSR matrix; C is an optional thin dense
+    factor, never multiplied out.  Instances are immutable after
+    construction and safe to share across threads.  Use one of the
+    ``from_*`` constructors.
 
     Attributes
     ----------
-    kind : {"dense", "csr", "slr"}
-        Storage form.  "slr" holds A = B + C C^T with sparse B and a
-        thin dense factor C.
     n : int
         Half-dimension; the operator acts on R^(2n).
     """
 
-    def __init__(self, kind, n, dense=None, sparse_part=None, factor=None):
-        self.kind = kind
-        self.n = int(n)
-        self._dense = dense
-        self._sp = sparse_part
-        self._c = factor
+    def __init__(self, b, c=None):
+        self.n = b.shape[0] // 2
+        self._b = b
+        self._c = c
+        # multiply-adds per operand column: B x, then C^T x and C (C^T x);
+        # `size` is every entry of a dense B and the stored ones of a CSR B
+        self._flops_per_col = b.size + (0 if c is None else 2 * c.size)
 
     @classmethod
     def from_dense(cls, a):
         a = np.asarray(a, dtype=float)
         _check_square_even(a.shape)
-        return cls(DENSE, a.shape[0] // 2, dense=a)
+        return cls(a)
 
     @classmethod
     def from_csr(cls, b):
         b = sparse.csr_array(b).astype(float)
         _check_square_even(b.shape)
-        return cls(SPARSE_CSR, b.shape[0] // 2, sparse_part=b)
+        return cls(b)
 
     @classmethod
     def from_low_rank(cls, b, c):
@@ -82,7 +82,14 @@ class SpdOperator:
             raise ValueError(
                 f"factor rows {c.shape[0]} do not match sparse part {b.shape[0]}"
             )
-        return cls(SPARSE_LOW_RANK, b.shape[0] // 2, sparse_part=b, factor=c)
+        return cls(b, c)
+
+    @property
+    def kind(self):
+        """Storage form: "dense", "csr", or "slr" (CSR B plus a factor C)."""
+        if self._c is not None:
+            return SPARSE_LOW_RANK
+        return SPARSE_CSR if sparse.issparse(self._b) else DENSE
 
     @property
     def shape(self):
@@ -90,12 +97,8 @@ class SpdOperator:
 
     @property
     def nnz(self):
-        """Stored entry count (dense storage counts every entry)."""
-        if self.kind == DENSE:
-            return 4 * self.n * self.n
-        if self.kind == SPARSE_CSR:
-            return self._sp.nnz
-        return self._sp.nnz + self._c.size
+        """Stored entry count of B and C (a dense B counts every entry)."""
+        return self._b.size + (0 if self._c is None else self._c.size)
 
     def apply(self, x):
         """Return A x for a vector or a block of column vectors.
@@ -118,24 +121,18 @@ class SpdOperator:
         cols = 1 if x.ndim == 1 else x.shape[1]
         if x.ndim > 2 or cols > 2 * self.n:
             raise ValueError(f"operand shape {x.shape} not supported")
-        if self.kind == DENSE:
-            add_flops(4 * self.n * self.n * cols)
-            return self._dense @ x
-        if self.kind == SPARSE_CSR:
-            add_flops(self._sp.nnz * cols)
-            return self._sp @ x
-        # B x + C (C^T x), never materializing C C^T
-        add_flops((self._sp.nnz + 4 * self.n * self._c.shape[1]) * cols)
-        return self._sp @ x + self._c @ (self._c.T @ x)
+        add_flops(self._flops_per_col * cols)
+        out = self._b @ x
+        if self._c is not None:
+            out = out + self._c @ (self._c.T @ x)
+        return out
 
     def trace(self):
-        """tr(A), from stored diagonals (plus row norms of C for "slr")."""
-        if self.kind == DENSE:
-            return float(np.trace(self._dense))
-        diag = float(self._sp.diagonal().sum())
-        if self.kind == SPARSE_CSR:
-            return diag
-        return diag + float((self._c ** 2).sum())
+        """tr(A), from the stored diagonal of B plus ||C||_F^2."""
+        total = float(self._b.diagonal().sum())
+        if self._c is not None:
+            total += float((self._c ** 2).sum())
+        return total
 
     def densify(self, max_dim=DENSE_MAX_DIM):
         """Materialize A as a dense array.
@@ -147,11 +144,10 @@ class SpdOperator:
             raise ValueError(
                 f"2n = {2 * self.n} exceeds the dense budget {max_dim}; reduce n"
             )
-        if self.kind == DENSE:
-            return self._dense.copy()
-        if self.kind == SPARSE_CSR:
-            return self._sp.toarray()
-        return self._sp.toarray() + self._c @ self._c.T
+        a = self._b.toarray() if sparse.issparse(self._b) else self._b.copy()
+        if self._c is not None:
+            a = a + self._c @ self._c.T
+        return a
 
     def is_symmetric(self, rng=None, probes=8, rtol=1e-12):
         """Probe |<u, Av> - <v, Au>| <= rtol * ||Au|| * ||v|| on random pairs."""
@@ -175,7 +171,7 @@ class SpdOperator:
         """
         if self.kind == DENSE:
             try:
-                np.linalg.cholesky(0.5 * (self._dense + self._dense.T))
+                np.linalg.cholesky(0.5 * (self._b + self._b.T))
             except np.linalg.LinAlgError:
                 return False
             return True
@@ -302,16 +298,15 @@ def store_matrix(op, path):
     spelled-out file name).
     """
     path = os.fspath(path)
-    if op.kind == SPARSE_LOW_RANK:
+    if op._c is not None:
         for suffix in (_LOW_RANK_SUFFIX_B, _LOW_RANK_SUFFIX_C, ".mtx"):
             if path.endswith(suffix):
                 path = path[: -len(suffix)]
                 break
         bpath = path + _LOW_RANK_SUFFIX_B
         cpath = path + _LOW_RANK_SUFFIX_C
-        mmwrite(bpath, op._sp, precision=17)
+        mmwrite(bpath, op._b, precision=17)
         mmwrite(cpath, op._c, precision=17)
         return (bpath, cpath)
-    payload = op._dense if op.kind == DENSE else op._sp
-    mmwrite(path, payload, precision=17)
+    mmwrite(path, op._b, precision=17)
     return (path,)

@@ -25,44 +25,35 @@ class ReferenceSpectrum:
         All symplectic eigenvalues, ascending.
     s_full : ndarray, shape (2n, 2n)
         Symplectic eigenvector matrix, S^T A S = diag(d, d).
-    x_ref : ndarray or None
-        Frame of the p smallest pairs in [first halves | second halves]
-        layout, filled when a target p is known.
     """
 
     d: np.ndarray
     s_full: np.ndarray
-    x_ref: np.ndarray = None
 
     def frame(self, p):
-        """Columns of s_full for the p smallest eigenvalue pairs."""
+        """Columns of s_full for the p smallest eigenvalue pairs, in
+        [first halves | second halves] layout."""
         n = self.d.size
         if not 1 <= p <= n:
             raise ValueError(f"need 1 <= p <= {n}, got {p}")
         return self.s_full[:, np.r_[0:p, n : n + p]]
 
 
-def reference(op, p=None, max_dim=DENSE_MAX_DIM):
+def reference(op, max_dim=DENSE_MAX_DIM):
     """Exact symplectic spectrum of `op` by dense diagonalization.
 
     Parameters
     ----------
     op : SpdOperator
         Densified internally; 2n must stay within `max_dim`.
-    p : int, optional
-        When given, the reference frame for the p smallest pairs is
-        attached to the result.
 
     Returns
     -------
     ReferenceSpectrum
+        Its ``frame(p)`` gives the reference basis of the p smallest pairs.
     """
-    a = op.densify(max_dim)
-    wf = williamson_small(a)
-    ref = ReferenceSpectrum(d=wf.d, s_full=wf.s)
-    if p is not None:
-        ref.x_ref = ref.frame(p)
-    return ref
+    wf = williamson_small(op.densify(max_dim))
+    return ReferenceSpectrum(d=wf.d, s_full=wf.s)
 
 
 def random_symplectic_frame(n, p, rng):

@@ -64,12 +64,11 @@ class SolverParams:
     outer_max: int = 20
     tol: float = 1e-8
     seed: int = 0
-    rank_safeguard: bool = False
 
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is bool or (f.name == "beta0" and value is None):
+            if f.name == "beta0" and value is None:
                 continue
             if f.type is int:
                 if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -120,7 +119,6 @@ class InnerStep:
     beta: float
     window_max: float
     capped: bool
-    safeguarded: bool = False
 
 
 @dataclass
@@ -181,23 +179,14 @@ def beta_best(d_p):
     return BETA_BEST_FACTOR * float(d_p)
 
 
-def rank_safeguard(x, g, gamma):
-    """Optionally cap the step so the next iterate keeps full column rank.
-
-    Returns min(gamma, 0.9 * sigma_min(X) / ||G||_2).  Off by default in
-    the solvers; the randomized step already preserves rank almost surely.
-    """
-    w = np.linalg.eigvalsh(x.T @ x)
-    sigma_min = np.sqrt(max(float(w[0]), 0.0))
-    gnorm2 = float(np.linalg.norm(g, 2))
-    if gnorm2 == 0.0:
-        return gamma
-    return min(gamma, 0.9 * sigma_min / gnorm2)
-
-
-def _run_inner(op, x, beta, eps, params, rng, trace, stage, relative_stop, randomize):
+def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
     """BB/GLL descent until the gradient test or k_max; returns the last
-    iterate with its evaluation and whether the tolerance was reached."""
+    iterate with its evaluation and whether the tolerance was reached.
+
+    `enhanced` selects the outer solver's inner loop: the tolerance is
+    relative to max(1, ||A X||_F) and the BB step is randomized.
+    Otherwise the tolerance is absolute and the step only clamped.
+    """
 
     def f_eval(xt):
         ev_t = evaluate(op, xt, beta)
@@ -213,7 +202,7 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, relative_stop, rando
     reached = False
     iters = 0
     for k in range(params.k_max):
-        limit = eps * max(1.0, float(np.linalg.norm(ev.ax))) if relative_stop else eps
+        limit = eps * max(1.0, float(np.linalg.norm(ev.ax))) if enhanced else eps
         if gnorm < limit:
             reached = True
             break
@@ -221,18 +210,13 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, relative_stop, rando
             gamma = params.gamma0
         else:
             gamma = bb_step(s_prev, z_prev, k, params.gamma_hi)
-            if randomize:
+            if enhanced:
                 gamma = clamp_randomize(
                     gamma, params.gamma_lo, params.gamma_hi,
                     params.xi_lo, params.xi_hi, rng,
                 )
             else:
                 gamma = min(max(gamma, params.gamma_lo), params.gamma_hi)
-        safeguarded = False
-        if params.rank_safeguard:
-            capped_gamma = rank_safeguard(x, g, gamma)
-            safeguarded = capped_gamma < gamma
-            gamma = capped_gamma
         ls = gll_search(f_eval, x, g, gamma, params.delta, params.lam, window)
         ev_new = ls.aux
         g_new = ev_new.ensure_gradient()
@@ -243,7 +227,7 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, relative_stop, rando
         window.append(ev.value)
         trace.inner.append(
             InnerStep(k_base + iters, stage, ev.value, gnorm, gamma, ls.t,
-                      beta, max(window), ls.capped, safeguarded)
+                      beta, max(window), ls.capped)
         )
         iters += 1
     return x, ev, gnorm, reached, iters
@@ -295,8 +279,7 @@ def solve_basic(op, x0, beta, params=None):
     trace = SolveTrace()
     start = time.perf_counter()
     x, ev, gnorm, reached, iters = _run_inner(
-        op, x0, beta, params.eps0, params, rng, trace,
-        stage=0, relative_stop=False, randomize=False,
+        op, x0, beta, params.eps0, params, rng, trace, stage=0, enhanced=False,
     )
     s_fin, d_fin = srr(op, x)
     resid = residue(op, s_fin, d_fin)
@@ -345,8 +328,7 @@ def solve(op, p, params=None):
             stage_start = time.perf_counter()
             stage_beta = beta
             x, ev, gnorm, reached, iters = _run_inner(
-                op, x, beta, eps, params, rng, trace,
-                stage=stage, relative_stop=True, randomize=True,
+                op, x, beta, eps, params, rng, trace, stage=stage, enhanced=True,
             )
             try:
                 s_fin, d_fin = srr(op, x)
@@ -357,25 +339,24 @@ def solve(op, p, params=None):
                 s_fin, d_fin = srr(op, x)
             resid = residue(op, s_fin, d_fin)
             elapsed = time.perf_counter() - stage_start
-            if resid <= params.tol:
-                x = restart_point(s_fin, d_fin, beta)
-                trace.outer.append(
-                    OuterStage(stage, stage_beta, eps, d_fin.copy(), reached,
-                               iters, resid, None, elapsed)
-                )
-                status = SolveStatus.CONVERGED
-                break
-            theta_p = float(d_fin[-1])
-            new_beta = params.eta * theta_p
-            if new_beta < beta / 10.0:
-                new_beta = BETA_BEST_FACTOR * theta_p
-            beta = new_beta
+            converged = resid <= params.tol
+            if not converged:
+                theta_p = float(d_fin[-1])
+                beta = params.eta * theta_p
+                if beta < stage_beta / 10.0:
+                    beta = BETA_BEST_FACTOR * theta_p
             x = restart_point(s_fin, d_fin, beta)
-            sv = np.linalg.svd(x, compute_uv=False)
+            sigma_ratio = None
+            if not converged:
+                sv = np.linalg.svd(x, compute_uv=False)
+                sigma_ratio = float(sv[-1] / sv[0])
             trace.outer.append(
                 OuterStage(stage, stage_beta, eps, d_fin.copy(), reached, iters,
-                           resid, float(sv[-1] / sv[0]), elapsed)
+                           resid, sigma_ratio, elapsed)
             )
+            if converged:
+                status = SolveStatus.CONVERGED
+                break
             eps = max(eps * params.delta_eps, _EPS_FLOOR)
     except (NumericalFailure, RankDeficientError):
         status = SolveStatus.NUMERICAL_FAILURE

@@ -37,7 +37,7 @@ class GeneratorSpec:
 
     family: str
     n: int
-    density: float = None  # sparse families; defaults to 10/n
+    density: float = None  # sparse families; defaults to min(1, 10/n)
     m: int = 10            # low-rank width (slr)
     seed: int = 0
     spectrum: list = None  # prescribed family; defaults to 1..n
@@ -114,7 +114,7 @@ def gen_dense(n, seed=0):
 
 
 def _sparse_core(n, density, rng):
-    sigma = 10.0 / n if density is None else density
+    sigma = min(1.0, 10.0 / n) if density is None else density
     if not 0 < sigma <= 1:
         raise ValueError(f"density must lie in (0, 1], got {sigma}")
     raw = sparse.random(
@@ -132,7 +132,7 @@ def gen_sparse(n, density=None, seed=0):
     """Random sparse SPD instance (CSR, both triangles stored) with
     extreme eigenvalues exactly (1, n).
 
-    A random pattern of density sigma/2 (sigma defaults to 10/n) is
+    A random pattern of density sigma/2 (sigma defaults to min(1, 10/n)) is
     symmetrized and mapped affinely onto the target extremes; the
     identity shift makes the result positive definite and fills the
     diagonal.

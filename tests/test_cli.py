@@ -159,6 +159,20 @@ class TestSolve:
         path = ladder_path(tmp_path, 4)
         assert main(["solve", "--matrix", path, "--p", "4"]) == 2
 
+    @pytest.mark.parametrize("label,factor", [
+        pytest.param("best", (3.0 + np.sqrt(5.0)) / 2.0, id="best"),
+        pytest.param("1.001dp", 1.001, id="1.001dp"),
+    ])
+    def test_exact_spectrum_beta_labels(self, tmp_path, capsys, label, factor):
+        # the prescribed family carries its exact spectrum, so d_p is known
+        out = str(tmp_path / "run")
+        code = main(["solve", "--family", "prescribed", "--n", "8", "--p", "2",
+                     "--beta", label, "--out", out])
+        assert code == 0
+        result = json.load(open(os.path.join(out, "result.json")))
+        assert result["params"]["beta0"] == pytest.approx(factor * 2.0, rel=1e-15)
+        np.testing.assert_allclose(result["eigenvalues"], [1.0, 2.0], rtol=1e-6)
+
     def test_numeric_beta_accepted(self, tmp_path, capsys):
         path = ladder_path(tmp_path, 6)
         out = str(tmp_path / "run")

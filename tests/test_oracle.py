@@ -20,17 +20,18 @@ def ladder_operator(n):
 class TestReference:
     def test_williamson_diagonal_ladder(self):
         n = 6
-        ref = reference(ladder_operator(n), p=2)
+        ref = reference(ladder_operator(n))
         np.testing.assert_allclose(ref.d, np.arange(1.0, n + 1.0), rtol=1e-12)
-        assert ref.x_ref.shape == (2 * n, 4)
+        frame = ref.frame(2)
+        assert frame.shape == (2 * n, 4)
         # pair j of the frame lives in the (e_j, e_{n+j}) plane
         for j in range(2):
             mask = np.zeros(2 * n, dtype=bool)
             mask[[j, n + j]] = True
-            assert np.linalg.norm(ref.x_ref[~mask][:, [j, 2 + j]]) <= 1e-10
+            assert np.linalg.norm(frame[~mask][:, [j, 2 + j]]) <= 1e-10
 
     def test_hand_checked_two_by_two(self):
-        ref = reference(SpdOperator.from_dense(np.diag([2.0, 8.0])), p=1)
+        ref = reference(SpdOperator.from_dense(np.diag([2.0, 8.0])))
         np.testing.assert_allclose(ref.d, [4.0], rtol=1e-12)
 
     def test_prescribed_recovery(self):

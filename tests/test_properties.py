@@ -1,0 +1,77 @@
+"""Invariances of symplectic eigenvalues, checked as properties.
+
+For SPD A, the symplectic eigenvalues d(A) scale with A, d(cA) = c d(A),
+and are invariant under symplectic congruence, d(S^T A S) = d(A) for
+every S in Sp(2n) (Williamson 1936).  The reference is the dense
+oracle; instances stay at n <= 8 so each example costs milliseconds.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_spd
+from sympeig import (
+    SolverParams,
+    SolveStatus,
+    SpdOperator,
+    j_left,
+    random_orthosymplectic,
+    reference,
+    solve,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+half_dims = st.integers(min_value=1, max_value=8)
+scales = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def _instance(n, seed):
+    rng = np.random.default_rng(seed)
+    cond = rng.uniform(1.0, 100.0)
+    return random_spd(rng, 2 * n, cond=cond), rng
+
+
+def _expm_symplectic(n, rng):
+    # S = exp(J_n H) for random symmetric H, scaled as gen_prescribed scales it
+    h = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
+    h = 0.5 * (h + h.T)
+    jh = j_left(h)
+    jh *= rng.uniform(0.5, 2.0) / np.linalg.norm(jh, 2)
+    return scipy.linalg.expm(jh)
+
+
+def _d(a):
+    return reference(SpdOperator.from_dense(0.5 * (a + a.T))).d
+
+
+@PROPERTY
+@given(n=half_dims, seed=seeds, c=scales)
+def test_scaling_is_homogeneous(n, seed, c):
+    a, _ = _instance(n, seed)
+    np.testing.assert_allclose(_d(c * a), c * _d(a), rtol=1e-9)
+
+
+@PROPERTY
+@given(n=half_dims, seed=seeds, orthogonal=st.booleans())
+def test_symplectic_congruence_is_invariant(n, seed, orthogonal):
+    a, rng = _instance(n, seed)
+    s = random_orthosymplectic(n, rng) if orthogonal else _expm_symplectic(n, rng)
+    # ||S||_2 <= e^2 for the exp(J H) builder, so cond(S^T A S) grows by <= e^8
+    np.testing.assert_allclose(_d(s.T @ a @ s), _d(a), rtol=1e-8)
+
+
+@pytest.mark.parametrize("c", [1e-2, 7.0])
+def test_solver_scales_with_operator(c):
+    n, p = 8, 3
+    a, _ = _instance(n, 11)
+    params = SolverParams(seed=2)
+    base = solve(SpdOperator.from_dense(a), p, params)
+    scaled = solve(SpdOperator.from_dense(c * a), p, params)
+    assert base.status is SolveStatus.CONVERGED
+    assert scaled.status is SolveStatus.CONVERGED
+    np.testing.assert_allclose(scaled.eigenvalues, c * base.eigenvalues, rtol=1e-7)

@@ -12,7 +12,6 @@ from sympeig import (
     evaluate,
     gen_prescribed,
     poisson,
-    rank_safeguard,
     reference,
     restart_point,
     solve,
@@ -47,27 +46,6 @@ class TestHeuristics:
 
     def test_beta_best_value(self):
         assert beta_best(2.0) == pytest.approx(3.0 + np.sqrt(5.0), rel=1e-15)
-
-
-class TestRankSafeguard:
-    def test_large_margin_leaves_step(self):
-        x = 100.0 * canonical_frame(4, 2)
-        g = np.ones((8, 4))
-        assert rank_safeguard(x, g, 0.5) == 0.5
-
-    def test_small_margin_caps_step(self):
-        x = 0.1 * canonical_frame(4, 1)  # sigma_min = 0.1
-        g = np.zeros((8, 2))
-        g[0, 0] = 10.0  # ||G||_2 = 10
-        assert rank_safeguard(x, g, 1.0) == pytest.approx(0.009, rel=1e-12)
-
-    def test_toggling_does_not_change_answer(self):
-        op, ref = gen_prescribed(12, seed=0)
-        res_off = solve(op, 3, SolverParams(seed=1, rank_safeguard=False))
-        res_on = solve(op, 3, SolverParams(seed=1, rank_safeguard=True))
-        assert res_off.status is SolveStatus.CONVERGED
-        assert res_on.status is SolveStatus.CONVERGED
-        np.testing.assert_allclose(res_on.eigenvalues, res_off.eigenvalues, atol=1e-8)
 
 
 class TestSolveBasic:

@@ -36,10 +36,12 @@ class TestGenDense:
 
 class TestGenSparse:
     def test_extreme_eigenvalues(self):
-        op = gen_sparse(25, seed=0)
-        w = np.linalg.eigvalsh(op.densify())
-        assert w[0] == pytest.approx(1.0, abs=1e-8)
-        assert w[-1] == pytest.approx(25.0, abs=1e-8)
+        # n = 4 takes the default density min(1, 10/n) = 1
+        for n in (4, 25):
+            op = gen_sparse(n, seed=0)
+            w = np.linalg.eigvalsh(op.densify())
+            assert w[0] == pytest.approx(1.0, abs=1e-8)
+            assert w[-1] == pytest.approx(float(n), abs=1e-8)
 
     def test_default_density(self):
         n = 50
@@ -64,13 +66,13 @@ class TestGenSparse:
         # 2n = 4002 takes the iterative extreme-eigenvalue path
         a = gen_sparse(2001, seed=0)
         b = gen_sparse(2001, seed=0)
-        np.testing.assert_array_equal(a._sp.data, b._sp.data)
+        np.testing.assert_array_equal(a._b.data, b._b.data)
 
     def test_density_validated(self):
         with pytest.raises(ValueError):
             gen_sparse(20, density=1.5, seed=0)
         with pytest.raises(ValueError):
-            gen_sparse(4, seed=0)  # default 10/n > 1
+            gen_sparse(20, density=0.0, seed=0)
 
 
 class TestGenSlr:
