@@ -152,7 +152,7 @@ def williamson_small(m):
     return WilliamsonForm(s=s, d=d)
 
 
-def srr(op, x):
+def srr(op, x, with_image=False):
     """Symplectic Rayleigh-Ritz refinement of span(X).
 
     Runs ssvd to get a symplectic basis S of the span, Williamson-
@@ -163,13 +163,18 @@ def srr(op, x):
     -------
     (s_fin, d_fin) : ndarray pair
         s_fin in Sp(2p, 2n) with s_fin^T A s_fin = diag(d_fin, d_fin)
-        up to round-off; d_fin ascending (the Ritz values).
+        up to round-off; d_fin ascending (the Ritz values).  With
+        `with_image` a third entry A s_fin is appended, formed as
+        (A S) W from the product already taken, with no further apply.
     """
     fac = ssvd(x)
     s = fac.s
-    projected = s.T @ op.apply(s)
+    a_s = op.apply(s)
+    projected = s.T @ a_s
     projected = 0.5 * (projected + projected.T)
     wf = williamson_small(projected)
+    if with_image:
+        return s @ wf.s, wf.d, a_s @ wf.s
     return s @ wf.s, wf.d
 
 

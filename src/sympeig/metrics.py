@@ -56,9 +56,12 @@ def feasibility(x):
     return float(np.linalg.norm(gram - poisson(gram.shape[0] // 2)))
 
 
-def residue(op, x, d):
+def residue(op, x, d, ax=None):
     """Relative eigen-residual ||A X - J_n X J_p^T D||_F / ||A X||_F
-    with D = diag(d, d)."""
+    with D = diag(d, d).
+
+    `ax` is A X when the caller already holds it (as `srr` does); the
+    operator is applied otherwise."""
     x = np.asarray(x, dtype=float)
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if x.ndim != 2 or x.shape[1] != 2 * d.size:
@@ -67,7 +70,10 @@ def residue(op, x, d):
         raise ValueError("eigenvalues must be positive")
     if not np.linalg.norm(x):
         raise ValueError("residue of a zero basis is undefined")
-    ax = op.apply(x)
+    if ax is None:
+        ax = op.apply(x)
+    elif np.shape(ax) != x.shape:
+        raise ValueError(f"image shape {np.shape(ax)} does not match basis {x.shape}")
     doubled = np.concatenate([d, d])
     target = j_left(-j_right(x) * doubled)
     return float(np.linalg.norm(ax - target) / np.linalg.norm(ax))

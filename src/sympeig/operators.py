@@ -124,7 +124,7 @@ class SpdOperator:
         add_flops(self._flops_per_col * cols)
         out = self._b @ x
         if self._c is not None:
-            out = out + self._c @ (self._c.T @ x)
+            out += self._c @ (self._c.T @ x)
         return out
 
     def trace(self):
@@ -193,7 +193,10 @@ def j_left(x):
     if x.shape[0] % 2:
         raise ValueError(f"J product needs an even row count, got {x.shape[0]}")
     k = x.shape[0] // 2
-    return np.concatenate((x[k:], -x[:k]), axis=0)
+    out = np.empty_like(x)
+    out[:k] = x[k:]
+    np.negative(x[:k], out=out[k:])
+    return out
 
 
 def j_right(x):
@@ -224,7 +227,9 @@ def symplectic_gram(x, jx=None):
         jx = j_left(x)
     g = x.T @ jx
     add_flops(g.shape[0] * g.shape[1] * x.shape[0])
-    return 0.5 * (g - g.T)
+    skew = g - g.T
+    skew *= 0.5
+    return skew
 
 
 def poisson(k):

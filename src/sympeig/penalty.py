@@ -58,16 +58,21 @@ class PenaltyEval:
         if self.gradient is None:
             rows, inner = self.jx.shape
             add_flops(rows * inner * self.violation.shape[1] + self.ax.size)
-            self.gradient = self.ax - self.beta * (self.jx @ self.violation)
+            gr = self.jx @ self.violation
+            gr *= self.beta
+            np.subtract(self.ax, gr, out=gr)
+            self.gradient = gr
         return self.gradient
 
 
 def _subtract_poisson(g):
-    # g <- g - J_p in place, touching only the two identity blocks
+    # g <- g - J_p in place, touching only the two identity blocks: in the
+    # flat view of the (C-contiguous, 2p x 2p) Gram, entry (i, p + i) sits
+    # at p + i (2p + 1) and entry (p + i, i) at 2p^2 + i (2p + 1)
     p = g.shape[0] // 2
-    idx = np.arange(p)
-    g[idx, p + idx] -= 1.0
-    g[p + idx, idx] += 1.0
+    flat = g.reshape(-1)
+    flat[p:2 * p * p:2 * p + 1] -= 1.0
+    flat[2 * p * p::2 * p + 1] += 1.0
     return g
 
 

@@ -42,10 +42,12 @@ class SolverParams:
     `beta0=None` resolves to the trace heuristic :func:`beta_suggest`.
     `eps0` is the first inner gradient tolerance; the enhanced solver
     uses it relative to max(1, ||A X||_F) and shrinks it by `delta_eps`
-    per outer stage, while the basic solver reads it as an absolute
-    target.  `window` is the nonmonotone memory L, `lam` and `delta`
-    the line-search weights, and `tol` the final residual target of the
-    enhanced solver.
+    per outer stage, except that a stage ending with residue r <=
+    tol / (2 delta_eps^2) is followed by eps' = (tol / 2r) eps, aimed
+    at half of `tol` (eps still falls strictly).  The basic solver reads
+    `eps0` as an absolute target.  `window` is the nonmonotone memory L,
+    `lam` and `delta` the line-search weights, and `tol` the relative
+    eigen-residual that both solvers must reach to report convergence.
     """
 
     beta0: float = None
@@ -194,7 +196,9 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
 
     ev = evaluate(op, x, beta)
     g = ev.ensure_gradient()
-    gnorm = float(np.linalg.norm(g))
+    # one dot product per gradient serves the stopping test and the line search
+    gnorm2 = float(np.vdot(g, g))
+    gnorm = math.sqrt(gnorm2)
     window = deque([ev.value], maxlen=params.window + 1)
     s_prev = None
     z_prev = None
@@ -217,13 +221,15 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
                 )
             else:
                 gamma = min(max(gamma, params.gamma_lo), params.gamma_hi)
-        ls = gll_search(f_eval, x, g, gamma, params.delta, params.lam, window)
+        ls = gll_search(f_eval, x, g, gamma, params.delta, params.lam, window,
+                        gnorm2=gnorm2)
         ev_new = ls.aux
         g_new = ev_new.ensure_gradient()
         s_prev = ls.x - x
         z_prev = g_new - g
         x, ev, g = ls.x, ev_new, g_new
-        gnorm = float(np.linalg.norm(g))
+        gnorm2 = float(np.vdot(g, g))
+        gnorm = math.sqrt(gnorm2)
         window.append(ev.value)
         trace.inner.append(
             InnerStep(k_base + iters, stage, ev.value, gnorm, gamma, ls.t,
@@ -263,7 +269,9 @@ def solve_basic(op, x0, beta, params=None):
     -------
     SympEigResult
         One outer stage; status CONVERGED when the gradient test was
-        met, MAX_ITERATIONS when k_max ran out first.
+        met and the refined eigen-residual is at most `params.tol`,
+        MAX_ITERATIONS otherwise (k_max ran out first, or the gradient
+        test stopped the descent short of `tol`).
 
     Raises
     ------
@@ -281,13 +289,14 @@ def solve_basic(op, x0, beta, params=None):
     x, ev, gnorm, reached, iters = _run_inner(
         op, x0, beta, params.eps0, params, rng, trace, stage=0, enhanced=False,
     )
-    s_fin, d_fin = srr(op, x)
-    resid = residue(op, s_fin, d_fin)
+    s_fin, d_fin, as_fin = srr(op, x, with_image=True)
+    resid = residue(op, s_fin, d_fin, ax=as_fin)
     trace.outer.append(
         OuterStage(0, float(beta), params.eps0, d_fin.copy(), reached, iters,
                    resid, None, time.perf_counter() - start)
     )
-    status = SolveStatus.CONVERGED if reached else SolveStatus.MAX_ITERATIONS
+    converged = reached and resid <= params.tol
+    status = SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS
     return _result(x, s_fin, d_fin, status, trace, beta, resid, start)
 
 
@@ -299,8 +308,14 @@ def solve(op, p, params=None):
     penalty update beta <- eta * theta_p (floored at
     (3+sqrt(5))/2 * theta_p whenever the update would fall below a
     tenth of the previous beta), restart from S (I - D/beta)^(1/2), and
-    a geometric inner-tolerance schedule.  Stops once the relative
-    eigen-residual of the refined basis drops to `params.tol`.
+    a geometric inner-tolerance schedule eps <- delta_eps * eps.  Stops
+    once the relative eigen-residual of the refined basis drops to
+    `params.tol`.  A stage's residue r tracks its eps, so when a stage
+    misses with r <= tol / (2 delta_eps^2) the next one runs at
+    eps * tol / (2r) instead, aimed at half of `tol` rather than a full
+    factor delta_eps below it.  The residue reuses the image A S that
+    the Rayleigh-Ritz step already formed, so a stage costs one apply
+    there and none in the residue.
 
     Returns
     -------
@@ -331,13 +346,13 @@ def solve(op, p, params=None):
                 op, x, beta, eps, params, rng, trace, stage=stage, enhanced=True,
             )
             try:
-                s_fin, d_fin = srr(op, x)
+                s_fin, d_fin, as_fin = srr(op, x, with_image=True)
             except RankDeficientError:
                 # one retry from a re-randomized perturbation
                 scale = 1e-8 * max(float(np.linalg.norm(x)), 1e-30)
                 x = x + scale / np.sqrt(x.size) * rng.standard_normal(x.shape)
-                s_fin, d_fin = srr(op, x)
-            resid = residue(op, s_fin, d_fin)
+                s_fin, d_fin, as_fin = srr(op, x, with_image=True)
+            resid = residue(op, s_fin, d_fin, ax=as_fin)
             elapsed = time.perf_counter() - stage_start
             converged = resid <= params.tol
             if not converged:
@@ -357,7 +372,14 @@ def solve(op, p, params=None):
             if converged:
                 status = SolveStatus.CONVERGED
                 break
-            eps = max(eps * params.delta_eps, _EPS_FLOOR)
+            # a stage ends with its residue close to its eps, so once tol is
+            # within reach the next eps is scaled to land at half of tol
+            # rather than a full factor delta_eps further down
+            target = 0.5 * params.tol * eps / resid
+            if target >= params.delta_eps * params.delta_eps * eps:
+                eps = max(target, _EPS_FLOOR)
+            else:
+                eps = max(eps * params.delta_eps, _EPS_FLOOR)
     except (NumericalFailure, RankDeficientError):
         status = SolveStatus.NUMERICAL_FAILURE
     return _result(x, s_fin, d_fin, status, trace, beta, resid, start)

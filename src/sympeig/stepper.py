@@ -50,7 +50,7 @@ class LineSearchResult:
     capped: bool
 
 
-def gll_search(f_eval, x, g, gamma, delta, lam, f_window):
+def gll_search(f_eval, x, g, gamma, delta, lam, f_window, gnorm2=None):
     """Nonmonotone backtracking line search.
 
     Finds the smallest integer t >= 0 with
@@ -70,6 +70,8 @@ def gll_search(f_eval, x, g, gamma, delta, lam, f_window):
         Backtracking factor and sufficient-decrease weight, both in (0, 1).
     f_window : iterable of float
         Objective values over the nonmonotone window.
+    gnorm2 : float, optional
+        ||g||_F^2 when the caller already has it; computed otherwise.
 
     Returns
     -------
@@ -84,12 +86,14 @@ def gll_search(f_eval, x, g, gamma, delta, lam, f_window):
     if gamma <= 0:
         raise ValueError(f"trial step must be positive, got {gamma}")
     fmax = max(f_window)
-    gnorm2 = float(np.vdot(g, g))
+    if gnorm2 is None:
+        gnorm2 = float(np.vdot(g, g))
     if gnorm2 == 0.0:
         raise ValueError("line search called with a zero gradient")
     step = float(gamma)
     for t in range(MAX_BACKTRACKS + 1):
-        xt = x - step * g
+        xt = step * g
+        np.subtract(x, xt, out=xt)
         ft, aux = f_eval(xt)
         if not np.isfinite(ft):
             raise NumericalFailure(

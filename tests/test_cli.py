@@ -111,6 +111,23 @@ class TestSolve:
         assert result["outer_iterations"] == 1
         np.testing.assert_allclose(result["eigenvalues"], [1.0, 2.0], rtol=1e-5)
 
+    @pytest.mark.parametrize("source", [
+        pytest.param(["--family", "dense", "--n", "50", "--p", "5", "--beta", "sug"],
+                     id="dense-sug"),
+        pytest.param(["--family", "prescribed", "--n", "8", "--p", "2",
+                      "--beta", "1.001dp"], id="prescribed-1.001dp"),
+    ])
+    def test_basic_variant_short_of_tol_is_not_converged(self, tmp_path, capsys,
+                                                         source):
+        # the default absolute gradient test (eps0 = 0.1) stops these runs
+        # with a residue far above tol: not a convergence
+        out = str(tmp_path / "run")
+        code = main(["solve", *source, "--variant", "basic", "--out", out])
+        assert code == 1
+        result = json.load(open(os.path.join(out, "result.json")))
+        assert result["status"] == "max_iterations"
+        assert result["residue"] > result["params"]["tol"]
+
     def test_save_basis_is_symplectic(self, tmp_path, capsys):
         path = ladder_path(tmp_path, 5)
         out = str(tmp_path / "run")

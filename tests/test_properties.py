@@ -1,9 +1,12 @@
 """Invariances of symplectic eigenvalues, checked as properties.
 
 For SPD A, the symplectic eigenvalues d(A) scale with A, d(cA) = c d(A),
-and are invariant under symplectic congruence, d(S^T A S) = d(A) for
-every S in Sp(2n) (Williamson 1936).  The reference is the dense
-oracle; instances stay at n <= 8 so each example costs milliseconds.
+are invariant under symplectic congruence, d(S^T A S) = d(A) for every
+S in Sp(2n) (Williamson 1936), and are monotone, d_j(A) <= d_j(B)
+whenever A <= B (Bhatia and Jain, J. Math. Phys. 56, 2015).  The
+reference is the dense oracle; instances stay at n <= 8 so each example
+costs milliseconds.  The solver's answer must not depend on the order
+of the coordinate pairs (i, n + i), although its iterates do.
 """
 
 import numpy as np
@@ -75,3 +78,30 @@ def test_solver_scales_with_operator(c):
     assert base.status is SolveStatus.CONVERGED
     assert scaled.status is SolveStatus.CONVERGED
     np.testing.assert_allclose(scaled.eigenvalues, c * base.eigenvalues, rtol=1e-7)
+
+
+@PROPERTY
+@given(n=half_dims, seed=seeds, rank=st.integers(min_value=1, max_value=4),
+       c=scales)
+def test_positive_update_is_monotone(n, seed, rank, c):
+    a, rng = _instance(n, seed)
+    f = np.sqrt(c / (2 * n)) * rng.standard_normal((2 * n, rank))
+    low, high = _d(a), _d(a + f @ f.T)
+    assert np.all(low <= high * (1.0 + 1e-10))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(n=st.integers(min_value=2, max_value=8), seed=seeds, data=st.data())
+def test_pair_permutation_leaves_eigenvalues(n, seed, data):
+    # P maps coordinate pair (i, n + i) to (pi(i), n + pi(i)); it is
+    # orthosymplectic, so P^T A P has the spectrum of A
+    p = data.draw(st.integers(min_value=1, max_value=n - 1), label="p")
+    perm = np.asarray(data.draw(st.permutations(range(n)), label="perm"))
+    a, _ = _instance(n, seed)
+    pair_perm = np.concatenate([perm, n + perm])
+    permuted = a[np.ix_(pair_perm, pair_perm)]
+    base = solve(SpdOperator.from_dense(a), p)
+    moved = solve(SpdOperator.from_dense(permuted), p)
+    assert base.status is SolveStatus.CONVERGED
+    assert moved.status is SolveStatus.CONVERGED
+    np.testing.assert_allclose(moved.eigenvalues, base.eigenvalues, rtol=1e-8)

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import random_spd
+from conftest import KINDS, make_operator, random_spd
 from sympeig import (
     SolveStatus,
     SolverParams,
@@ -13,6 +18,7 @@ from sympeig import (
     gen_prescribed,
     poisson,
     reference,
+    residue,
     restart_point,
     solve,
     solve_basic,
@@ -20,6 +26,20 @@ from sympeig import (
 )
 
 BETA_FLOOR_FACTOR = (3.0 + np.sqrt(5.0)) / 2.0
+
+
+class _CountingOperator:
+    def __init__(self, op):
+        self._op = op
+        self.n = op.n
+        self.applies = 0
+
+    def trace(self):
+        return self._op.trace()
+
+    def apply(self, x):
+        self.applies += 1
+        return self._op.apply(x)
 
 
 def ladder_operator(n):
@@ -158,11 +178,59 @@ class TestSolveEnhanced:
                 assert cur.beta == plain
 
     def test_eps_schedule_shrinks_tenfold(self):
+        # tenfold while the residue r exceeds 50 tol; from r <= 50 tol on,
+        # the next stage is aimed at tol / 2 through eps * tol / (2 r)
+        tol = 1e-8
         op, _ = gen_prescribed(16, seed=7)
-        res = solve(op, 3, SolverParams(seed=0))
+        res = solve(op, 3, SolverParams(seed=0, tol=tol))
         outer = res.trace.outer
+        aimed = 0
         for prev, cur in zip(outer, outer[1:]):
-            assert cur.eps == max(0.1 * prev.eps, 1e-14)
+            target = 0.5 * tol * prev.eps / prev.residue
+            if prev.residue <= 50 * tol:
+                aimed += 1
+                assert cur.eps == max(target, 1e-14)
+            else:
+                assert cur.eps == max(0.1 * prev.eps, 1e-14)
+            assert cur.eps < prev.eps
+        assert aimed >= 1
+
+    def test_far_from_tol_keeps_tenfold_schedule(self):
+        # every stage ends with r > 50 tol, so no stage is aimed and the
+        # run matches one with a still smaller tol step for step
+        op, _ = gen_prescribed(16, seed=7)
+        runs = [solve(op, 3, SolverParams(seed=0, tol=tol, outer_max=5))
+                for tol in (1e-12, 1e-13)]
+        for res in runs:
+            outer = res.trace.outer
+            assert res.status is SolveStatus.MAX_ITERATIONS
+            assert all(st.residue > 50 * 1e-12 for st in outer)
+            assert [st.eps for st in outer] == [0.1, 0.1 * 0.1, 0.1 * 0.1 * 0.1,
+                                               0.1 * 0.1 * 0.1 * 0.1,
+                                               0.1 * 0.1 * 0.1 * 0.1 * 0.1]
+        assert runs[0].trace.inner == runs[1].trace.inner
+        np.testing.assert_array_equal(runs[0].eigenbasis, runs[1].eigenbasis)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reported_residue_matches_fresh_apply(self, kind):
+        # the solver's residue reuses (A S) W from SRR; a fresh A (S W)
+        # differs only by rounding (both are relative to ||A X||_F)
+        rng = np.random.default_rng(14)
+        op = make_operator(kind, random_spd(rng, 40, cond=30.0))
+        res = solve(op, 3)
+        assert res.status is SolveStatus.CONVERGED
+        fresh = residue(op, res.eigenbasis, res.eigenvalues)
+        assert abs(res.residue - fresh) <= 1e-12
+        assert fresh <= 1e-8
+
+    def test_one_apply_per_stage_outside_the_inner_loop(self):
+        # inner loop: one apply per stage start and per line-search trial;
+        # SRR: one per stage; the residue adds none
+        op, _ = gen_prescribed(12, seed=15)
+        counted = _CountingOperator(op)
+        res = solve(counted, 3)
+        trials = sum(row.t + 1 for row in res.trace.inner)
+        assert counted.applies == trials + 2 * res.outer_iterations
 
     def test_window_max_non_increasing_within_stages(self):
         op, _ = gen_prescribed(12, seed=8)
@@ -237,3 +305,32 @@ class TestSolveEnhanced:
         res = solve(op, 2)
         expected = restart_point(res.eigenbasis, res.eigenvalues, res.beta_final)
         np.testing.assert_array_equal(res.x_final, expected)
+
+
+_HASH_ONE_SOLVE = """
+import hashlib
+from sympeig import GeneratorSpec, solve
+op, _ = GeneratorSpec("dense", 50, seed=0).make()
+res = solve(op, 5)
+h = hashlib.sha256()
+for row in res.trace.inner:
+    h.update(repr((row.k, row.stage, row.f, row.gnorm, row.gamma, row.t,
+                   row.beta, row.window_max, row.capped)).encode())
+h.update(res.eigenvalues.tobytes())
+h.update(res.eigenbasis.tobytes())
+print(res.status.value, res.inner_iterations, h.hexdigest())
+"""
+
+
+def test_solve_reproducible_across_processes():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=path)
+    outputs = [
+        subprocess.run([sys.executable, "-c", _HASH_ONE_SOLVE], env=env,
+                       capture_output=True, text=True, check=True, timeout=300).stdout
+        for _ in range(2)
+    ]
+    assert outputs[0].startswith("converged ")
+    assert outputs[0] == outputs[1]
