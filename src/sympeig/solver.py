@@ -373,8 +373,8 @@ def solve(op, p, params=None):
                 status = SolveStatus.CONVERGED
                 break
             # a stage ends with its residue close to its eps, so once tol is
-            # within reach the next eps is scaled to land at half of tol
-            # rather than a full factor delta_eps further down
+            # within reach the next stage is aimed at tol / 2 rather than
+            # a full factor delta_eps further down
             target = 0.5 * params.tol * eps / resid
             if target >= params.delta_eps * params.delta_eps * eps:
                 eps = max(target, _EPS_FLOOR)

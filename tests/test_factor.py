@@ -152,6 +152,16 @@ class TestSrr:
         target = np.diag(np.concatenate([d_fin, d_fin]))
         assert np.linalg.norm(proj - target) <= 1e-9 * np.linalg.norm(proj)
 
+    def test_image_reuses_the_projection_product(self):
+        op, _ = gen_prescribed(10, seed=4)
+        x = np.random.default_rng(8).standard_normal((20, 6))
+        s_plain, d_plain = srr(op, x)
+        s_fin, d_fin, image = srr(op, x, with_image=True)
+        np.testing.assert_array_equal(s_fin, s_plain)
+        np.testing.assert_array_equal(d_fin, d_plain)
+        fresh = op.apply(s_fin)
+        assert np.linalg.norm(image - fresh) <= 1e-12 * np.linalg.norm(fresh)
+
     def test_right_factor_invariance(self):
         op, ref = gen_prescribed(9, seed=5)
         p, beta = 2, 30.0

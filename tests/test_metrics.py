@@ -99,6 +99,21 @@ class TestResidue:
             residue(op, x, d), rel=1e-12
         )
 
+    def test_given_image_replaces_the_apply(self):
+        op, ref = gen_prescribed(8, seed=9)
+        x = ref.frame(3) + 1e-3
+        d = ref.d[:3]
+
+        class NoApply:
+            n = op.n
+
+            def apply(self, _):
+                raise AssertionError("operator applied although A X was given")
+
+        assert residue(NoApply(), x, d, ax=op.apply(x)) == residue(op, x, d)
+        with pytest.raises(ValueError):
+            residue(op, x, d, ax=op.apply(x[:, :4]))
+
     def test_zero_basis_rejected(self):
         op = SpdOperator.from_dense(np.eye(4))
         with pytest.raises(ValueError):

@@ -201,13 +201,14 @@ class TestSolveEnhanced:
         op, _ = gen_prescribed(16, seed=7)
         runs = [solve(op, 3, SolverParams(seed=0, tol=tol, outer_max=5))
                 for tol in (1e-12, 1e-13)]
+        tenfold = [0.1]
+        while len(tenfold) < 5:
+            tenfold.append(0.1 * tenfold[-1])
         for res in runs:
             outer = res.trace.outer
             assert res.status is SolveStatus.MAX_ITERATIONS
             assert all(st.residue > 50 * 1e-12 for st in outer)
-            assert [st.eps for st in outer] == [0.1, 0.1 * 0.1, 0.1 * 0.1 * 0.1,
-                                               0.1 * 0.1 * 0.1 * 0.1,
-                                               0.1 * 0.1 * 0.1 * 0.1 * 0.1]
+            assert [st.eps for st in outer] == tenfold
         assert runs[0].trace.inner == runs[1].trace.inner
         np.testing.assert_array_equal(runs[0].eigenbasis, runs[1].eigenbasis)
 
