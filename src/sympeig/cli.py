@@ -149,11 +149,17 @@ def _write_trace(path, trace, meta):
             )
 
 
+def _gradient_test_met(result):
+    # whether the last stage stopped on its gradient test (not on k_max)
+    return bool(result.trace.outer) and result.trace.outer[-1].reached
+
+
 def _result_payload(result, meta):
     return _jsonable(
         {
             **meta,
             "status": result.status.value,
+            "gradient_test_met": _gradient_test_met(result),
             "eigenvalues": result.eigenvalues,
             "beta_final": result.beta_final,
             "residue": result.residue,
@@ -221,7 +227,10 @@ def cmd_solve(args):
     if args.save_basis and result.eigenbasis is not None:
         mmwrite(os.path.join(out, "basis.mtx"), result.eigenbasis, precision=17)
     print(result_path)
-    print(f"status={result.status.value} residue={result.residue:g}")
+    note = ""
+    if result.status is SolveStatus.MAX_ITERATIONS and _gradient_test_met(result):
+        note = f" (gradient test met, residue above tol={params.tol:g})"
+    print(f"status={result.status.value} residue={result.residue:g}{note}")
     return _status_exit(result.status)
 
 

@@ -152,7 +152,7 @@ def williamson_small(m):
     return WilliamsonForm(s=s, d=d)
 
 
-def srr(op, x, with_image=False):
+def srr(op, x):
     """Symplectic Rayleigh-Ritz refinement of span(X).
 
     Runs ssvd to get a symplectic basis S of the span, Williamson-
@@ -161,11 +161,11 @@ def srr(op, x, with_image=False):
 
     Returns
     -------
-    (s_fin, d_fin) : ndarray pair
+    (s_fin, d_fin, a_s_fin) : ndarray triple
         s_fin in Sp(2p, 2n) with s_fin^T A s_fin = diag(d_fin, d_fin)
-        up to round-off; d_fin ascending (the Ritz values).  With
-        `with_image` a third entry A s_fin is appended, formed as
-        (A S) W from the product already taken, with no further apply.
+        up to round-off; d_fin ascending (the Ritz values); a_s_fin is
+        A s_fin, formed as (A S) W from the product already taken, so
+        the caller needs no further apply for the residual.
     """
     fac = ssvd(x)
     s = fac.s
@@ -173,9 +173,7 @@ def srr(op, x, with_image=False):
     projected = s.T @ a_s
     projected = 0.5 * (projected + projected.T)
     wf = williamson_small(projected)
-    if with_image:
-        return s @ wf.s, wf.d, a_s @ wf.s
-    return s @ wf.s, wf.d
+    return s @ wf.s, wf.d, a_s @ wf.s
 
 
 def restart_point(s_fin, d_fin, beta):

@@ -196,9 +196,7 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
 
     ev = evaluate(op, x, beta)
     g = ev.ensure_gradient()
-    # one dot product per gradient serves the stopping test and the line search
-    gnorm2 = float(np.vdot(g, g))
-    gnorm = math.sqrt(gnorm2)
+    gnorm = float(np.linalg.norm(g))
     window = deque([ev.value], maxlen=params.window + 1)
     s_prev = None
     z_prev = None
@@ -221,15 +219,13 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
                 )
             else:
                 gamma = min(max(gamma, params.gamma_lo), params.gamma_hi)
-        ls = gll_search(f_eval, x, g, gamma, params.delta, params.lam, window,
-                        gnorm2=gnorm2)
+        ls = gll_search(f_eval, x, g, gamma, params.delta, params.lam, window)
         ev_new = ls.aux
         g_new = ev_new.ensure_gradient()
         s_prev = ls.x - x
         z_prev = g_new - g
         x, ev, g = ls.x, ev_new, g_new
-        gnorm2 = float(np.vdot(g, g))
-        gnorm = math.sqrt(gnorm2)
+        gnorm = float(np.linalg.norm(g))
         window.append(ev.value)
         trace.inner.append(
             InnerStep(k_base + iters, stage, ev.value, gnorm, gamma, ls.t,
@@ -289,7 +285,7 @@ def solve_basic(op, x0, beta, params=None):
     x, ev, gnorm, reached, iters = _run_inner(
         op, x0, beta, params.eps0, params, rng, trace, stage=0, enhanced=False,
     )
-    s_fin, d_fin, as_fin = srr(op, x, with_image=True)
+    s_fin, d_fin, as_fin = srr(op, x)
     resid = residue(op, s_fin, d_fin, ax=as_fin)
     trace.outer.append(
         OuterStage(0, float(beta), params.eps0, d_fin.copy(), reached, iters,
@@ -346,12 +342,12 @@ def solve(op, p, params=None):
                 op, x, beta, eps, params, rng, trace, stage=stage, enhanced=True,
             )
             try:
-                s_fin, d_fin, as_fin = srr(op, x, with_image=True)
+                s_fin, d_fin, as_fin = srr(op, x)
             except RankDeficientError:
                 # one retry from a re-randomized perturbation
                 scale = 1e-8 * max(float(np.linalg.norm(x)), 1e-30)
                 x = x + scale / np.sqrt(x.size) * rng.standard_normal(x.shape)
-                s_fin, d_fin, as_fin = srr(op, x, with_image=True)
+                s_fin, d_fin, as_fin = srr(op, x)
             resid = residue(op, s_fin, d_fin, ax=as_fin)
             elapsed = time.perf_counter() - stage_start
             converged = resid <= params.tol

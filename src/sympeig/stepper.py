@@ -50,7 +50,7 @@ class LineSearchResult:
     capped: bool
 
 
-def gll_search(f_eval, x, g, gamma, delta, lam, f_window, gnorm2=None):
+def gll_search(f_eval, x, g, gamma, delta, lam, f_window):
     """Nonmonotone backtracking line search.
 
     Finds the smallest integer t >= 0 with
@@ -70,8 +70,6 @@ def gll_search(f_eval, x, g, gamma, delta, lam, f_window, gnorm2=None):
         Backtracking factor and sufficient-decrease weight, both in (0, 1).
     f_window : iterable of float
         Objective values over the nonmonotone window.
-    gnorm2 : float, optional
-        ||g||_F^2 when the caller already has it; computed otherwise.
 
     Returns
     -------
@@ -86,8 +84,7 @@ def gll_search(f_eval, x, g, gamma, delta, lam, f_window, gnorm2=None):
     if gamma <= 0:
         raise ValueError(f"trial step must be positive, got {gamma}")
     fmax = max(f_window)
-    if gnorm2 is None:
-        gnorm2 = float(np.vdot(g, g))
+    gnorm2 = float(np.vdot(g, g))
     if gnorm2 == 0.0:
         raise ValueError("line search called with a zero gradient")
     step = float(gamma)

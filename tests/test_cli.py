@@ -126,7 +126,10 @@ class TestSolve:
         assert code == 1
         result = json.load(open(os.path.join(out, "result.json")))
         assert result["status"] == "max_iterations"
+        assert result["gradient_test_met"] is True
+        assert result["inner_iterations"] < result["params"]["k_max"]
         assert result["residue"] > result["params"]["tol"]
+        assert "(gradient test met, residue above tol=1e-08)" in capsys.readouterr().out
 
     def test_save_basis_is_symplectic(self, tmp_path, capsys):
         path = ladder_path(tmp_path, 5)

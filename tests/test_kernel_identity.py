@@ -6,8 +6,6 @@ Each test keeps the plain expression as the reference and compares with
 difference is a bug.  Inputs cover p = 1 and every operator kind.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -72,15 +70,6 @@ def test_apply_matches_expression(kind):
         assert np.array_equal(op.apply(x), expected)
 
 
-def test_gradient_norm_from_one_dot_product():
-    # the solver takes ||G||_F as sqrt(<G, G>) and hands <G, G> on to the
-    # line search; both must equal what np.linalg.norm gives
-    rng = np.random.default_rng(50)
-    for p in PAIRS:
-        g = _block(rng, 11, p)
-        assert math.sqrt(float(np.vdot(g, g))) == float(np.linalg.norm(g))
-
-
 @pytest.mark.parametrize("backtracks", (0, 3))
 def test_trial_point_matches_expression(backtracks):
     rng = np.random.default_rng(60 + backtracks)
@@ -93,12 +82,10 @@ def test_trial_point_matches_expression(backtracks):
         # the first `backtracks` trials fail the decrease test
         return (1e9 if len(trials) <= backtracks else 0.0), None
 
-    for gnorm2 in (None, float(np.vdot(g, g))):
-        trials.clear()
-        ls = gll_search(f_eval, x, g, 0.3, 0.5, 1e-8, [1.0], gnorm2=gnorm2)
-        assert ls.t == backtracks
-        step = 0.3
-        for xt in trials:
-            assert np.array_equal(xt, x - step * g)
-            step *= 0.5
-        assert np.array_equal(ls.x, trials[-1])
+    ls = gll_search(f_eval, x, g, 0.3, 0.5, 1e-8, [1.0])
+    assert ls.t == backtracks
+    step = 0.3
+    for xt in trials:
+        assert np.array_equal(xt, x - step * g)
+        step *= 0.5
+    assert np.array_equal(ls.x, trials[-1])
