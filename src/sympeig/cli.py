@@ -316,6 +316,7 @@ def cmd_bench(args):
     seeds = [int(tok) for tok in args.seeds.split(",")]
     betas = [tok for tok in args.betas.split(",") if tok]
     variants = [tok for tok in args.variants.split(",") if tok]
+    SolverParams(tol=args.tol).validate()
     for family in families:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")

@@ -8,8 +8,7 @@ report counts (operator application, the symplectic Gram matrix, and
 the penalty gradient); permutation kernels and O(p^2) bookkeeping are
 not charged.
 
-Counting is off unless a counter is active; activation is per-thread so
-concurrent benchmark cells do not interfere.
+Counting is off unless a counter is active; activation is per-thread.
 """
 
 import contextlib

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import j_left, j_right, poisson, symplectic_gram
+from .penalty import evaluate
 
 
 @dataclass
@@ -96,8 +97,6 @@ def report(op, x, result, reference=None, beta=None):
         When given, the penalty objective at `x` is included; taken
         from `result` when that is a solver result.
     """
-    from .penalty import objective  # local import keeps module load light
-
     if hasattr(result, "eigenvalues"):
         d = result.eigenvalues
         if beta is None:
@@ -116,7 +115,7 @@ def report(op, x, result, reference=None, beta=None):
         golub_werman=gw,
         residue=residue(op, x, d),
         feasibility=feasibility(x),
-        objective=None if beta is None else objective(op, x, beta),
+        objective=None if beta is None else evaluate(op, x, beta).value,
         eig_abs_err=abs_err,
         eig_rel_err=rel_err,
     )

@@ -30,10 +30,6 @@ class PenaltyEval:
     beta : float
     value : float
         f_beta(X).
-    trace_term : float
-        1/2 <X, A X>.
-    feasibility : float
-        ||X^T J_n X - J_p||_F.
     ax : ndarray
         Cached A X.
     jx : ndarray
@@ -46,8 +42,6 @@ class PenaltyEval:
 
     beta: float
     value: float
-    trace_term: float
-    feasibility: float
     ax: np.ndarray
     jx: np.ndarray = field(repr=False)
     violation: np.ndarray = field(repr=False)
@@ -106,21 +100,10 @@ def evaluate(op, x, beta, want_gradient=False):
     add_flops(violation.size)
     feasibility = float(np.linalg.norm(violation))
     value = trace_term + 0.25 * beta * feasibility * feasibility
-    ev = PenaltyEval(float(beta), value, trace_term, feasibility, ax, jx, violation)
+    ev = PenaltyEval(float(beta), value, ax, jx, violation)
     if want_gradient:
         ev.ensure_gradient()
     return ev
-
-
-def objective(op, x, beta):
-    """f_beta(X); one operator application plus one Gram product."""
-    return evaluate(op, x, beta).value
-
-
-def grad(op, x, beta):
-    """Evaluate f_beta and its gradient; shares the code path of
-    :func:`objective`, so the value matches it bit for bit."""
-    return evaluate(op, x, beta, want_gradient=True)
 
 
 def hess_quadform(op, x, y, beta):

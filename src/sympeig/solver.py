@@ -28,6 +28,18 @@ BETA_BEST_FACTOR = (3.0 + np.sqrt(5.0)) / 2.0
 
 _EPS_FLOOR = 1e-14
 
+# step and line-search constants of both variants
+GAMMA0 = 1e-4  # first BB step length
+GAMMA_LO = 1e-8  # step clamp, lower
+GAMMA_HI = 1e5  # step clamp, upper
+XI_LO = 0.99  # randomization factor range of the enhanced BB step
+XI_HI = 1.0
+DELTA_EPS = 0.1  # inner tolerance shrink per outer stage
+DELTA = 0.5  # line-search backtracking factor
+LAM = 1e-8  # line-search sufficient-decrease weight
+WINDOW = 50  # nonmonotone memory L
+ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
+
 
 class SolveStatus(Enum):
     CONVERGED = "converged"
@@ -37,32 +49,22 @@ class SolveStatus(Enum):
 
 @dataclass
 class SolverParams:
-    """Tuning knobs of both solver variants.
+    """Settings of both solver variants.
 
     `beta0=None` resolves to the trace heuristic :func:`beta_suggest`.
     `eps0` is the first inner gradient tolerance; the enhanced solver
-    uses it relative to max(1, ||A X||_F) and shrinks it by `delta_eps`
+    uses it relative to max(1, ||A X||_F) and shrinks it by `DELTA_EPS`
     per outer stage, except that a stage ending with residue r <=
-    tol / (2 delta_eps^2) is followed by eps' = (tol / 2r) eps, aimed
+    tol / (2 DELTA_EPS^2) is followed by eps' = (tol / 2r) eps, aimed
     at half of `tol` (eps still falls strictly).  The basic solver reads
-    `eps0` as an absolute target.  `window` is the nonmonotone memory L,
-    `lam` and `delta` the line-search weights, and `tol` the relative
-    eigen-residual that both solvers must reach to report convergence.
+    `eps0` as an absolute target.  `tol` is the relative eigen-residual
+    that both solvers must reach to report convergence.  The step and
+    line-search constants are module constants (`GAMMA0` ... `ETA`).
     """
 
     beta0: float = None
-    gamma0: float = 1e-4
-    gamma_lo: float = 1e-8
-    gamma_hi: float = 1e5
-    xi_lo: float = 0.99
-    xi_hi: float = 1.0
     k_max: int = 5000
     eps0: float = 0.1
-    delta_eps: float = 0.1
-    delta: float = 0.5
-    lam: float = 1e-8
-    window: int = 50
-    eta: float = 1.1
     outer_max: int = 20
     tol: float = 1e-8
     seed: int = 0
@@ -78,22 +80,9 @@ class SolverParams:
             elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
                   or not math.isfinite(value)):
                 raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
-        if not 0 < self.gamma_lo <= self.gamma0 <= self.gamma_hi:
-            raise ValueError(
-                f"need 0 < gamma_lo <= gamma0 <= gamma_hi, got "
-                f"({self.gamma_lo}, {self.gamma0}, {self.gamma_hi})"
-            )
-        if not (0 < self.delta < 1 and 0 < self.lam < 1):
-            raise ValueError("delta and lam must lie in (0, 1)")
-        if not 0 < self.delta_eps < 1:
-            raise ValueError(f"delta_eps must lie in (0, 1), got {self.delta_eps}")
-        if not 0 < self.xi_lo <= self.xi_hi:
-            raise ValueError(f"invalid xi bounds ({self.xi_lo}, {self.xi_hi})")
-        if self.eta <= 1:
-            raise ValueError(f"eta must exceed 1, got {self.eta}")
         if self.eps0 <= 0 or self.tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.k_max < 1 or self.outer_max < 1 or self.window < 0:
+        if self.k_max < 1 or self.outer_max < 1:
             raise ValueError("iteration limits must be positive")
         if self.beta0 is not None and self.beta0 <= 0:
             raise ValueError(f"beta0 must be positive, got {self.beta0}")
@@ -197,7 +186,7 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
     ev = evaluate(op, x, beta)
     g = ev.ensure_gradient()
     gnorm = float(np.linalg.norm(g))
-    window = deque([ev.value], maxlen=params.window + 1)
+    window = deque([ev.value], maxlen=WINDOW + 1)
     s_prev = None
     z_prev = None
     k_base = len(trace.inner)
@@ -209,17 +198,14 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
             reached = True
             break
         if k == 0:
-            gamma = params.gamma0
+            gamma = GAMMA0
         else:
-            gamma = bb_step(s_prev, z_prev, k, params.gamma_hi)
+            gamma = bb_step(s_prev, z_prev, k, GAMMA_HI)
             if enhanced:
-                gamma = clamp_randomize(
-                    gamma, params.gamma_lo, params.gamma_hi,
-                    params.xi_lo, params.xi_hi, rng,
-                )
+                gamma = clamp_randomize(gamma, GAMMA_LO, GAMMA_HI, XI_LO, XI_HI, rng)
             else:
-                gamma = min(max(gamma, params.gamma_lo), params.gamma_hi)
-        ls = gll_search(f_eval, x, g, gamma, params.delta, params.lam, window)
+                gamma = min(max(gamma, GAMMA_LO), GAMMA_HI)
+        ls = gll_search(f_eval, x, g, gamma, DELTA, LAM, window)
         ev_new = ls.aux
         g_new = ev_new.ensure_gradient()
         s_prev = ls.x - x
@@ -276,8 +262,8 @@ def solve_basic(op, x0, beta, params=None):
         the final iterate is too rank-deficient for the extraction.
     """
     params = (params or SolverParams()).validate()
-    if beta <= 0:
-        raise ValueError(f"penalty weight must be positive, got {beta}")
+    if not (math.isfinite(beta) and beta > 0):
+        raise ValueError(f"penalty weight must be positive and finite, got {beta}")
     x0 = np.array(x0, dtype=float)
     rng = np.random.default_rng(params.seed)
     trace = SolveTrace()
@@ -301,15 +287,15 @@ def solve(op, p, params=None):
 
     Enhanced variant: randomized clamped BB steps inside a stage,
     symplectic Rayleigh-Ritz extraction at the end of each stage,
-    penalty update beta <- eta * theta_p (floored at
+    penalty update beta <- ETA * theta_p (floored at
     (3+sqrt(5))/2 * theta_p whenever the update would fall below a
     tenth of the previous beta), restart from S (I - D/beta)^(1/2), and
-    a geometric inner-tolerance schedule eps <- delta_eps * eps.  Stops
+    a geometric inner-tolerance schedule eps <- DELTA_EPS * eps.  Stops
     once the relative eigen-residual of the refined basis drops to
     `params.tol`.  A stage's residue r tracks its eps, so when a stage
-    misses with r <= tol / (2 delta_eps^2) the next one runs at
+    misses with r <= tol / (2 DELTA_EPS^2) the next one runs at
     eps * tol / (2r) instead, aimed at half of `tol` rather than a full
-    factor delta_eps below it.  The residue reuses the image A S that
+    factor DELTA_EPS below it.  The residue reuses the image A S that
     the Rayleigh-Ritz step already formed, so a stage costs one apply
     there and none in the residue.
 
@@ -353,7 +339,7 @@ def solve(op, p, params=None):
             converged = resid <= params.tol
             if not converged:
                 theta_p = float(d_fin[-1])
-                beta = params.eta * theta_p
+                beta = ETA * theta_p
                 if beta < stage_beta / 10.0:
                     beta = BETA_BEST_FACTOR * theta_p
             x = restart_point(s_fin, d_fin, beta)
@@ -370,12 +356,12 @@ def solve(op, p, params=None):
                 break
             # a stage ends with its residue close to its eps, so once tol is
             # within reach the next stage is aimed at tol / 2 rather than
-            # a full factor delta_eps further down
+            # a full factor DELTA_EPS further down
             target = 0.5 * params.tol * eps / resid
-            if target >= params.delta_eps * params.delta_eps * eps:
+            if target >= DELTA_EPS * DELTA_EPS * eps:
                 eps = max(target, _EPS_FLOOR)
             else:
-                eps = max(eps * params.delta_eps, _EPS_FLOOR)
+                eps = max(eps * DELTA_EPS, _EPS_FLOOR)
     except (NumericalFailure, RankDeficientError):
         status = SolveStatus.NUMERICAL_FAILURE
     return _result(x, s_fin, d_fin, status, trace, beta, resid, start)

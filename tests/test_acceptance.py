@@ -17,27 +17,21 @@ from sympeig import (
     SolverParams,
     SolveStatus,
     beta_suggest,
-    canonical_frame,
-    construct_stationary_point,
     count_flops,
-    evaluate,
     gen_dense,
     gen_prescribed,
     gen_slr,
     gen_sparse,
-    grad,
-    hess_quadform,
-    objective,
     poisson,
-    random_orthosymplectic,
-    random_symplectic_frame,
     reference,
     report,
     solve,
     solve_basic,
-    ssvd,
-    williamson_small,
 )
+from sympeig.factor import random_orthosymplectic, ssvd, williamson_small
+from sympeig.operators import canonical_frame
+from sympeig.oracle import random_symplectic_frame
+from sympeig.penalty import construct_stationary_point, evaluate, hess_quadform
 
 GRID_FAMILIES = ("dense", "sparse", "slr", "prescribed")
 GRID_N = (10, 50, 200)
@@ -115,7 +109,7 @@ def test_criterion_02_global_value_identity(grid, emit):
         d = r.ref.d[: r.p]
         beta = r.res.beta_final
         beta_ok = beta_ok and beta > d[-1]
-        f = objective(r.op, r.res.x_final, beta)
+        f = evaluate(r.op, r.res.x_final, beta).value
         target = float(np.sum(d - d**2 / (2.0 * beta)))
         worst = max(worst, abs(f - target) / (1.0 + abs(f)))
     ok = beta_ok and worst <= 1e-8
@@ -135,22 +129,23 @@ def test_criterion_03_derivative_correctness(emit):
             op = make_operator(kind, random_spd(rng, dim))
             x = rng.standard_normal((dim, 2 * p))
             beta = 2.0 + 8.0 * rng.random()
-            g = grad(op, x, beta).gradient
+            g = evaluate(op, x, beta, want_gradient=True).gradient
             h = 1e-6 * (1.0 + np.linalg.norm(x))
             g_fd = np.zeros_like(x)
             for i in range(dim):
                 for j in range(2 * p):
                     e = np.zeros_like(x)
                     e[i, j] = h
-                    g_fd[i, j] = (objective(op, x + e, beta)
-                                  - objective(op, x - e, beta)) / (2.0 * h)
+                    g_fd[i, j] = (evaluate(op, x + e, beta).value
+                                  - evaluate(op, x - e, beta).value) / (2.0 * h)
             worst_g = max(worst_g, np.linalg.norm(g_fd - g) / np.linalg.norm(g))
             y = rng.standard_normal(x.shape)
             y /= np.linalg.norm(y)
             quad = hess_quadform(op, x, y, beta)
             h2 = 1e-4 * (1.0 + np.linalg.norm(x))
-            quad_fd = (objective(op, x + h2 * y, beta) - 2.0 * objective(op, x, beta)
-                       + objective(op, x - h2 * y, beta)) / h2**2
+            quad_fd = (evaluate(op, x + h2 * y, beta).value
+                       - 2.0 * evaluate(op, x, beta).value
+                       + evaluate(op, x - h2 * y, beta).value) / h2**2
             worst_h = max(worst_h, abs(quad_fd - quad) / max(abs(quad), 1e-30))
     ok = worst_g < 1e-6 and worst_h < 1e-5
     detail = (f"20 draws x {len(KINDS)} operator kinds: gradient vs FD"
@@ -172,7 +167,8 @@ def test_criterion_04_stationary_point_fixtures(emit):
         for q in (p, p - 1):
             shat = ref.s_full[:, np.r_[0:q, n:n + q]]
             x = construct_stationary_point(shat, ref.d[:q], p, t, beta)
-            gnorm = float(np.linalg.norm(grad(op, x, beta).gradient))
+            gnorm = float(np.linalg.norm(
+                evaluate(op, x, beta, want_gradient=True).gradient))
             worst = max(worst, gnorm / bound)
     ok = worst <= 1.0
     detail = (f"10 seeds, q in {{p, p-1}}: max |grad| = {worst:.2f} x bound"

@@ -155,6 +155,7 @@ class TestSolve:
         pytest.param({"k_max": 100.5}, id="fractional-k_max"),
         pytest.param({"tol": "1e-8"}, id="string-tol"),
         pytest.param({"tol": float("nan")}, id="nan-tol"),
+        pytest.param({"window": 10}, id="removed-key"),
     ])
     def test_bad_config_key_is_usage_error(self, tmp_path, capsys, entry):
         path = ladder_path(tmp_path, 5)
@@ -162,6 +163,13 @@ class TestSolve:
         config.write_text(json.dumps(entry))
         assert main(["solve", "--matrix", path, "--p", "2",
                      "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("variant", ["basic", "enhanced"])
+    @pytest.mark.parametrize("label", ["nan", "inf"])
+    def test_non_finite_beta_is_usage_error(self, tmp_path, capsys, label, variant):
+        out = str(tmp_path / "run")
+        assert main(["solve", "--family", "dense", "--n", "10", "--p", "2",
+                     "--variant", variant, "--beta", label, "--out", out]) == 2
 
     def test_non_convergence_exit_code(self, tmp_path, capsys):
         # a dense similarity-transformed instance cannot converge in
@@ -278,6 +286,13 @@ class TestBench:
     def test_p_not_below_n_rejected(self, capsys):
         assert main(["bench", "--families", "dense", "--n-list", "4",
                      "--p-list", "4", "--seeds", "0"]) == 2
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tol_rejected_before_any_run(self, tmp_path, capsys, tol):
+        out = tmp_path / "b"
+        assert main(["bench", "--n-list", "8", "--p-list", "2", "--seeds", "0",
+                     "--tol", tol, "--out", str(out)]) == 2
+        assert not (out / "bench.csv").exists()
 
     def test_unknown_family_rejected(self, capsys):
         assert main(["bench", "--families", "weird", "--n-list", "4",

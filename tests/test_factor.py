@@ -6,20 +6,20 @@ from sympeig import (
     NumericalFailure,
     RankDeficientError,
     SpdOperator,
-    canonical_frame,
-    construct_stationary_point,
     gen_prescribed,
-    grad,
-    j_left,
     poisson,
-    random_orthosymplectic,
     reference,
+    symplectic_gram,
+)
+from sympeig.factor import (
+    random_orthosymplectic,
     restart_point,
     srr,
     ssvd,
-    symplectic_gram,
     williamson_small,
 )
+from sympeig.operators import canonical_frame, j_left
+from sympeig.penalty import construct_stationary_point, evaluate
 
 
 class TestSsvd:
@@ -86,7 +86,7 @@ class TestSsvd:
             lhs = np.linalg.norm(a @ fac.s - j_left(fac.s @ ell))
             xax = x.T @ (a @ x)
             sigma_min = np.linalg.eigvalsh(0.5 * (xax + xax.T))[0]
-            gnorm = np.linalg.norm(grad(op, x, beta).gradient)
+            gnorm = np.linalg.norm(evaluate(op, x, beta, want_gradient=True).gradient)
             assert lhs <= np.sqrt(2 * p * d_n / sigma_min) * gnorm * (1 + 1e-12)
 
 
@@ -194,7 +194,7 @@ class TestRestartPoint:
         n = ref.d.size
         s = ref.s_full[:, np.r_[0:p, n : n + p]]
         x = restart_point(s, ref.d[:p], beta)
-        g = grad(op, x, beta).gradient
+        g = evaluate(op, x, beta, want_gradient=True).gradient
         assert np.linalg.norm(g) <= 1e-9 * np.linalg.norm(op.densify())
 
     def test_bad_beta_rejected(self):

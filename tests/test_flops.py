@@ -2,7 +2,9 @@ import numpy as np
 from scipy import sparse
 
 from conftest import random_spd
-from sympeig import SpdOperator, add_flops, count_flops, gen_sparse, grad
+from sympeig import SpdOperator, count_flops, gen_sparse
+from sympeig.flops import add_flops
+from sympeig.penalty import evaluate
 
 
 class TestCounter:
@@ -51,6 +53,6 @@ class TestCounter:
         op = gen_sparse(n, seed=3)
         x = np.random.default_rng(4).standard_normal((2 * n, 2 * p))
         with count_flops() as fc:
-            grad(op, x, 5.0)
+            evaluate(op, x, 5.0, want_gradient=True)
         expected = op.nnz * 2 * p + 16 * n * p * p + 8 * n * p + 4 * p * p
         assert fc.count == expected

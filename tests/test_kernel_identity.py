@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import KINDS, make_operator, random_spd
-from sympeig import evaluate, gll_search, j_left, symplectic_gram
-from sympeig.penalty import _subtract_poisson
+from sympeig import symplectic_gram
+from sympeig.operators import j_left
+from sympeig.penalty import _subtract_poisson, evaluate
+from sympeig.stepper import gll_search
 
 PAIRS = (1, 2, 5)
 

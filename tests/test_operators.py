@@ -5,16 +5,8 @@ import pytest
 from scipy import sparse
 
 from conftest import KINDS, dense_j, make_operator, random_spd
-from sympeig import (
-    SpdOperator,
-    canonical_frame,
-    j_left,
-    j_right,
-    load_matrix,
-    poisson,
-    store_matrix,
-    symplectic_gram,
-)
+from sympeig import SpdOperator, load_matrix, poisson, store_matrix, symplectic_gram
+from sympeig.operators import canonical_frame, j_left, j_right
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import dense_j, random_spd
-from sympeig import (
-    SpdOperator,
-    gen_prescribed,
-    poisson,
-    random_symplectic_frame,
-    reference,
-    symplectic_gram,
-)
+from sympeig import SpdOperator, gen_prescribed, poisson, reference, symplectic_gram
+from sympeig.oracle import random_symplectic_frame
 
 
 def ladder_operator(n):

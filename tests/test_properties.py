@@ -16,15 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd
-from sympeig import (
-    SolverParams,
-    SolveStatus,
-    SpdOperator,
-    j_left,
-    random_orthosymplectic,
-    reference,
-    solve,
-)
+from sympeig import SolverParams, SolveStatus, SpdOperator, reference, solve
+from sympeig.factor import random_orthosymplectic
+from sympeig.operators import j_left
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 

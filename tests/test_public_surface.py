@@ -1,0 +1,56 @@
+"""The package's contract with its callers: the exported names, and the
+module attributes through which ``perfbench/tracing.py`` wraps each
+layer of a solve."""
+
+import importlib.util
+import os
+
+import sympeig
+
+PUBLIC = {
+    # solving
+    "solve", "solve_basic", "SolverParams", "SolveStatus", "SympEigResult",
+    "SolveTrace", "beta_suggest", "beta_best",
+    # operators and files
+    "SpdOperator", "load_matrix", "store_matrix", "symplectic_gram", "poisson",
+    # instances
+    "GeneratorSpec", "FAMILIES", "gen_dense", "gen_sparse", "gen_slr",
+    "gen_prescribed",
+    # checking
+    "reference", "ReferenceSpectrum", "report", "MetricsReport", "residue",
+    "feasibility", "golub_werman", "count_flops",
+    # errors
+    "NumericalFailure", "RankDeficientError",
+}
+
+TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_exported_names():
+    assert len(PUBLIC) == 29
+    assert set(sympeig.__all__) == PUBLIC
+    for name in sympeig.__all__:
+        assert getattr(sympeig, name) is not None
+
+
+def test_every_patch_point_records_a_span():
+    tracing = load_tracing()
+    op, _ = sympeig.GeneratorSpec("dense", 20, seed=0).make()
+    tracer = tracing.Tracer()
+    proxy = tracing.TracedOperator(op, tracer)
+    originals = [owner.__dict__[attr] for owner, attr, _ in tracing.PATCH_POINTS]
+    with tracing.installed(tracer):
+        res = sympeig.solve(proxy, 2)
+    assert res.status is sympeig.SolveStatus.CONVERGED
+    layers = tracer.summarize(0, len(tracer.name_id))
+    for (owner, attr, name), original in zip(tracing.PATCH_POINTS, originals):
+        assert layers[name]["calls"] >= 1, name
+        assert owner.__dict__[attr] is original, name
+    assert layers[tracing.APPLY]["calls"] == proxy.applies

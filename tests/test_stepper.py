@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sympeig import NumericalFailure, bb_step, clamp_randomize, gll_search
+from sympeig import NumericalFailure
+from sympeig.stepper import bb_step, clamp_randomize, gll_search
 
 
 def toy_eval(x):
