@@ -180,12 +180,13 @@ def _status_exit(status):
 
 
 def _run_variant(op, p, params, variant, beta_value):
-    """Run one solver variant; `beta_value` None keeps its default beta."""
+    """Run one solver variant at `beta_value`, else at `params.beta0`,
+    else at `beta_suggest`; an explicit `beta_value` is kept as beta0."""
+    if beta_value is not None:
+        params.beta0 = beta_value
     if variant == "enhanced":
-        if beta_value is not None:
-            params.beta0 = beta_value
         return solve(op, p, params)
-    beta = beta_value if beta_value is not None else beta_suggest(op, p)
+    beta = params.beta0 if params.beta0 is not None else beta_suggest(op, p)
     return solve_basic(op, canonical_frame(op.n, p), beta, params)
 
 
@@ -325,8 +326,8 @@ def cmd_bench(args):
             raise ValueError(f"unknown variant {variant!r}")
     for n in n_list:
         for p in p_list:
-            if p >= n:
-                raise ValueError(f"need p < n in the grid, got p={p}, n={n}")
+            if not 1 <= p < n:
+                raise ValueError(f"need 1 <= p < n in the grid, got p={p}, n={n}")
 
     instances = {}
     for family in families:
@@ -393,7 +394,7 @@ def build_parser():
         help="'auto', 'sug', '<mult>sug', a number, or 'best' / '1.001dp' "
         "(multiples of d_p; need the exact spectrum of --family prescribed)",
     )
-    sp.add_argument("--tol", type=float, help="final residual target (enhanced)")
+    sp.add_argument("--tol", type=float, help="final residual target")
     sp.add_argument("--variant", choices=("basic", "enhanced"), default="enhanced")
     sp.add_argument("--config", help="JSON file with solver parameter overrides")
     sp.add_argument("--save-basis", action="store_true")

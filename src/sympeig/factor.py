@@ -65,15 +65,12 @@ def _skew_schur_pairs(k, dtol):
     return q[:, cols], d, deficient
 
 
-def ssvd(x, tol=None):
+def ssvd(x):
     """Symplectic singular value decomposition of a full-rank basis.
 
     Parameters
     ----------
     x : ndarray, shape (2n, 2p)
-    tol : float, optional
-        Smallest acceptable symplectic singular value; defaults to
-        1e-10 * ||X||_2.
 
     Returns
     -------
@@ -82,15 +79,15 @@ def ssvd(x, tol=None):
     Raises
     ------
     RankDeficientError
-        If any symplectic singular value falls at or below `tol`; the
-        exception carries the deficient pair count.
+        If any symplectic singular value falls at or below
+        tol = 1e-10 * ||X||_2; the exception carries the deficient pair
+        count.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] % 2:
         raise ValueError(f"basis must be 2n-by-2p, got shape {x.shape}")
     p = x.shape[1] // 2
-    if tol is None:
-        tol = 1e-10 * (np.linalg.norm(x, 2) if x.size else 0.0)
+    tol = 1e-10 * (np.linalg.norm(x, 2) if x.size else 0.0)
     gram = symplectic_gram(x)
     q, d, deficient = _skew_schur_pairs(gram, dtol=tol * tol)
     if deficient or d.size != p:
@@ -170,9 +167,7 @@ def srr(op, x):
     fac = ssvd(x)
     s = fac.s
     a_s = op.apply(s)
-    projected = s.T @ a_s
-    projected = 0.5 * (projected + projected.T)
-    wf = williamson_small(projected)
+    wf = williamson_small(s.T @ a_s)
     return s @ wf.s, wf.d, a_s @ wf.s
 
 

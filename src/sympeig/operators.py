@@ -92,10 +92,6 @@ class SpdOperator:
         return SPARSE_CSR if sparse.issparse(self._b) else DENSE
 
     @property
-    def shape(self):
-        return (2 * self.n, 2 * self.n)
-
-    @property
     def nnz(self):
         """Stored entry count of B and C (a dense B counts every entry)."""
         return self._b.size + (0 if self._c is None else self._c.size)
@@ -149,25 +145,25 @@ class SpdOperator:
             a = a + self._c @ self._c.T
         return a
 
-    def is_symmetric(self, rng=None, probes=8, rtol=1e-12):
-        """Probe |<u, Av> - <v, Au>| <= rtol * ||Au|| * ||v|| on random pairs."""
+    def is_symmetric(self, rng=None):
+        """Probe |<u, Av> - <v, Au>| <= 1e-12 * ||Au|| * ||v|| on 8 random pairs."""
         rng = np.random.default_rng(0) if rng is None else rng
         m = 2 * self.n
-        for _ in range(probes):
+        for _ in range(8):
             u = rng.standard_normal(m)
             v = rng.standard_normal(m)
             au = self.apply(u)
             av = self.apply(v)
             gap = abs(float(u @ av) - float(v @ au))
-            if gap > rtol * np.linalg.norm(au) * np.linalg.norm(v):
+            if gap > 1e-12 * np.linalg.norm(au) * np.linalg.norm(v):
                 return False
         return True
 
-    def is_spd(self, rng=None, probes=8):
+    def is_spd(self, rng=None):
         """Check positive definiteness.
 
         Dense instances are checked by a Cholesky factorization; the
-        matrix-free kinds by <u, Au> > 0 on random probe vectors.
+        matrix-free kinds by <u, Au> > 0 on 8 random probe vectors.
         """
         if self.kind == DENSE:
             try:
@@ -176,7 +172,7 @@ class SpdOperator:
                 return False
             return True
         rng = np.random.default_rng(0) if rng is None else rng
-        for _ in range(probes):
+        for _ in range(8):
             u = rng.standard_normal(2 * self.n)
             if float(u @ self.apply(u)) <= 0.0:
                 return False

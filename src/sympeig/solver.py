@@ -21,23 +21,15 @@ from .factor import restart_point, srr
 from .metrics import feasibility, residue
 from .operators import canonical_frame
 from .penalty import evaluate
-from .stepper import bb_step, clamp_randomize, gll_search
+from .stepper import WINDOW, bb_step, gll_search
 
 # reference penalty weight as a multiple of the target eigenvalue
 BETA_BEST_FACTOR = (3.0 + np.sqrt(5.0)) / 2.0
 
 _EPS_FLOOR = 1e-14
 
-# step and line-search constants of both variants
-GAMMA0 = 1e-4  # first BB step length
-GAMMA_LO = 1e-8  # step clamp, lower
-GAMMA_HI = 1e5  # step clamp, upper
-XI_LO = 0.99  # randomization factor range of the enhanced BB step
-XI_HI = 1.0
+# outer-loop constants; the step and line-search ones live in `stepper`
 DELTA_EPS = 0.1  # inner tolerance shrink per outer stage
-DELTA = 0.5  # line-search backtracking factor
-LAM = 1e-8  # line-search sufficient-decrease weight
-WINDOW = 50  # nonmonotone memory L
 ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
 
 
@@ -59,7 +51,8 @@ class SolverParams:
     at half of `tol` (eps still falls strictly).  The basic solver reads
     `eps0` as an absolute target.  `tol` is the relative eigen-residual
     that both solvers must reach to report convergence.  The step and
-    line-search constants are module constants (`GAMMA0` ... `ETA`).
+    line-search constants are those of `sympeig.stepper`; the outer-loop
+    ones (`DELTA_EPS`, `ETA`) are module constants here.
     """
 
     beta0: float = None
@@ -171,12 +164,13 @@ def beta_best(d_p):
 
 
 def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
-    """BB/GLL descent until the gradient test or k_max; returns the last
-    iterate with its evaluation and whether the tolerance was reached.
+    """BB/GLL descent until the gradient test or k_max; returns
+    (x, reached, iters): the last iterate, whether the gradient test
+    stopped the descent, and the number of steps taken.
 
-    `enhanced` selects the outer solver's inner loop: the tolerance is
-    relative to max(1, ||A X||_F) and the BB step is randomized.
-    Otherwise the tolerance is absolute and the step only clamped.
+    `enhanced` makes the tolerance relative to max(1, ||A X||_F), as
+    the outer solver needs; otherwise it is absolute.  `rng` randomizes
+    the BB step; with None the step is only clamped.
     """
 
     def f_eval(xt):
@@ -197,15 +191,8 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
         if gnorm < limit:
             reached = True
             break
-        if k == 0:
-            gamma = GAMMA0
-        else:
-            gamma = bb_step(s_prev, z_prev, k, GAMMA_HI)
-            if enhanced:
-                gamma = clamp_randomize(gamma, GAMMA_LO, GAMMA_HI, XI_LO, XI_HI, rng)
-            else:
-                gamma = min(max(gamma, GAMMA_LO), GAMMA_HI)
-        ls = gll_search(f_eval, x, g, gamma, DELTA, LAM, window)
+        gamma = bb_step(s_prev, z_prev, k, rng)
+        ls = gll_search(f_eval, x, g, gamma, window)
         ev_new = ls.aux
         g_new = ev_new.ensure_gradient()
         s_prev = ls.x - x
@@ -218,7 +205,7 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
                       beta, max(window), ls.capped)
         )
         iters += 1
-    return x, ev, gnorm, reached, iters
+    return x, reached, iters
 
 
 def _result(x, s_fin, d_fin, status, trace, beta, resid, start):
@@ -265,11 +252,10 @@ def solve_basic(op, x0, beta, params=None):
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"penalty weight must be positive and finite, got {beta}")
     x0 = np.array(x0, dtype=float)
-    rng = np.random.default_rng(params.seed)
     trace = SolveTrace()
     start = time.perf_counter()
-    x, ev, gnorm, reached, iters = _run_inner(
-        op, x0, beta, params.eps0, params, rng, trace, stage=0, enhanced=False,
+    x, reached, iters = _run_inner(
+        op, x0, beta, params.eps0, params, None, trace, stage=0, enhanced=False,
     )
     s_fin, d_fin, as_fin = srr(op, x)
     resid = residue(op, s_fin, d_fin, ax=as_fin)
@@ -324,7 +310,7 @@ def solve(op, p, params=None):
         for stage in range(params.outer_max):
             stage_start = time.perf_counter()
             stage_beta = beta
-            x, ev, gnorm, reached, iters = _run_inner(
+            x, reached, iters = _run_inner(
                 op, x, beta, eps, params, rng, trace, stage=stage, enhanced=True,
             )
             try:
@@ -362,6 +348,6 @@ def solve(op, p, params=None):
                 eps = max(target, _EPS_FLOOR)
             else:
                 eps = max(eps * DELTA_EPS, _EPS_FLOOR)
-    except (NumericalFailure, RankDeficientError):
+    except NumericalFailure:
         status = SolveStatus.NUMERICAL_FAILURE
     return _result(x, s_fin, d_fin, status, trace, beta, resid, start)

@@ -1,5 +1,6 @@
-"""Alternating BB step sizes, clamping/randomization, and the
-nonmonotone (GLL) backtracking line search."""
+"""The inner step of both solver variants: the alternating BB step
+length, clamped and optionally randomized, and the nonmonotone (GLL)
+backtracking line search that accepts it."""
 
 from dataclasses import dataclass
 
@@ -7,38 +8,43 @@ import numpy as np
 
 from .errors import NumericalFailure
 
+GAMMA0 = 1e-4  # first BB step length
+GAMMA_LO = 1e-8  # step clamp, lower
+GAMMA_HI = 1e5  # step clamp, upper
+XI_LO = 0.99  # randomization factor range of the enhanced BB step
+XI_HI = 1.0
+DELTA = 0.5  # line-search backtracking factor
+LAM = 1e-8  # line-search sufficient-decrease weight
+WINDOW = 50  # nonmonotone memory L
 MAX_BACKTRACKS = 60
 _DEGENERATE = 1e-30
 
 
-def bb_step(s, z, k, gamma_hi=np.inf):
-    """Alternating Barzilai-Borwein step length.
+def bb_step(s, z, k, rng=None):
+    """Length of inner step `k`: the clamped, optionally randomized,
+    alternating Barzilai-Borwein step.
 
-    `s` = X^(k) - X^(k-1) and `z` = G^(k) - G^(k-1) are the iterate and
-    gradient differences, `k` the index of the step about to be taken.
-    Even k uses <S,S>/|<S,Z>|, odd k uses |<S,Z>|/<Z,Z>.  A denominator
-    below 1e-30 falls back to `gamma_hi` (the caller clamps anyway).
+    Step 0 is `GAMMA0` and draws nothing from `rng`.  Otherwise `s` =
+    X^(k) - X^(k-1) and `z` = G^(k) - G^(k-1) are the iterate and
+    gradient differences; even k uses <S,S>/|<S,Z>|, odd k uses
+    |<S,Z>|/<Z,Z>, and a denominator below 1e-30 gives `GAMMA_HI`.  The
+    value is clamped into [GAMMA_LO, GAMMA_HI] and, when `rng` is given,
+    scaled by xi ~ U[XI_LO, XI_HI].
     """
-    if k < 1 or s is None or z is None:
+    if k == 0:
+        return GAMMA0
+    if s is None or z is None:
         raise ValueError("bb_step needs the previous iterate and gradient differences")
     sz = abs(float(np.vdot(s, z)))
     if k % 2 == 0:
         numer, denom = float(np.vdot(s, s)), sz
     else:
         numer, denom = sz, float(np.vdot(z, z))
-    if denom < _DEGENERATE:
-        return float(gamma_hi)
-    return numer / denom
-
-
-def clamp_randomize(gamma, gamma_lo, gamma_hi, xi_lo, xi_hi, rng):
-    """Clamp gamma into [gamma_lo, gamma_hi], then scale by xi ~ U[xi_lo, xi_hi]."""
-    if not 0 < gamma_lo <= gamma_hi:
-        raise ValueError(f"invalid step bounds ({gamma_lo}, {gamma_hi})")
-    if not 0 < xi_lo <= xi_hi:
-        raise ValueError(f"invalid randomization bounds ({xi_lo}, {xi_hi})")
-    clamped = min(max(gamma, gamma_lo), gamma_hi)
-    return float(rng.uniform(xi_lo, xi_hi)) * clamped
+    gamma = GAMMA_HI if denom < _DEGENERATE else numer / denom
+    gamma = min(max(gamma, GAMMA_LO), GAMMA_HI)
+    if rng is not None:
+        gamma = float(rng.uniform(XI_LO, XI_HI)) * gamma
+    return gamma
 
 
 @dataclass
@@ -50,12 +56,12 @@ class LineSearchResult:
     capped: bool
 
 
-def gll_search(f_eval, x, g, gamma, delta, lam, f_window):
+def gll_search(f_eval, x, g, gamma, f_window):
     """Nonmonotone backtracking line search.
 
     Finds the smallest integer t >= 0 with
 
-        f(x - delta^t gamma g) <= max(f_window) - lam delta^t gamma ||g||_F^2
+        f(x - DELTA^t gamma g) <= max(f_window) - LAM DELTA^t gamma ||g||_F^2
 
     Parameters
     ----------
@@ -66,8 +72,6 @@ def gll_search(f_eval, x, g, gamma, delta, lam, f_window):
         Current iterate and gradient (g nonzero).
     gamma : float
         Trial step, > 0.
-    delta, lam : float
-        Backtracking factor and sufficient-decrease weight, both in (0, 1).
     f_window : iterable of float
         Objective values over the nonmonotone window.
 
@@ -77,16 +81,8 @@ def gll_search(f_eval, x, g, gamma, delta, lam, f_window):
         Backtracking is capped at t <= 60; a capped result is the last
         trial point with ``capped=True`` even though the condition failed.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"backtracking factor must be in (0, 1), got {delta}")
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"decrease weight must be in (0, 1), got {lam}")
-    if gamma <= 0:
-        raise ValueError(f"trial step must be positive, got {gamma}")
     fmax = max(f_window)
     gnorm2 = float(np.vdot(g, g))
-    if gnorm2 == 0.0:
-        raise ValueError("line search called with a zero gradient")
     step = float(gamma)
     for t in range(MAX_BACKTRACKS + 1):
         xt = step * g
@@ -96,7 +92,7 @@ def gll_search(f_eval, x, g, gamma, delta, lam, f_window):
             raise NumericalFailure(
                 f"objective not finite at line-search trial t={t} (step {step:g})"
             )
-        if ft <= fmax - lam * step * gnorm2:
+        if ft <= fmax - LAM * step * gnorm2:
             return LineSearchResult(t, xt, ft, aux, False)
-        step *= delta
+        step *= DELTA
     return LineSearchResult(MAX_BACKTRACKS, xt, ft, aux, True)

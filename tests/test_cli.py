@@ -131,6 +131,16 @@ class TestSolve:
         assert result["residue"] > result["params"]["tol"]
         assert "(gradient test met, residue above tol=1e-08)" in capsys.readouterr().out
 
+    def test_basic_variant_honours_config_beta0(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"beta0": 30.0}))
+        out = str(tmp_path / "run")
+        main(["solve", "--family", "dense", "--n", "20", "--p", "2",
+              "--variant", "basic", "--config", str(config), "--out", out])
+        result = json.load(open(os.path.join(out, "result.json")))
+        assert result["beta_final"] == 30.0
+        assert result["params"]["beta0"] == 30.0
+
     def test_save_basis_is_symplectic(self, tmp_path, capsys):
         path = ladder_path(tmp_path, 5)
         out = str(tmp_path / "run")
@@ -292,6 +302,13 @@ class TestBench:
         out = tmp_path / "b"
         assert main(["bench", "--n-list", "8", "--p-list", "2", "--seeds", "0",
                      "--tol", tol, "--out", str(out)]) == 2
+        assert not (out / "bench.csv").exists()
+
+    @pytest.mark.parametrize("p", ["0", "-1"])
+    def test_bad_p_rejected_before_any_run(self, tmp_path, capsys, p):
+        out = tmp_path / "b"
+        assert main(["bench", "--n-list", "8", "--p-list", p, "--seeds", "0",
+                     "--out", str(out)]) == 2
         assert not (out / "bench.csv").exists()
 
     def test_unknown_family_rejected(self, capsys):

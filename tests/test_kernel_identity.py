@@ -13,7 +13,7 @@ from conftest import KINDS, make_operator, random_spd
 from sympeig import symplectic_gram
 from sympeig.operators import j_left
 from sympeig.penalty import _subtract_poisson, evaluate
-from sympeig.stepper import gll_search
+from sympeig.stepper import DELTA, gll_search
 
 PAIRS = (1, 2, 5)
 
@@ -84,10 +84,10 @@ def test_trial_point_matches_expression(backtracks):
         # the first `backtracks` trials fail the decrease test
         return (1e9 if len(trials) <= backtracks else 0.0), None
 
-    ls = gll_search(f_eval, x, g, 0.3, 0.5, 1e-8, [1.0])
+    ls = gll_search(f_eval, x, g, 0.3, [1.0])
     assert ls.t == backtracks
     step = 0.3
     for xt in trials:
         assert np.array_equal(xt, x - step * g)
-        step *= 0.5
+        step *= DELTA
     assert np.array_equal(ls.x, trials[-1])

@@ -54,3 +54,15 @@ def test_every_patch_point_records_a_span():
         assert layers[name]["calls"] >= 1, name
         assert owner.__dict__[attr] is original, name
     assert layers[tracing.APPLY]["calls"] == proxy.applies
+
+
+def test_one_step_length_and_one_line_search_per_inner_step():
+    tracing = load_tracing()
+    op, _ = sympeig.GeneratorSpec("dense", 20, seed=0).make()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        res = sympeig.solve(op, 2)
+    layers = tracer.summarize(0, len(tracer.name_id))
+    assert res.inner_iterations > 0
+    assert layers["stepper.bb_step"]["calls"] == res.inner_iterations
+    assert layers["stepper.gll_search"]["calls"] == res.inner_iterations

@@ -1,0 +1,38 @@
+"""Every top-level import of a package module is read by that module or
+re-exported through its ``__all__`` (the unused-import check of a
+linter, done with ``ast``)."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sympeig"
+
+
+def imported_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.asname:
+                    yield alias.asname
+                elif alias.name != "*":
+                    # `import a.b` binds `a`
+                    yield alias.name.split(".")[0]
+
+
+def exported_names(tree):
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unused = sorted(set(imported_names(tree)) - read - exported_names(tree))
+    assert not unused, f"{path.name} imports {unused} and never reads them"

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from sympeig import NumericalFailure
-from sympeig.stepper import bb_step, clamp_randomize, gll_search
+from sympeig.stepper import (
+    DELTA, GAMMA0, GAMMA_HI, GAMMA_LO, LAM, XI_LO, bb_step, gll_search,
+)
 
 
 def toy_eval(x):
@@ -32,53 +34,55 @@ class TestBbStep:
     def test_orthogonal_differences_fall_back(self):
         s = np.array([[1.0], [0.0]])
         z = np.array([[0.0], [1.0]])
-        assert bb_step(s, z, 2, gamma_hi=1e5) == 1e5
+        assert bb_step(s, z, 2) == GAMMA_HI
+        assert XI_LO * GAMMA_HI <= bb_step(s, z, 2, np.random.default_rng(0)) <= GAMMA_HI
 
     def test_requires_history(self):
         with pytest.raises(ValueError):
-            bb_step(None, None, 0)
-        with pytest.raises(ValueError):
             bb_step(None, np.ones((2, 1)), 1)
+        with pytest.raises(ValueError):
+            bb_step(np.ones((2, 1)), None, 2)
 
+    def test_first_step_is_gamma0(self):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        assert bb_step(None, None, 0) == GAMMA0
+        assert bb_step(None, None, 0, rng) == GAMMA0
+        assert rng.bit_generator.state == state
 
-class TestClampRandomize:
     def test_within_bounds_unchanged(self):
-        rng = np.random.default_rng(0)
-        assert clamp_randomize(3.0, 1e-8, 1e5, 1.0, 1.0, rng) == 3.0
+        # BB value 3 sits inside the clamp and is returned as computed
+        z = np.array([[1.0], [2.0]])
+        assert bb_step(3.0 * z, z, 1) == 3.0
 
     def test_clamps_high_and_low(self):
+        z = np.array([[1.0], [2.0]])
+        assert bb_step(1e9 * z, z, 1) == GAMMA_HI
+        assert bb_step(1e-12 * z, z, 1) == GAMMA_LO
+        # with rng the clamped value is scaled by xi in [XI_LO, 1]
         rng = np.random.default_rng(1)
-        assert clamp_randomize(1e9, 1e-8, 1e5, 1.0, 1.0, rng) == 1e5
-        assert clamp_randomize(1e-12, 1e-8, 1e5, 1.0, 1.0, rng) == 1e-8
+        assert XI_LO * GAMMA_HI <= bb_step(1e9 * z, z, 1, rng) <= GAMMA_HI
+        assert XI_LO * GAMMA_LO <= bb_step(1e-12 * z, z, 1, rng) <= GAMMA_LO
 
     def test_randomization_range(self):
         rng = np.random.default_rng(2)
-        draws = [clamp_randomize(2.0, 1e-8, 1e5, 0.99, 1.0, rng) for _ in range(200)]
-        assert all(0.99 * 2.0 <= v <= 2.0 for v in draws)
+        z = np.array([[1.0], [2.0]])
+        draws = [bb_step(2.0 * z, z, 1, rng) for _ in range(200)]
+        assert all(XI_LO * 2.0 <= v <= 2.0 for v in draws)
         assert max(draws) - min(draws) > 0.0
 
     def test_deterministic_per_seed(self):
-        a = [clamp_randomize(1.0, 0.1, 10, 0.5, 1.0, np.random.default_rng(3))
-             for _ in range(3)]
-        b = [clamp_randomize(1.0, 0.1, 10, 0.5, 1.0, np.random.default_rng(3))
-             for _ in range(3)]
+        z = np.array([[1.0], [2.0]])
+        a = [bb_step(z, z, k, np.random.default_rng(3)) for k in range(1, 4)]
+        b = [bb_step(z, z, k, np.random.default_rng(3)) for k in range(1, 4)]
         assert a == b
-
-    def test_invalid_bounds_rejected(self):
-        rng = np.random.default_rng(4)
-        with pytest.raises(ValueError):
-            clamp_randomize(1.0, 1e5, 1e-8, 1.0, 1.0, rng)
-        with pytest.raises(ValueError):
-            clamp_randomize(1.0, 1e-8, 1e5, 1.0, 0.5, rng)
-        with pytest.raises(ValueError):
-            clamp_randomize(1.0, 0.0, 1e5, 1.0, 1.0, rng)
 
 
 class TestGllSearch:
     def test_full_step_accepted_on_quadratic(self):
         x = np.array([[1.0]])
         g = np.array([[1.0]])
-        res = gll_search(toy_eval, x, g, 1.0, 0.5, 1e-8, [0.5])
+        res = gll_search(toy_eval, x, g, 1.0, [0.5])
         assert res.t == 0
         assert res.f == 0.0
         assert not res.capped
@@ -88,7 +92,7 @@ class TestGllSearch:
         # from gamma = 100 with delta = 0.5 the first such trial is t = 6
         x = np.array([[1.0]])
         g = np.array([[1.0]])
-        res = gll_search(toy_eval, x, g, 100.0, 0.5, 1e-8, [0.5])
+        res = gll_search(toy_eval, x, g, 100.0, [0.5])
         assert res.t == 6
         assert res.x[0, 0] == pytest.approx(1.0 - 100.0 * 0.5**6)
 
@@ -97,7 +101,7 @@ class TestGllSearch:
         # the window max 2.0 minus the decrease term, so t = 0 passes
         x = np.array([[1.0]])
         g = np.array([[-0.3]])
-        res = gll_search(toy_eval, x, g, 1.0, 0.5, 1e-8, [2.0, 0.5])
+        res = gll_search(toy_eval, x, g, 1.0, [2.0, 0.5])
         assert res.t == 0
         assert res.f == pytest.approx(0.845)
 
@@ -105,7 +109,7 @@ class TestGllSearch:
         # same trial fails against a window holding only the last value
         x = np.array([[1.0]])
         g = np.array([[-0.3]])
-        res = gll_search(toy_eval, x, g, 1.0, 0.5, 1e-8, [0.5])
+        res = gll_search(toy_eval, x, g, 1.0, [0.5])
         assert res.t > 0
 
     def test_cap_flags_result(self):
@@ -113,7 +117,7 @@ class TestGllSearch:
             return 0.0, None
 
         res = gll_search(flat, np.array([[1.0]]), np.array([[1.0]]),
-                         1.0, 0.5, 1e-8, [0.0])
+                         1.0, [0.0])
         assert res.capped
         assert res.t == 60
 
@@ -127,9 +131,9 @@ class TestGllSearch:
         f0 = 0.5 * float(np.vdot(x, x))
         g = x.copy()
         window = [f0]
-        res = gll_search(f_eval, x, g, 7.0, 0.5, 1e-8, window)
-        step = 0.5**res.t * 7.0
-        assert res.f <= max(window) - 1e-8 * step * float(np.vdot(g, g))
+        res = gll_search(f_eval, x, g, 7.0, window)
+        step = DELTA**res.t * 7.0
+        assert res.f <= max(window) - LAM * step * float(np.vdot(g, g))
 
     def test_non_finite_trial_raises(self):
         def bad(x):
@@ -137,16 +141,4 @@ class TestGllSearch:
 
         with pytest.raises(NumericalFailure):
             gll_search(bad, np.array([[1.0]]), np.array([[1.0]]),
-                       1.0, 0.5, 1e-8, [0.0])
-
-    def test_parameter_validation(self):
-        x = np.array([[1.0]])
-        g = np.array([[1.0]])
-        with pytest.raises(ValueError):
-            gll_search(toy_eval, x, g, 1.0, 1.5, 1e-8, [0.5])
-        with pytest.raises(ValueError):
-            gll_search(toy_eval, x, g, 1.0, 0.5, 0.0, [0.5])
-        with pytest.raises(ValueError):
-            gll_search(toy_eval, x, g, -1.0, 0.5, 1e-8, [0.5])
-        with pytest.raises(ValueError):
-            gll_search(toy_eval, x, np.zeros((1, 1)), 1.0, 0.5, 1e-8, [0.5])
+                       1.0, [0.0])
