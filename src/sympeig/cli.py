@@ -7,18 +7,19 @@ converge, 2 usage error, 3 I/O error, 4 numerical failure.
 """
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import time
 
 import numpy as np
-from scipy.io import mmread, mmwrite
+from scipy.io import mmwrite
 
 from . import __version__
 from .errors import NumericalFailure
 from .metrics import feasibility, golub_werman
-from .operators import DENSE_MAX_DIM, canonical_frame, load_matrix, store_matrix
+from .operators import DENSE_MAX_DIM, canonical_frame, load_dense, load_matrix, store_matrix
 from .oracle import reference
 from .solver import SolverParams, SolveStatus, beta_best, beta_suggest, solve, solve_basic
 from .testgen import FAMILIES, GeneratorSpec
@@ -29,7 +30,26 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
 
+# the first match wins: LinAlgError is a ValueError
+EXIT_BY_ERROR = (
+    (OSError, EXIT_IO),
+    (NumericalFailure, EXIT_NUMERICAL),
+    (np.linalg.LinAlgError, EXIT_NUMERICAL),
+    (ValueError, EXIT_USAGE),
+)
+EXIT_BY_STATUS = {
+    SolveStatus.CONVERGED: EXIT_OK,
+    SolveStatus.MAX_ITERATIONS: EXIT_NO_CONVERGENCE,
+    SolveStatus.NUMERICAL_FAILURE: EXIT_NUMERICAL,
+}
+
 OUT_ENV_VAR = "SYMPEIG_OUT"
+
+TRACE_COLUMNS = ("k", "i", "f", "gnorm", "gamma", "t", "beta")
+BENCH_COLUMNS = (
+    "family", "n", "p", "seed", "beta_label", "beta", "variant", "status",
+    "outer_iters", "inner_iters", "time_s", "residue", "gw_err", "feasibility",
+)
 
 
 def _out_dir(args):
@@ -39,10 +59,8 @@ def _out_dir(args):
 
 
 def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _jsonable(value.tolist())
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -50,6 +68,43 @@ def _jsonable(value):
     if isinstance(value, float) and not np.isfinite(value):
         return None
     return value
+
+
+def _json(value, indent=None):
+    """The JSON text of every CLI output: numpy values as Python ones,
+    non-finite floats as null, keys sorted."""
+    return json.dumps(_jsonable(value), indent=indent, sort_keys=True)
+
+
+def _write_json(path, value):
+    with open(path, "w") as fh:
+        fh.write(_json(value, indent=2))
+
+
+def _cell(value):
+    # floats of any width print as the shortest repr of the double
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(path, meta, columns, rows):
+    """A '# {json}' line with `meta`, a header, then one line per row
+    (a sequence of cells in `columns` order)."""
+    with open(path, "w") as fh:
+        fh.write("# " + _json(meta) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def _list_of(cast):
+    """argparse type of a comma-separated list of `cast` values; empty
+    items are skipped and a malformed one is a usage error."""
+    def parse(text):
+        return [cast(tok) for tok in text.split(",") if tok.strip()]
+    parse.__name__ = f"{cast.__name__} list"
+    return parse
 
 
 def _add_source_args(sp, need_matrix=True):
@@ -64,22 +119,13 @@ def _add_source_args(sp, need_matrix=True):
     sp.add_argument("--density", type=float,
                     help="sparsity of sparse/slr (default min(1, 10/n))")
     sp.add_argument("--rank-width", type=int, default=10, help="low-rank width m of slr")
-    sp.add_argument(
-        "--spectrum", help="comma-separated prescribed eigenvalues (default 1..n)"
-    )
-    sp.add_argument(
-        "--seed", type=int, help="generator (and solver) seed (default 0)"
-    )
+    sp.add_argument("--spectrum", type=_list_of(float),
+                    help="comma-separated prescribed eigenvalues (default 1..n)")
+    sp.add_argument("--seed", type=int, help="generator (and solver) seed (default 0)")
 
 
 def _seed_of(args):
     return 0 if getattr(args, "seed", None) is None else args.seed
-
-
-def _parse_spectrum(text):
-    if text is None:
-        return None
-    return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _generate(args):
@@ -87,7 +133,7 @@ def _generate(args):
     (op, descriptor, exact_reference_or_None)."""
     spec = GeneratorSpec(
         family=args.family, n=args.n, density=args.density, m=args.rank_width,
-        seed=_seed_of(args), spectrum=_parse_spectrum(args.spectrum),
+        seed=_seed_of(args), spectrum=args.spectrum,
     )
     op, ref = spec.make()
     return op, {"source": "generated", **spec.describe()}, ref
@@ -108,8 +154,6 @@ def _build_params(args):
         try:
             with open(args.config) as fh:
                 mapping = json.load(fh)
-        except OSError:
-            raise
         except ValueError as exc:
             raise OSError(f"{args.config}: not valid JSON ({exc})") from exc
         if not isinstance(mapping, dict):
@@ -138,45 +182,24 @@ def _resolve_beta(label, op, p, ref=None):
     return float(label)
 
 
-def _write_trace(path, trace, meta):
-    with open(path, "w") as fh:
-        fh.write("# " + json.dumps(_jsonable(meta), sort_keys=True) + "\n")
-        fh.write("k,i,f,gnorm,gamma,t,beta\n")
-        for row in trace.inner:
-            fh.write(
-                f"{row.k},{row.stage},{row.f!r},{row.gnorm!r},"
-                f"{row.gamma!r},{row.t},{row.beta!r}\n"
-            )
-
-
 def _gradient_test_met(result):
     # whether the last stage stopped on its gradient test (not on k_max)
     return bool(result.trace.outer) and result.trace.outer[-1].reached
 
 
 def _result_payload(result, meta):
-    return _jsonable(
-        {
-            **meta,
-            "status": result.status.value,
-            "gradient_test_met": _gradient_test_met(result),
-            "eigenvalues": result.eigenvalues,
-            "beta_final": result.beta_final,
-            "residue": result.residue,
-            "feasibility": result.feasibility,
-            "inner_iterations": result.inner_iterations,
-            "outer_iterations": result.outer_iterations,
-            "elapsed_s": result.elapsed,
-        }
-    )
-
-
-def _status_exit(status):
-    if status is SolveStatus.CONVERGED:
-        return EXIT_OK
-    if status is SolveStatus.MAX_ITERATIONS:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_NUMERICAL
+    return {
+        **meta,
+        "status": result.status.value,
+        "gradient_test_met": _gradient_test_met(result),
+        "eigenvalues": result.eigenvalues,
+        "beta_final": result.beta_final,
+        "residue": result.residue,
+        "feasibility": result.feasibility,
+        "inner_iterations": result.inner_iterations,
+        "outer_iterations": result.outer_iterations,
+        "elapsed_s": result.elapsed,
+    }
 
 
 def _run_variant(op, p, params, variant, beta_value):
@@ -198,8 +221,7 @@ def cmd_gen(args):
     sidecar = {"version": __version__, **descriptor, "files": list(paths)}
     if ref is not None:
         sidecar["spectrum"] = ref.d
-    with open(base + ".json", "w") as fh:
-        json.dump(_jsonable(sidecar), fh, indent=2, sort_keys=True)
+    _write_json(base + ".json", sidecar)
     for path in paths + (base + ".json",):
         print(path)
     return EXIT_OK
@@ -222,9 +244,9 @@ def cmd_solve(args):
         "seed": params.seed,
     }
     result_path = os.path.join(out, "result.json")
-    with open(result_path, "w") as fh:
-        json.dump(_result_payload(result, meta), fh, indent=2, sort_keys=True)
-    _write_trace(os.path.join(out, "trace.csv"), result.trace, meta)
+    _write_json(result_path, _result_payload(result, meta))
+    _write_csv(os.path.join(out, "trace.csv"), meta, TRACE_COLUMNS,
+               ((r.k, r.stage, r.f, r.gnorm, r.gamma, r.t, r.beta) for r in result.trace.inner))
     if args.save_basis and result.eigenbasis is not None:
         mmwrite(os.path.join(out, "basis.mtx"), result.eigenbasis, precision=17)
     print(result_path)
@@ -232,7 +254,7 @@ def cmd_solve(args):
     if result.status is SolveStatus.MAX_ITERATIONS and _gradient_test_met(result):
         note = f" (gradient test met, residue above tol={params.tol:g})"
     print(f"status={result.status.value} residue={result.residue:g}{note}")
-    return _status_exit(result.status)
+    return EXIT_BY_STATUS[result.status]
 
 
 def cmd_oracle(args):
@@ -250,8 +272,7 @@ def cmd_oracle(args):
         "d_smallest": ref.d[: args.p],
     }
     oracle_path = os.path.join(out, "oracle.json")
-    with open(oracle_path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+    _write_json(oracle_path, payload)
     xref_path = os.path.join(out, "xref.mtx")
     mmwrite(xref_path, ref.frame(args.p), precision=17)
     print(oracle_path)
@@ -270,11 +291,13 @@ def cmd_check(args):
         "spd": op.is_spd(rng=rng),
     }
     if args.basis:
-        x = np.asarray(mmread(args.basis))
+        x = load_dense(args.basis)
+        if x.shape[0] != 2 * op.n or x.shape[1] % 2 or not x.shape[1]:
+            raise ValueError(f"{args.basis}: basis has shape {x.shape}, need {2 * op.n} x 2p")
         feas = feasibility(x)
         findings["basis_feasibility"] = feas
         findings["symplectic"] = bool(feas <= args.feas_tol)
-    print(json.dumps(_jsonable(findings), indent=2, sort_keys=True))
+    print(_json(findings, indent=2))
     passed = findings["symmetric"] and findings["spd"] and findings.get("symplectic", True)
     return EXIT_OK if passed else EXIT_NUMERICAL
 
@@ -282,12 +305,8 @@ def cmd_check(args):
 def _bench_cell(op, ref, cell, tol):
     family, n, p, seed, beta_label, variant = cell
     params = SolverParams(seed=seed, tol=tol)
-    row = {
-        "family": family, "n": n, "p": p, "seed": seed,
-        "beta_label": beta_label, "beta": "", "variant": variant,
-        "status": "", "outer_iters": "", "inner_iters": "",
-        "time_s": "", "residue": "", "gw_err": "", "feasibility": "",
-    }
+    row = dict.fromkeys(BENCH_COLUMNS, "")
+    row.update(family=family, n=n, p=p, seed=seed, beta_label=beta_label, variant=variant)
     try:
         beta_value = _resolve_beta(beta_label, op, p, ref)
         start = time.perf_counter()
@@ -311,63 +330,39 @@ def _bench_cell(op, ref, cell, tol):
 
 def cmd_bench(args):
     out = _out_dir(args)
-    families = [tok for tok in args.families.split(",") if tok]
-    n_list = [int(tok) for tok in args.n_list.split(",")]
-    p_list = [int(tok) for tok in args.p_list.split(",")]
-    seeds = [int(tok) for tok in args.seeds.split(",")]
-    betas = [tok for tok in args.betas.split(",") if tok]
-    variants = [tok for tok in args.variants.split(",") if tok]
     SolverParams(tol=args.tol).validate()
-    for family in families:
+    for family in args.families:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-    for variant in variants:
+    for variant in args.variants:
         if variant not in ("basic", "enhanced"):
             raise ValueError(f"unknown variant {variant!r}")
-    for n in n_list:
-        for p in p_list:
-            if not 1 <= p < n:
-                raise ValueError(f"need 1 <= p < n in the grid, got p={p}, n={n}")
+    for n, p in itertools.product(args.n_list, args.p_list):
+        if not 1 <= p < n:
+            raise ValueError(f"need 1 <= p < n in the grid, got p={p}, n={n}")
 
     instances = {}
-    for family in families:
-        for n in n_list:
-            for seed in seeds:
-                op, ref = GeneratorSpec(family, n, seed=seed).make()
-                if ref is None and 2 * n <= DENSE_MAX_DIM and args.with_oracle:
-                    ref = reference(op)
-                instances[(family, n, seed)] = (op, ref)
+    for family, n, seed in itertools.product(args.families, args.n_list, args.seeds):
+        op, ref = GeneratorSpec(family, n, seed=seed).make()
+        if ref is None and 2 * n <= DENSE_MAX_DIM and args.with_oracle:
+            ref = reference(op)
+        # every beta label resolves and passes the solver's check before any run
+        for label, p in itertools.product(args.betas, args.p_list):
+            SolverParams(beta0=_resolve_beta(label, op, p, ref)).validate()
+        instances[(family, n, seed)] = (op, ref)
 
-    cells = [
-        (family, n, p, seed, beta_label, variant)
-        for family in families
-        for n in n_list
-        for p in p_list
-        for seed in seeds
-        for beta_label in betas
-        for variant in variants
-    ]
-    rows = []
-    for cell in cells:
-        op, ref = instances[(cell[0], cell[1], cell[3])]
-        rows.append(_bench_cell(op, ref, cell, args.tol))
-    rows.sort(key=lambda r: (r["family"], r["n"], r["p"], r["seed"], r["beta_label"], r["variant"]))
-
+    # cells in row order: (family, n, p, seed, beta_label, variant)
+    cells = sorted(itertools.product(args.families, args.n_list, args.p_list,
+                                     args.seeds, args.betas, args.variants))
+    rows = [_bench_cell(*instances[(c[0], c[1], c[3])], c, args.tol) for c in cells]
     meta = {
-        "version": __version__, "families": families, "n_list": n_list,
-        "p_list": p_list, "seeds": seeds, "betas": betas, "variants": variants,
-        "tol": args.tol,
+        "version": __version__, "families": args.families, "n_list": args.n_list,
+        "p_list": args.p_list, "seeds": args.seeds, "betas": args.betas,
+        "variants": args.variants, "tol": args.tol,
     }
-    columns = [
-        "family", "n", "p", "seed", "beta_label", "beta", "variant", "status",
-        "outer_iters", "inner_iters", "time_s", "residue", "gw_err", "feasibility",
-    ]
     bench_path = os.path.join(out, "bench.csv")
-    with open(bench_path, "w") as fh:
-        fh.write("# " + json.dumps(_jsonable(meta), sort_keys=True) + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[col]) for col in columns) + "\n")
+    _write_csv(bench_path, meta, BENCH_COLUMNS,
+               ([row[c] for c in BENCH_COLUMNS] for row in rows))
     print(bench_path)
     return EXIT_OK
 
@@ -415,12 +410,12 @@ def build_parser():
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("bench", help="sweep (family, n, p, seed, beta, variant) cells")
-    sp.add_argument("--families", default="dense")
-    sp.add_argument("--n-list", default="50")
-    sp.add_argument("--p-list", default="5")
-    sp.add_argument("--seeds", default="0,1,2")
-    sp.add_argument("--betas", default="sug")
-    sp.add_argument("--variants", default="enhanced")
+    sp.add_argument("--families", type=_list_of(str), default="dense")
+    sp.add_argument("--n-list", type=_list_of(int), default="50")
+    sp.add_argument("--p-list", type=_list_of(int), default="5")
+    sp.add_argument("--seeds", type=_list_of(int), default="0,1,2")
+    sp.add_argument("--betas", type=_list_of(str), default="sug")
+    sp.add_argument("--variants", type=_list_of(str), default="enhanced")
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--with-oracle", action="store_true",
                     help="attach the dense oracle (subspace errors, d_p betas)")
@@ -437,15 +432,9 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
-        return EXIT_IO
-    except (NumericalFailure, np.linalg.LinAlgError) as exc:
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(kind for kind, _ in EXIT_BY_ERROR) as exc:
+        print(_json({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
+        return next(code for kind, code in EXIT_BY_ERROR if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

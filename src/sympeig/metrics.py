@@ -4,8 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import j_left, j_right, poisson, symplectic_gram
-from .penalty import evaluate
+from .operators import j_left, j_right
+from .penalty import evaluate, violation
 
 
 @dataclass
@@ -53,8 +53,7 @@ def golub_werman(x, x_ref):
 
 def feasibility(x):
     """Symplecticity violation ||X^T J_n X - J_p||_F of a basis X."""
-    gram = symplectic_gram(x)
-    return float(np.linalg.norm(gram - poisson(gram.shape[0] // 2)))
+    return float(np.linalg.norm(violation(x)))
 
 
 def residue(op, x, d, ax=None):

@@ -130,15 +130,12 @@ class SpdOperator:
             total += float((self._c ** 2).sum())
         return total
 
-    def densify(self, max_dim=DENSE_MAX_DIM):
-        """Materialize A as a dense array.
-
-        Refuses when 2n exceeds `max_dim`; reduce n or raise the budget
-        explicitly for one-off use.
-        """
-        if 2 * self.n > max_dim:
+    def densify(self):
+        """Materialize A as a dense array; refuses when 2n exceeds
+        `DENSE_MAX_DIM`."""
+        if 2 * self.n > DENSE_MAX_DIM:
             raise ValueError(
-                f"2n = {2 * self.n} exceeds the dense budget {max_dim}; reduce n"
+                f"2n = {2 * self.n} exceeds the dense budget {DENSE_MAX_DIM}; reduce n"
             )
         a = self._b.toarray() if sparse.issparse(self._b) else self._b.copy()
         if self._c is not None:
@@ -255,6 +252,13 @@ def _read_mm(path):
         raise OSError(f"{path}: not a readable Matrix Market file ({exc})") from exc
 
 
+def load_dense(path):
+    """Read a Matrix Market file, array or coordinate format, as a dense
+    float array; an unreadable file raises OSError."""
+    m = _read_mm(path)
+    return np.asarray(m.toarray() if sparse.issparse(m) else m, dtype=float)
+
+
 def load_matrix(path):
     """Load an operator from Matrix Market storage.
 
@@ -274,11 +278,9 @@ def load_matrix(path):
         if not os.path.exists(cpath):
             raise OSError(f"{cpath}: missing dense factor of the low-rank pair")
         b = _read_mm(path)
-        c = _read_mm(cpath)
-        if sparse.issparse(c):
-            c = c.toarray()
+        c = load_dense(cpath)
         try:
-            return SpdOperator.from_low_rank(b, np.asarray(c, dtype=float))
+            return SpdOperator.from_low_rank(b, c)
         except ValueError as exc:
             raise OSError(f"{path}: {exc}") from exc
     m = _read_mm(path)

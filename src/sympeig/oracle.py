@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from .factor import williamson_small
-from .operators import DENSE_MAX_DIM, j_left
+from .operators import j_left
 
 
 @dataclass
@@ -39,20 +39,20 @@ class ReferenceSpectrum:
         return self.s_full[:, np.r_[0:p, n : n + p]]
 
 
-def reference(op, max_dim=DENSE_MAX_DIM):
+def reference(op):
     """Exact symplectic spectrum of `op` by dense diagonalization.
 
     Parameters
     ----------
     op : SpdOperator
-        Densified internally; 2n must stay within `max_dim`.
+        Densified internally; 2n must stay within `DENSE_MAX_DIM`.
 
     Returns
     -------
     ReferenceSpectrum
         Its ``frame(p)`` gives the reference basis of the p smallest pairs.
     """
-    wf = williamson_small(op.densify(max_dim))
+    wf = williamson_small(op.densify())
     return ReferenceSpectrum(d=wf.d, s_full=wf.s)
 
 

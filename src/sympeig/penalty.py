@@ -59,8 +59,15 @@ class PenaltyEval:
         return self.gradient
 
 
-def _subtract_poisson(g):
-    # g <- g - J_p in place, touching only the two identity blocks: in the
+def violation(x, jx=None):
+    """Constraint violation X^T J_n X - J_p (skew, 2p x 2p).
+
+    `jx` is ``j_left(x)`` when the caller already holds it.
+    """
+    g = symplectic_gram(x, jx=jx)
+    if g.shape[0] % 2:
+        raise ValueError(f"basis must have 2p columns, got {g.shape[0]}")
+    # subtract J_p in place, touching only the two identity blocks: in the
     # flat view of the (C-contiguous, 2p x 2p) Gram, entry (i, p + i) sits
     # at p + i (2p + 1) and entry (p + i, i) at 2p^2 + i (2p + 1)
     p = g.shape[0] // 2
@@ -96,11 +103,11 @@ def evaluate(op, x, beta, want_gradient=False):
     add_flops(x.size)
     trace_term = 0.5 * float(np.vdot(x, ax))
     jx = j_left(x)
-    violation = _subtract_poisson(symplectic_gram(x, jx=jx))
-    add_flops(violation.size)
-    feasibility = float(np.linalg.norm(violation))
+    v = violation(x, jx=jx)
+    add_flops(v.size)
+    feasibility = float(np.linalg.norm(v))
     value = trace_term + 0.25 * beta * feasibility * feasibility
-    ev = PenaltyEval(float(beta), value, ax, jx, violation)
+    ev = PenaltyEval(float(beta), value, ax, jx, v)
     if want_gradient:
         ev.ensure_gradient()
     return ev
@@ -126,9 +133,8 @@ def hess_quadform(op, x, y, beta):
     jx = j_left(x)
     jy = j_left(y)
     gram_y = symplectic_gram(y, jx=jy)
-    violation = _subtract_poisson(symplectic_gram(x, jx=jx))
     # tr(M N) for the two skew factors
-    term_b = -beta * float(np.sum(gram_y * violation.T))
+    term_b = -beta * float(np.sum(gram_y * violation(x, jx=jx).T))
     cross = y.T @ jx
     sym_cross = cross - cross.T  # Y^T J X + X^T J Y
     term_c = 0.5 * beta * float(np.vdot(sym_cross, sym_cross))

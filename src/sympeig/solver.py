@@ -24,7 +24,7 @@ from .penalty import evaluate
 from .stepper import WINDOW, bb_step, gll_search
 
 # reference penalty weight as a multiple of the target eigenvalue
-BETA_BEST_FACTOR = (3.0 + np.sqrt(5.0)) / 2.0
+BETA_BEST_FACTOR = (3.0 + math.sqrt(5.0)) / 2.0
 
 _EPS_FLOOR = 1e-14
 

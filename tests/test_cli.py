@@ -3,10 +3,12 @@ import os
 
 import numpy as np
 import pytest
-from scipy.io import mmread
+from scipy import sparse
+from scipy.io import mmread, mmwrite
 
 from sympeig import SpdOperator, poisson, store_matrix, symplectic_gram
 from sympeig.cli import main
+from sympeig.operators import canonical_frame
 
 
 def ladder_path(tmp_path, n):
@@ -98,6 +100,16 @@ class TestSolve:
         assert lines[1] == "k,i,f,gnorm,gamma,t,beta"
         result = json.load(open(os.path.join(out, "result.json")))
         assert len(lines) - 2 == result["inner_iterations"]
+
+    def test_trace_cells_are_plain_numbers(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert main(["solve", "--family", "prescribed", "--n", "20", "--p", "3",
+                     "--beta", "best", "--out", out]) == 0
+        lines = open(os.path.join(out, "trace.csv")).read().splitlines()
+        assert len(lines) > 2
+        for line in lines[2:]:
+            for cell in line.split(","):
+                float(cell)
 
     def test_basic_variant(self, tmp_path, capsys):
         path = ladder_path(tmp_path, 6)
@@ -256,6 +268,29 @@ class TestCheck:
         findings = json.loads(capsys.readouterr().out)
         assert findings["symplectic"]
 
+    def test_unreadable_basis_is_io_error(self, tmp_path, capsys):
+        path = ladder_path(tmp_path, 5)
+        basis = tmp_path / "basis.mtx"
+        basis.write_text("not a matrix market file\n")
+        assert main(["check", "--matrix", path, "--basis", str(basis)]) == 3
+
+    def test_coordinate_basis_read_as_dense(self, tmp_path, capsys):
+        path = ladder_path(tmp_path, 5)
+        basis = str(tmp_path / "basis.mtx")
+        mmwrite(basis, sparse.coo_array(canonical_frame(5, 2)))
+        assert main(["check", "--matrix", path, "--basis", basis]) == 0
+        findings = json.loads(capsys.readouterr().out)
+        assert findings["symplectic"] and findings["basis_feasibility"] == 0.0
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 2)])
+    def test_misshaped_basis_is_usage_error(self, tmp_path, capsys, shape):
+        # (4, 2) is a symplectic frame, but for n = 2, not the operator's n = 10
+        path = ladder_path(tmp_path, 10)
+        basis = str(tmp_path / "basis.mtx")
+        mmwrite(basis, canonical_frame(2, 1) if shape == (4, 2) else np.ones(shape))
+        assert main(["check", "--matrix", path, "--basis", basis]) == 2
+        assert "basis has shape" in capsys.readouterr().err
+
 
 class TestBench:
     def test_grid_rows_and_determinism(self, tmp_path, capsys):
@@ -309,6 +344,33 @@ class TestBench:
         out = tmp_path / "b"
         assert main(["bench", "--n-list", "8", "--p-list", p, "--seeds", "0",
                      "--out", str(out)]) == 2
+        assert not (out / "bench.csv").exists()
+
+    @pytest.mark.parametrize("label", ["foo", "-1", "0sug", "nan", "best"])
+    def test_bad_beta_rejected_before_any_run(self, tmp_path, capsys, label):
+        # 'best' needs the dense oracle, and this grid runs without it
+        out = tmp_path / "b"
+        assert main(["bench", "--n-list", "8", "--p-list", "2", "--seeds", "0",
+                     "--betas", f"sug,{label}", "--out", str(out)]) == 2
+        assert not (out / "bench.csv").exists()
+
+    def test_list_flags_skip_empty_items(self, tmp_path, capsys):
+        def rows(extra, out):
+            assert main(["bench", "--p-list", "2", *extra, "--out", str(out)]) == 0
+            lines = (out / "bench.csv").read_text().splitlines()
+            header = lines[1].split(",")
+            return lines[0], [
+                [v for v, col in zip(line.split(","), header) if col != "time_s"]
+                for line in lines[2:]
+            ]
+
+        plain = rows(["--n-list", "8", "--seeds", "0"], tmp_path / "a")
+        assert rows(["--n-list", "8,", "--seeds", "0,"], tmp_path / "b") == plain
+        assert len(plain[1]) == 1
+
+    def test_malformed_list_item_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert main(["bench", "--n-list", "8x", "--out", str(out)]) == 2
         assert not (out / "bench.csv").exists()
 
     def test_unknown_family_rejected(self, capsys):

@@ -272,6 +272,13 @@ class TestSolveEnhanced:
         res = solve(op, 2, SolverParams(beta0=1e308, seed=0))
         assert res.status is SolveStatus.NUMERICAL_FAILURE
 
+    def test_trace_scalars_are_python_floats(self):
+        # the beta floor rule (a multiple of BETA_BEST_FACTOR) fires here
+        res = solve(gen_prescribed(20)[0], 3)
+        for row in res.trace.inner:
+            assert type(row.f) is float and type(row.beta) is float
+        assert all(type(stage.beta) is float for stage in res.trace.outer)
+
     def test_p_bounds_checked(self):
         op = SpdOperator.from_dense(np.eye(8))
         with pytest.raises(ValueError):

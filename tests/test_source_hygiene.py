@@ -36,3 +36,14 @@ def test_every_import_is_used(path):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unused = sorted(set(imported_names(tree)) - read - exported_names(tree))
     assert not unused, f"{path.name} imports {unused} and never reads them"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_operators_reads_matrix_market(path):
+    # every Matrix Market read goes through `operators.load_matrix` or
+    # `operators.load_dense`, which map parse errors to OSError (exit 3)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name.split(".")[-1] for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert path.name == "operators.py" or "mmread" not in names
