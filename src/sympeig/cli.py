@@ -282,13 +282,12 @@ def cmd_oracle(args):
 
 def cmd_check(args):
     op = load_matrix(args.matrix)
-    rng = np.random.default_rng(args.seed)
     findings = {
         "matrix": args.matrix,
         "n": op.n,
         "kind": op.kind,
-        "symmetric": op.is_symmetric(rng=rng),
-        "spd": op.is_spd(rng=rng),
+        "symmetric": op.is_symmetric(),
+        "spd": op.is_spd(),
     }
     if args.basis:
         x = load_dense(args.basis)
@@ -406,7 +405,6 @@ def build_parser():
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--basis", help="optional basis file to test for symplecticity")
     sp.add_argument("--feas-tol", type=float, default=1e-6)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("bench", help="sweep (family, n, p, seed, beta, variant) cells")

@@ -43,7 +43,8 @@ def _skew_schur_pairs(k, dtol):
     """
     t, q = scipy.linalg.schur(k)
     dim = k.shape[0]
-    detect = np.finfo(float).eps * max(1.0, float(np.linalg.norm(k, "fro")))
+    # relative to ||K||_F only, so the pairing of cK is that of K for any c > 0
+    detect = np.finfo(float).eps * float(np.linalg.norm(k, "fro"))
     pairs = []
     singles = 0
     i = 0

@@ -16,12 +16,9 @@ import os
 import numpy as np
 from scipy import sparse
 from scipy.io import mmread, mmwrite
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .flops import add_flops
-
-DENSE = "dense"
-SPARSE_CSR = "csr"
-SPARSE_LOW_RANK = "slr"
 
 # largest dimension 2n that is ever densified or diagonalized densely
 DENSE_MAX_DIM = 4000
@@ -88,8 +85,8 @@ class SpdOperator:
     def kind(self):
         """Storage form: "dense", "csr", or "slr" (CSR B plus a factor C)."""
         if self._c is not None:
-            return SPARSE_LOW_RANK
-        return SPARSE_CSR if sparse.issparse(self._b) else DENSE
+            return "slr"
+        return "csr" if sparse.issparse(self._b) else "dense"
 
     @property
     def nnz(self):
@@ -142,37 +139,37 @@ class SpdOperator:
             a = a + self._c @ self._c.T
         return a
 
-    def is_symmetric(self, rng=None):
-        """Probe |<u, Av> - <v, Au>| <= 1e-12 * ||Au|| * ||v|| on 8 random pairs."""
-        rng = np.random.default_rng(0) if rng is None else rng
-        m = 2 * self.n
-        for _ in range(8):
-            u = rng.standard_normal(m)
-            v = rng.standard_normal(m)
-            au = self.apply(u)
-            av = self.apply(v)
-            gap = abs(float(u @ av) - float(v @ au))
-            if gap > 1e-12 * np.linalg.norm(au) * np.linalg.norm(v):
-                return False
-        return True
+    def is_symmetric(self):
+        """max|B - B^T| <= 1e-12 * max|B| on the stored B; C C^T is
+        symmetric by construction."""
+        return bool(abs(self._b - self._b.T).max() <= 1e-12 * abs(self._b).max())
 
-    def is_spd(self, rng=None):
-        """Check positive definiteness.
+    def extreme_eigvals(self, rng):
+        """(smallest, largest) eigenvalue of A: dense `eigvalsh` when
+        2n <= `DENSE_MAX_DIM`, else ARPACK on `apply` started from `rng`."""
+        dim = 2 * self.n
+        if dim <= DENSE_MAX_DIM:
+            w = np.linalg.eigvalsh(self.densify())
+            return float(w[0]), float(w[-1])
+        # ARPACK draws a random start vector unless given one, so the
+        # start comes from `rng` to keep the answer reproducible
+        v0 = rng.uniform(-1.0, 1.0, dim)
+        a = LinearOperator((dim, dim), matvec=self.apply, dtype=float)
+        lo = eigsh(a, k=1, which="SA", tol=1e-6, v0=v0, return_eigenvectors=False)
+        hi = eigsh(a, k=1, which="LA", tol=1e-6, v0=v0, return_eigenvectors=False)
+        return float(lo[0]), float(hi[0])
 
-        Dense instances are checked by a Cholesky factorization; the
-        matrix-free kinds by <u, Au> > 0 on 8 random probe vectors.
-        """
-        if self.kind == DENSE:
-            try:
-                np.linalg.cholesky(0.5 * (self._b + self._b.T))
-            except np.linalg.LinAlgError:
-                return False
-            return True
-        rng = np.random.default_rng(0) if rng is None else rng
-        for _ in range(8):
-            u = rng.standard_normal(2 * self.n)
-            if float(u @ self.apply(u)) <= 0.0:
-                return False
+    def is_spd(self):
+        """Positive definiteness: a Cholesky factorization of the
+        symmetric part of A when 2n <= `DENSE_MAX_DIM`, else the sign of
+        the smallest eigenvalue from `extreme_eigvals`."""
+        if 2 * self.n > DENSE_MAX_DIM:
+            return self.extreme_eigvals(np.random.default_rng(0))[0] > 0.0
+        a = self.densify()
+        try:
+            np.linalg.cholesky(0.5 * (a + a.T))
+        except np.linalg.LinAlgError:
+            return False
         return True
 
 

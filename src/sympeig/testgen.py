@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy import sparse
-from scipy.sparse.linalg import eigsh
 
-from .operators import DENSE_MAX_DIM, SpdOperator, j_left
+from .operators import SpdOperator, j_left
 from .oracle import ReferenceSpectrum
 
 FAMILIES = ("dense", "sparse", "slr", "prescribed")
@@ -73,18 +72,6 @@ class GeneratorSpec:
         return record
 
 
-def _extreme_eigvals(a_sparse, rng):
-    dim = a_sparse.shape[0]
-    if dim <= DENSE_MAX_DIM:
-        w = np.linalg.eigvalsh(a_sparse.toarray())
-        return float(w[0]), float(w[-1])
-    # ARPACK draws a random start vector unless given one
-    v0 = rng.uniform(-1.0, 1.0, dim)
-    lo = eigsh(a_sparse, k=1, which="SA", tol=1e-6, v0=v0, return_eigenvectors=False)
-    hi = eigsh(a_sparse, k=1, which="LA", tol=1e-6, v0=v0, return_eigenvectors=False)
-    return float(lo[0]), float(hi[0])
-
-
 def _affine_coeffs(wmin, wmax, n):
     # map [wmin, wmax] onto [1, n]
     spread = wmax - wmin
@@ -122,7 +109,7 @@ def _sparse_core(n, density, rng):
         data_rvs=lambda size: rng.uniform(-1.0, 1.0, size),
     )
     sym = ((raw + raw.T) * 0.5).tocsr()
-    wmin, wmax = _extreme_eigvals(sym, rng)
+    wmin, wmax = SpdOperator.from_csr(sym).extreme_eigvals(rng)
     c, s = _affine_coeffs(wmin, wmax, n)
     out = (sym * c + sparse.identity(2 * n, format="csr") * s).tocsr()
     return sparse.csr_array(out)

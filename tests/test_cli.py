@@ -186,6 +186,17 @@ class TestSolve:
         assert main(["solve", "--matrix", path, "--p", "2",
                      "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("text,code", [
+        pytest.param("{not json", 3, id="invalid-json"),
+        pytest.param("[1, 2]", 2, id="json-array"),
+    ])
+    def test_unusable_config_file(self, tmp_path, capsys, text, code):
+        path = ladder_path(tmp_path, 5)
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        assert main(["solve", "--matrix", path, "--p", "2",
+                     "--config", str(config)]) == code
+
     @pytest.mark.parametrize("variant", ["basic", "enhanced"])
     @pytest.mark.parametrize("label", ["nan", "inf"])
     def test_non_finite_beta_is_usage_error(self, tmp_path, capsys, label, variant):
@@ -244,6 +255,11 @@ class TestOracle:
         xref = np.asarray(mmread(os.path.join(out, "xref.mtx")))
         assert xref.shape == (10, 4)
 
+    def test_p_out_of_range_is_usage_error(self, tmp_path, capsys):
+        path = ladder_path(tmp_path, 5)
+        assert main(["oracle", "--matrix", path, "--p", "0",
+                     "--out", str(tmp_path / "run")]) == 2
+
 
 class TestCheck:
     def test_valid_matrix_passes(self, tmp_path, capsys):
@@ -256,6 +272,22 @@ class TestCheck:
         op = SpdOperator.from_dense(np.diag([1.0, -1.0, 1.0, 1.0]))
         (path,) = store_matrix(op, str(tmp_path / "bad.mtx"))
         assert main(["check", "--matrix", path]) == 4
+
+    @pytest.mark.parametrize("kind", ["csr", "slr"])
+    def test_indefinite_sparse_matrix_fails(self, tmp_path, capsys, kind):
+        d = np.ones(100)
+        d[-1] = -0.01
+        b = sparse.diags_array(d).tocsr()
+        op = (SpdOperator.from_csr(b) if kind == "csr"
+              else SpdOperator.from_low_rank(b, np.zeros((100, 1))))
+        paths = store_matrix(op, str(tmp_path / "bad.mtx"))
+        assert main(["check", "--matrix", paths[0]]) == 4
+        findings = json.loads(capsys.readouterr().out)
+        assert findings["kind"] == kind and findings["spd"] is False
+
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        path = ladder_path(tmp_path, 4)
+        assert main(["check", "--matrix", path, "--seed", "0"]) == 2
 
     def test_basis_symplecticity_checked(self, tmp_path, capsys):
         path = ladder_path(tmp_path, 5)
@@ -371,6 +403,12 @@ class TestBench:
     def test_malformed_list_item_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "b"
         assert main(["bench", "--n-list", "8x", "--out", str(out)]) == 2
+        assert not (out / "bench.csv").exists()
+
+    def test_unknown_variant_rejected(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        assert main(["bench", "--n-list", "8", "--p-list", "2", "--seeds", "0",
+                     "--variants", "fancy", "--out", str(out)]) == 2
         assert not (out / "bench.csv").exists()
 
     def test_unknown_family_rejected(self, capsys):

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from conftest import KINDS, dense_j, make_operator, random_spd
-from sympeig import SpdOperator, load_matrix, poisson, store_matrix, symplectic_gram
+from sympeig import SpdOperator, gen_sparse, load_matrix, poisson, store_matrix, symplectic_gram
 from sympeig.operators import canonical_frame, j_left, j_right
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -100,20 +100,47 @@ class TestValidation:
     def test_is_symmetric(self):
         rng = np.random.default_rng(5)
         a = random_spd(rng, 8)
-        assert make_operator("csr", a).is_symmetric(rng=rng)
+        assert make_operator("csr", a).is_symmetric()
         skew = a.copy()
         skew[0, 1] += 1.0
-        assert not SpdOperator.from_dense(skew).is_symmetric(rng=rng)
+        assert not SpdOperator.from_dense(skew).is_symmetric()
+
+    def test_small_asymmetry_detected(self):
+        # a gap of 1e-11 on a unit diagonal exceeds 1e-12 * max|B|
+        b = sparse.identity(100, format="lil")
+        b[0, 1] += 1e-11
+        assert not SpdOperator.from_csr(b.tocsr()).is_symmetric()
 
     def test_is_spd(self):
         rng = np.random.default_rng(6)
         a = random_spd(rng, 8)
         assert make_operator("dense", a).is_spd()
-        assert make_operator("csr", a).is_spd(rng=rng)
+        assert make_operator("csr", a).is_spd()
         neg = SpdOperator.from_dense(-np.eye(8))
         assert not neg.is_spd()
         neg_csr = SpdOperator.from_csr(-sparse.identity(8, format="csr"))
-        assert not neg_csr.is_spd(rng=rng)
+        assert not neg_csr.is_spd()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_negative_eigenvalue_detected(self, kind):
+        d = np.ones(100)
+        d[-1] = -0.01
+        assert not make_operator(kind, np.diag(d)).is_spd()
+
+    def test_is_spd_above_dense_budget(self):
+        # 2n = 4002 takes the ARPACK smallest eigenvalue; the spectrum is [1, n]
+        op = gen_sparse(2001, seed=0)
+        assert op.is_spd()
+        shifted = op._b - 1.01 * sparse.identity(4002, format="csr")
+        assert not SpdOperator.from_csr(shifted).is_spd()
+
+    def test_extreme_eigvals_match_dense(self):
+        rng = np.random.default_rng(7)
+        a = random_spd(rng, 10, cond=30.0)
+        for kind in KINDS:
+            lo, hi = make_operator(kind, a).extreme_eigvals(rng)
+            assert lo == pytest.approx(1.0, rel=1e-10)
+            assert hi == pytest.approx(30.0, rel=1e-10)
 
 
 class TestPoissonKernels:

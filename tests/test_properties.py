@@ -1,9 +1,11 @@
 """Invariances of symplectic eigenvalues, checked as properties.
 
-For SPD A, the symplectic eigenvalues d(A) scale with A, d(cA) = c d(A),
-are invariant under symplectic congruence, d(S^T A S) = d(A) for every
-S in Sp(2n) (Williamson 1936), and are monotone, d_j(A) <= d_j(B)
-whenever A <= B (Bhatia and Jain, J. Math. Phys. 56, 2015).  The
+For SPD A, the symplectic eigenvalues d(A) scale with A, d(cA) = c d(A)
+for every c > 0, are invariant under symplectic congruence,
+d(S^T A S) = d(A) for every S in Sp(2n) (Williamson 1936), and are
+monotone, d_j(A) <= d_j(B) whenever A <= B (Bhatia and Jain, J. Math.
+Phys. 56, 2015).  Symplectic singular values scale the same way,
+sigma(cX) = c sigma(X), so no absolute threshold may enter either.  The
 reference is the dense oracle; instances stay at n <= 8 so each example
 costs milliseconds.  The solver's answer must not depend on the order
 of the coordinate pairs (i, n + i), although its iterates do.
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import random_spd
 from sympeig import SolverParams, SolveStatus, SpdOperator, reference, solve
-from sympeig.factor import random_orthosymplectic
+from sympeig.factor import random_orthosymplectic, ssvd
 from sympeig.operators import j_left
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
@@ -25,6 +27,7 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 half_dims = st.integers(min_value=1, max_value=8)
 scales = st.floats(min_value=1e-3, max_value=1e3)
+powers = st.integers(min_value=-30, max_value=30)
 
 
 def _instance(n, seed):
@@ -51,6 +54,23 @@ def _d(a):
 def test_scaling_is_homogeneous(n, seed, c):
     a, _ = _instance(n, seed)
     np.testing.assert_allclose(_d(c * a), c * _d(a), rtol=1e-9)
+
+
+@PROPERTY
+@given(n=half_dims, seed=seeds, e=powers)
+def test_scaling_holds_over_sixty_decades(n, seed, e):
+    a, _ = _instance(n, seed)
+    c = 10.0 ** e
+    np.testing.assert_allclose(_d(c * a), c * _d(a), rtol=1e-9)
+
+
+@PROPERTY
+@given(n=half_dims, seed=seeds, e=powers)
+def test_ssvd_scales_with_basis(n, seed, e):
+    p = max(1, n // 2)
+    x = np.random.default_rng(seed).standard_normal((2 * n, 2 * p))
+    c = 10.0 ** e
+    np.testing.assert_allclose(ssvd(c * x).sigma, c * ssvd(x).sigma, rtol=1e-9)
 
 
 @PROPERTY

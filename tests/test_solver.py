@@ -8,11 +8,13 @@ import pytest
 
 from conftest import KINDS, make_operator, random_spd
 from sympeig import (
+    RankDeficientError,
     SolveStatus,
     SolverParams,
     SpdOperator,
     beta_best,
     beta_suggest,
+    gen_dense,
     gen_prescribed,
     poisson,
     reference,
@@ -21,7 +23,7 @@ from sympeig import (
     solve_basic,
     symplectic_gram,
 )
-from sympeig.factor import restart_point
+from sympeig.factor import restart_point, srr
 from sympeig.operators import canonical_frame
 from sympeig.penalty import evaluate
 
@@ -271,6 +273,26 @@ class TestSolveEnhanced:
         op = SpdOperator.from_dense(a)
         res = solve(op, 2, SolverParams(beta0=1e308, seed=0))
         assert res.status is SolveStatus.NUMERICAL_FAILURE
+
+    @pytest.mark.parametrize("failures", [1, 2])
+    def test_srr_rank_deficiency_retried_once(self, monkeypatch, failures):
+        # the first `failures` SRR calls raise; one re-randomized retry is allowed
+        calls = []
+
+        def flaky_srr(op, x):
+            calls.append(None)
+            if len(calls) <= failures:
+                raise RankDeficientError("injected", deficient=1)
+            return srr(op, x)
+
+        monkeypatch.setattr("sympeig.solver.srr", flaky_srr)
+        res = solve(gen_dense(20, seed=0), 2)
+        if failures == 1:
+            assert res.status is SolveStatus.CONVERGED
+            assert len(calls) == res.outer_iterations + 1
+        else:
+            assert res.status is SolveStatus.NUMERICAL_FAILURE
+            assert len(calls) == 2
 
     def test_trace_scalars_are_python_floats(self):
         # the beta floor rule (a multiple of BETA_BEST_FACTOR) fires here

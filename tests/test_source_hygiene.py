@@ -47,3 +47,14 @@ def test_only_operators_reads_matrix_market(path):
     names |= {alias.name.split(".")[-1] for node in ast.walk(tree)
               if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert path.name == "operators.py" or "mmread" not in names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_operators_runs_arpack(path):
+    # extreme eigenvalues above the dense budget come from one routine,
+    # `SpdOperator.extreme_eigvals`
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    assert path.name == "operators.py" or "scipy.sparse.linalg" not in modules

@@ -51,11 +51,10 @@ class TestGenSparse:
         assert off_diag <= 1.2 * (10.0 / n) * (2 * n) ** 2
 
     def test_symmetric_and_spd(self):
-        rng = np.random.default_rng(2)
         op = gen_sparse(30, seed=2)
         assert op.kind == "csr"
-        assert op.is_symmetric(rng=rng)
-        assert op.is_spd(rng=rng)
+        assert op.is_symmetric()
+        assert op.is_spd()
 
     def test_deterministic_per_seed(self):
         a = gen_sparse(20, seed=5).densify()
@@ -85,10 +84,9 @@ class TestGenSlr:
         assert c.shape == (2 * n, 10)
 
     def test_spd_and_kind(self):
-        rng = np.random.default_rng(1)
         op = gen_slr(15, seed=1)
         assert op.kind == "slr"
-        assert op.is_spd(rng=rng)
+        assert op.is_spd()
         w = np.linalg.eigvalsh(op.densify())
         assert w[0] > 0.0
 
