@@ -2,8 +2,8 @@
 eigenvectors of symmetric positive definite matrices.
 
 The solver minimizes a trace objective with a quadratic penalty that
-steers iterates onto the symplectic Stiefel manifold, using a restarted
-Barzilai-Borwein gradient descent with a nonmonotone line search.  A
+steers iterates onto the symplectic Stiefel manifold, using restarted
+BB-scaled L-BFGS descent with a nonmonotone line search.  A
 symplectic Rayleigh-Ritz projection extracts eigenvalue estimates from
 each stage and seeds the next restart.
 

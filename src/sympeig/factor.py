@@ -43,8 +43,10 @@ def _skew_schur_pairs(k, dtol):
     """
     t, q = scipy.linalg.schur(k)
     dim = k.shape[0]
-    # relative to ||K||_F only, so the pairing of cK is that of K for any c > 0
-    detect = np.finfo(float).eps * float(np.linalg.norm(k, "fro"))
+    # relative to ||K||_F only, so the pairing of cK is that of K for any c > 0;
+    # the norm is taken of K / max|K|, whose sum of squares cannot overflow
+    kmax = float(np.max(np.abs(k), initial=0.0))
+    detect = np.finfo(float).eps * kmax * float(np.linalg.norm(k / (kmax or 1.0), "fro"))
     pairs = []
     singles = 0
     i = 0

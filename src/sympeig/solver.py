@@ -1,10 +1,11 @@
 """Penalty-based solvers for the p smallest symplectic eigenvalues.
 
-`solve_basic` is a fixed-penalty BB gradient iteration with the
-nonmonotone line search.  `solve` wraps it in an outer loop that
-randomizes the step, refines the iterate by symplectic Rayleigh-Ritz,
-adapts the penalty weight from the Ritz values, restarts from the
-scaled eigenbasis, and tightens the inner tolerance geometrically.
+`solve_basic` is the paper's fixed-penalty BB gradient iteration with
+the nonmonotone line search.  `solve` steps along L-BFGS directions
+with a randomized BB scale under the same search, refines each stage's
+iterate by symplectic Rayleigh-Ritz, adapts the penalty weight from the
+Ritz values, restarts from the scaled eigenbasis, and tightens the
+inner tolerance geometrically.
 """
 
 import math
@@ -21,7 +22,7 @@ from .factor import restart_point, srr
 from .metrics import feasibility, residue
 from .operators import canonical_frame
 from .penalty import evaluate
-from .stepper import WINDOW, bb_step, gll_search
+from .stepper import MEMORY, WINDOW, bb_step, gll_search, lbfgs_direction
 
 # reference penalty weight as a multiple of the target eigenvalue
 BETA_BEST_FACTOR = (3.0 + math.sqrt(5.0)) / 2.0
@@ -50,9 +51,11 @@ class SolverParams:
     tol / (2 DELTA_EPS^2) is followed by eps' = (tol / 2r) eps, aimed
     at half of `tol` (eps still falls strictly).  The basic solver reads
     `eps0` as an absolute target.  `tol` is the relative eigen-residual
-    that both solvers must reach to report convergence.  The step and
-    line-search constants are those of `sympeig.stepper`; the outer-loop
-    ones (`DELTA_EPS`, `ETA`) are module constants here.
+    that both solvers must reach to report convergence.  The step,
+    L-BFGS memory and line-search constants are those of
+    `sympeig.stepper`; the outer-loop ones (`DELTA_EPS`, `ETA`) are
+    module constants here.  No setting switches the search direction:
+    `solve` always takes L-BFGS steps and `solve_basic` BB steps.
     """
 
     beta0: float = None
@@ -98,7 +101,7 @@ class InnerStep:
     stage: int
     f: float
     gnorm: float
-    gamma: float
+    gamma: float  # BB length (basic) or L-BFGS H0 scale (enhanced)
     t: int
     beta: float
     window_max: float
@@ -164,13 +167,14 @@ def beta_best(d_p):
 
 
 def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
-    """BB/GLL descent until the gradient test or k_max; returns
+    """GLL descent until the gradient test or k_max; returns
     (x, reached, iters): the last iterate, whether the gradient test
     stopped the descent, and the number of steps taken.
 
-    `enhanced` makes the tolerance relative to max(1, ||A X||_F), as
-    the outer solver needs; otherwise it is absolute.  `rng` randomizes
-    the BB step; with None the step is only clamped.
+    Steps follow the gradient with the alternating BB length, or with
+    `enhanced` the L-BFGS direction from this call's last MEMORY pairs,
+    H0 scaled by the BB2 length; `enhanced` also makes the tolerance
+    relative to max(1, ||A X||_F).  `rng` randomizes the BB length.
     """
 
     def f_eval(xt):
@@ -181,6 +185,7 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
     g = ev.ensure_gradient()
     gnorm = float(np.linalg.norm(g))
     window = deque([ev.value], maxlen=WINDOW + 1)
+    pairs = deque(maxlen=MEMORY)
     s_prev = None
     z_prev = None
     k_base = len(trace.inner)
@@ -191,12 +196,21 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
         if gnorm < limit:
             reached = True
             break
-        gamma = bb_step(s_prev, z_prev, k, rng)
-        ls = gll_search(f_eval, x, g, gamma, window)
+        if enhanced:
+            gamma = bb_step(s_prev, z_prev, k, rng, alternate=False)
+            d, step = lbfgs_direction(g, pairs, gamma), 1.0
+        else:
+            gamma = bb_step(s_prev, z_prev, k, rng)
+            d, step = g, gamma
+        ls = gll_search(f_eval, x, d, step, float(np.vdot(g, d)), window)
         ev_new = ls.aux
         g_new = ev_new.ensure_gradient()
         s_prev = ls.x - x
         z_prev = g_new - g
+        if enhanced:
+            sz = float(np.vdot(s_prev, z_prev))
+            if sz > 0.0:
+                pairs.append((s_prev, z_prev, 1.0 / sz))
         x, ev, g = ls.x, ev_new, g_new
         gnorm = float(np.linalg.norm(g))
         window.append(ev.value)
@@ -271,11 +285,11 @@ def solve_basic(op, x0, beta, params=None):
 def solve(op, p, params=None):
     """Compute the p smallest symplectic eigenvalues and eigenbasis of A.
 
-    Enhanced variant: randomized clamped BB steps inside a stage,
-    symplectic Rayleigh-Ritz extraction at the end of each stage,
-    penalty update beta <- ETA * theta_p (floored at
+    Enhanced variant: L-BFGS steps inside a stage, with H0 the clamped,
+    randomized BB2 length; symplectic Rayleigh-Ritz extraction at the
+    end of each stage; penalty update beta <- ETA * theta_p (floored at
     (3+sqrt(5))/2 * theta_p whenever the update would fall below a
-    tenth of the previous beta), restart from S (I - D/beta)^(1/2), and
+    tenth of the previous beta); restart from S (I - D/beta)^(1/2); and
     a geometric inner-tolerance schedule eps <- DELTA_EPS * eps.  Stops
     once the relative eigen-residual of the refined basis drops to
     `params.tol`.  A stage's residue r tracks its eps, so when a stage

@@ -1,6 +1,7 @@
-"""The inner step of both solver variants: the alternating BB step
-length, clamped and optionally randomized, and the nonmonotone (GLL)
-backtracking line search that accepts it."""
+"""The inner step of both solver variants: the clamped, optionally
+randomized BB step length, the L-BFGS direction that the enhanced
+variant scales by it, and the nonmonotone (GLL) backtracking line
+search that accepts the step."""
 
 from dataclasses import dataclass
 
@@ -11,8 +12,9 @@ from .errors import NumericalFailure
 GAMMA0 = 1e-4  # first BB step length
 GAMMA_LO = 1e-8  # step clamp, lower
 GAMMA_HI = 1e5  # step clamp, upper
-XI_LO = 0.99  # randomization factor range of the enhanced BB step
+XI_LO = 0.99  # randomization factor range of the enhanced step scale
 XI_HI = 1.0
+MEMORY = 3  # L-BFGS curvature pairs kept by the enhanced variant
 DELTA = 0.5  # line-search backtracking factor
 LAM = 1e-8  # line-search sufficient-decrease weight
 WINDOW = 50  # nonmonotone memory L
@@ -20,23 +22,24 @@ MAX_BACKTRACKS = 60
 _DEGENERATE = 1e-30
 
 
-def bb_step(s, z, k, rng=None):
-    """Length of inner step `k`: the clamped, optionally randomized,
-    alternating Barzilai-Borwein step.
+def bb_step(s, z, k, rng=None, alternate=True):
+    """Length of inner step `k`: the clamped, optionally randomized
+    Barzilai-Borwein step.
 
     Step 0 is `GAMMA0` and draws nothing from `rng`.  Otherwise `s` =
     X^(k) - X^(k-1) and `z` = G^(k) - G^(k-1) are the iterate and
-    gradient differences; even k uses <S,S>/|<S,Z>|, odd k uses
-    |<S,Z>|/<Z,Z>, and a denominator below 1e-30 gives `GAMMA_HI`.  The
-    value is clamped into [GAMMA_LO, GAMMA_HI] and, when `rng` is given,
-    scaled by xi ~ U[XI_LO, XI_HI].
+    gradient differences.  With `alternate`, even k uses <S,S>/|<S,Z>|
+    (BB1) and odd k uses |<S,Z>|/<Z,Z> (BB2); without it every step is
+    BB2, the L-BFGS scale H0 = gamma I.  A denominator below 1e-30 gives
+    `GAMMA_HI`.  The value is clamped into [GAMMA_LO, GAMMA_HI] and, when
+    `rng` is given, scaled by xi ~ U[XI_LO, XI_HI].
     """
     if k == 0:
         return GAMMA0
     if s is None or z is None:
         raise ValueError("bb_step needs the previous iterate and gradient differences")
     sz = abs(float(np.vdot(s, z)))
-    if k % 2 == 0:
+    if alternate and k % 2 == 0:
         numer, denom = float(np.vdot(s, s)), sz
     else:
         numer, denom = sz, float(np.vdot(z, z))
@@ -45,6 +48,24 @@ def bb_step(s, z, k, rng=None):
     if rng is not None:
         gamma = float(rng.uniform(XI_LO, XI_HI)) * gamma
     return gamma
+
+
+def lbfgs_direction(g, pairs, gamma):
+    """L-BFGS two-loop product d = H g (Nocedal & Wright, Alg. 7.4).
+
+    `pairs` holds the newest curvature pairs (s, y, 1/<s, y>) oldest
+    first, each with <s, y> > 0, and H0 = gamma I; with no pairs d is
+    gamma g.  H is then positive definite, so <g, d> > 0.
+    """
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float(np.vdot(s, q)))
+        q -= alphas[-1] * y
+    q *= gamma
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(np.vdot(y, q))) * s
+    return q
 
 
 @dataclass
@@ -56,22 +77,25 @@ class LineSearchResult:
     capped: bool
 
 
-def gll_search(f_eval, x, g, gamma, f_window):
-    """Nonmonotone backtracking line search.
+def gll_search(f_eval, x, d, gamma, slope, f_window):
+    """Nonmonotone backtracking line search along the direction -d.
 
     Finds the smallest integer t >= 0 with
 
-        f(x - DELTA^t gamma g) <= max(f_window) - LAM DELTA^t gamma ||g||_F^2
+        f(x - DELTA^t gamma d) <= max(f_window) - LAM DELTA^t gamma slope
 
     Parameters
     ----------
     f_eval : callable
         Maps a trial point to ``(value, aux)``; `aux` is passed through
         so the caller can reuse cached quantities of the accepted point.
-    x, g : ndarray
-        Current iterate and gradient (g nonzero).
+    x, d : ndarray
+        Current iterate and search direction: the gradient g for a BB
+        step, the L-BFGS product H g otherwise.
     gamma : float
-        Trial step, > 0.
+        Trial step, > 0: the BB length along g, 1 along H g.
+    slope : float
+        <g, d> > 0, the decrease rate the test weighs by LAM.
     f_window : iterable of float
         Objective values over the nonmonotone window.
 
@@ -82,17 +106,16 @@ def gll_search(f_eval, x, g, gamma, f_window):
         trial point with ``capped=True`` even though the condition failed.
     """
     fmax = max(f_window)
-    gnorm2 = float(np.vdot(g, g))
     step = float(gamma)
     for t in range(MAX_BACKTRACKS + 1):
-        xt = step * g
+        xt = step * d
         np.subtract(x, xt, out=xt)
         ft, aux = f_eval(xt)
         if not np.isfinite(ft):
             raise NumericalFailure(
                 f"objective not finite at line-search trial t={t} (step {step:g})"
             )
-        if ft <= fmax - LAM * step * gnorm2:
+        if ft <= fmax - LAM * step * slope:
             return LineSearchResult(t, xt, ft, aux, False)
         step *= DELTA
     return LineSearchResult(MAX_BACKTRACKS, xt, ft, aux, True)

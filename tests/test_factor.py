@@ -39,6 +39,12 @@ class TestSsvd:
         gram = symplectic_gram(fac.s)
         np.testing.assert_allclose(gram, poisson(1), atol=1e-13)
 
+    @pytest.mark.parametrize("c", [1e77, 1e150, 1e-150])
+    def test_extreme_scales_are_paired(self, c):
+        # the Gram entries are c^2; its squared Frobenius norm must not
+        # overflow (or underflow) into the pairing threshold
+        np.testing.assert_allclose(ssvd(c * canonical_frame(5, 2)).sigma, c, rtol=1e-12)
+
     def test_random_input_invariants(self):
         rng = np.random.default_rng(0)
         n, p = 50, 5

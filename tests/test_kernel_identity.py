@@ -83,7 +83,7 @@ def test_trial_point_matches_expression(backtracks):
         # the first `backtracks` trials fail the decrease test
         return (1e9 if len(trials) <= backtracks else 0.0), None
 
-    ls = gll_search(f_eval, x, g, 0.3, [1.0])
+    ls = gll_search(f_eval, x, g, 0.3, float(np.vdot(g, g)), [1.0])
     assert ls.t == backtracks
     step = 0.3
     for xt in trials:

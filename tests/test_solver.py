@@ -382,3 +382,22 @@ def test_aimed_stage_cost_on_a_rounding_stall_is_bounded():
     status, applies = _run_one_blas_thread(_COUNT_STALLED_SOLVE).split()
     assert status == "converged"
     assert int(applies) <= 1.4 * 553
+
+
+_COUNT_DENSE_STALL = """
+from sympeig import GeneratorSpec, solve
+from test_solver import _CountingOperator
+op, _ = GeneratorSpec("dense", 200, seed=65).make()
+counted = _CountingOperator(op)
+res = solve(counted, 10)
+print(res.status.value, counted.applies)
+"""
+
+
+def test_dense_rounding_stall_instance_converges_cheaply():
+    # With plain BB steps this instance's last stage sat within a few ulps
+    # of f and backtracked ~130,000 times (134,452 applies); along L-BFGS
+    # directions it takes no backtracks there and about 660 applies.
+    status, applies = _run_one_blas_thread(_COUNT_DENSE_STALL).split()
+    assert status == "converged"
+    assert int(applies) <= 1000

@@ -58,3 +58,22 @@ def test_only_operators_runs_arpack(path):
     modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names}
     assert path.name == "operators.py" or "scipy.sparse.linalg" not in modules
+
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_blas(path):
+    # scipy and numpy load separate OpenBLAS builds; with more than one
+    # BLAS thread, level-1 calls into scipy's build from the inner loop
+    # contend with numpy's thread pool, so the package uses numpy only
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            used |= {f"{node.module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, (ast.Attribute, ast.Name)):
+            used.add(ast.unparse(node))
+    assert not any(name.startswith("scipy.linalg.blas") for name in used)
+    assert not any(name.split(".")[-1] == "get_blas_funcs" for name in used)
