@@ -281,6 +281,8 @@ def cmd_oracle(args):
 
 
 def cmd_check(args):
+    if not (np.isfinite(args.feas_tol) and args.feas_tol >= 0):
+        raise ValueError(f"--feas-tol must be finite and non-negative, got {args.feas_tol}")
     op = load_matrix(args.matrix)
     findings = {
         "matrix": args.matrix,

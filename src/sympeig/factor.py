@@ -182,16 +182,3 @@ def restart_point(s_fin, d_fin, beta):
     d_fin = np.asarray(d_fin, dtype=float)
     w = np.sqrt(np.maximum(1.0 - d_fin / beta, 1e-12))
     return np.asarray(s_fin, dtype=float) * np.concatenate([w, w])
-
-
-def random_orthosymplectic(p, rng):
-    """Random 2p x 2p matrix in the intersection of O(2p) and Sp(2p).
-
-    Built from a Haar-distributed p x p unitary U = A + iB as
-    [[A, B], [-B, A]].
-    """
-    z = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return np.block([[q.real, q.imag], [-q.imag, q.real]])

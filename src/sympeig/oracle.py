@@ -3,16 +3,14 @@
 Densifies the operator and runs the full-size Williamson
 diagonalization, giving exact symplectic eigenvalues, the complete
 symplectic eigenvector matrix, and reference subspaces for error
-measures.  Also provides exactly-symplectic random test frames.
+measures.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .factor import williamson_small
-from .operators import j_left
 
 
 @dataclass
@@ -54,14 +52,3 @@ def reference(op):
     """
     wf = williamson_small(op.densify())
     return ReferenceSpectrum(d=wf.d, s_full=wf.s)
-
-
-def random_symplectic_frame(n, p, rng):
-    """Random frame in Sp(2p, 2n): exp(J_n H) applied to the canonical
-    frame, with H random symmetric scaled so ||J_n H||_2 <= 2."""
-    h = rng.standard_normal((2 * n, 2 * n))
-    h = 0.5 * (h + h.T)
-    jh = j_left(h)
-    jh *= rng.uniform(0.0, 2.0) / np.linalg.norm(jh, 2)
-    s = scipy.linalg.expm(jh)
-    return s[:, np.r_[0:p, n : n + p]]

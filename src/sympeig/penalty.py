@@ -139,50 +139,3 @@ def hess_quadform(op, x, y, beta):
     sym_cross = cross - cross.T  # Y^T J X + X^T J Y
     term_c = 0.5 * beta * float(np.vdot(sym_cross, sym_cross))
     return term_a + term_b + term_c
-
-
-def construct_stationary_point(shat, dhat, p, t, beta):
-    """Assemble a first-order stationary point of f_beta from symplectic
-    eigenpairs.
-
-    Parameters
-    ----------
-    shat : ndarray, shape (2n, 2q)
-        Symplectic eigenvector pairs, Shat^T A Shat = diag(dhat, dhat).
-    dhat : array_like, length q
-        Their symplectic eigenvalues, each < beta.
-    p : int
-        Column pair count of the output (q <= p; missing pairs are
-        zero-padded).
-    t : ndarray or None
-        Optional 2p-by-2p orthosymplectic right factor.
-    beta : float
-
-    Returns
-    -------
-    ndarray, shape (2n, 2p)
-        [Shat_1 W, 0, Shat_2 W, 0] T^T with W = (I - diag(dhat)/beta)^(1/2).
-    """
-    shat = np.asarray(shat, dtype=float)
-    dhat = np.atleast_1d(np.asarray(dhat, dtype=float))
-    q = dhat.size
-    if shat.ndim != 2 or shat.shape[1] != 2 * q:
-        raise ValueError(f"eigenpair block has shape {shat.shape}, need 2n x {2 * q}")
-    if q > p:
-        raise ValueError(f"got q={q} eigenpairs for p={p} output pairs")
-    if dhat.min() <= 0:
-        raise ValueError("symplectic eigenvalues must be positive")
-    if beta <= dhat.max():
-        raise ValueError(
-            f"beta={beta} must exceed every prescribed eigenvalue (max {dhat.max()})"
-        )
-    w = np.sqrt(1.0 - dhat / beta)
-    x = np.zeros((shat.shape[0], 2 * p))
-    x[:, :q] = shat[:, :q] * w
-    x[:, p : p + q] = shat[:, q:] * w
-    if t is None:
-        return x
-    t = np.asarray(t, dtype=float)
-    if t.shape != (2 * p, 2 * p):
-        raise ValueError(f"right factor must be {2 * p} x {2 * p}, got {t.shape}")
-    return x @ t.T

@@ -2,10 +2,10 @@
 
 `solve_basic` is the paper's fixed-penalty BB gradient iteration with
 the nonmonotone line search.  `solve` steps along L-BFGS directions
-with a randomized BB scale under the same search, refines each stage's
-iterate by symplectic Rayleigh-Ritz, adapts the penalty weight from the
-Ritz values, restarts from the scaled eigenbasis, and tightens the
-inner tolerance geometrically.
+with a BB scale under the same search, refines each stage's iterate by
+symplectic Rayleigh-Ritz, adapts the penalty weight from the Ritz
+values, restarts from the scaled eigenbasis, and tightens the inner
+tolerance geometrically.
 """
 
 import math
@@ -55,7 +55,9 @@ class SolverParams:
     L-BFGS memory and line-search constants are those of
     `sympeig.stepper`; the outer-loop ones (`DELTA_EPS`, `ETA`) are
     module constants here.  No setting switches the search direction:
-    `solve` always takes L-BFGS steps and `solve_basic` BB steps.
+    `solve` always takes L-BFGS steps and `solve_basic` BB steps, both
+    deterministic.  `seed` only draws the perturbation of `solve`'s
+    retry after a rank-deficient Rayleigh-Ritz step.
     """
 
     beta0: float = None
@@ -82,6 +84,8 @@ class SolverParams:
             raise ValueError("iteration limits must be positive")
         if self.beta0 is not None and self.beta0 <= 0:
             raise ValueError(f"beta0 must be positive, got {self.beta0}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         return self
 
     @classmethod
@@ -166,7 +170,7 @@ def beta_best(d_p):
     return BETA_BEST_FACTOR * float(d_p)
 
 
-def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
+def _run_inner(op, x, beta, eps, params, trace, stage, enhanced):
     """GLL descent until the gradient test or k_max; returns
     (x, reached, iters): the last iterate, whether the gradient test
     stopped the descent, and the number of steps taken.
@@ -174,7 +178,7 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
     Steps follow the gradient with the alternating BB length, or with
     `enhanced` the L-BFGS direction from this call's last MEMORY pairs,
     H0 scaled by the BB2 length; `enhanced` also makes the tolerance
-    relative to max(1, ||A X||_F).  `rng` randomizes the BB length.
+    relative to max(1, ||A X||_F).
     """
 
     def f_eval(xt):
@@ -197,10 +201,10 @@ def _run_inner(op, x, beta, eps, params, rng, trace, stage, enhanced):
             reached = True
             break
         if enhanced:
-            gamma = bb_step(s_prev, z_prev, k, rng, alternate=False)
+            gamma = bb_step(s_prev, z_prev, k, alternate=False)
             d, step = lbfgs_direction(g, pairs, gamma), 1.0
         else:
-            gamma = bb_step(s_prev, z_prev, k, rng)
+            gamma = bb_step(s_prev, z_prev, k)
             d, step = g, gamma
         ls = gll_search(f_eval, x, d, step, float(np.vdot(g, d)), window)
         ev_new = ls.aux
@@ -243,10 +247,9 @@ def _result(x, s_fin, d_fin, status, trace, beta, resid, start):
 def solve_basic(op, x0, beta, params=None):
     """Fixed-penalty descent (basic variant).
 
-    Iterates X <- X - delta^t gamma G with the alternating BB step,
-    clamped but not randomized, until ||G||_F < eps0 (absolute) or
-    k_max steps, then extracts Ritz pairs from the final iterate by
-    symplectic Rayleigh-Ritz.
+    Iterates X <- X - delta^t gamma G with the clamped alternating BB
+    step until ||G||_F < eps0 (absolute) or k_max steps, then extracts
+    Ritz pairs from the final iterate by symplectic Rayleigh-Ritz.
 
     Returns
     -------
@@ -269,7 +272,7 @@ def solve_basic(op, x0, beta, params=None):
     trace = SolveTrace()
     start = time.perf_counter()
     x, reached, iters = _run_inner(
-        op, x0, beta, params.eps0, params, None, trace, stage=0, enhanced=False,
+        op, x0, beta, params.eps0, params, trace, stage=0, enhanced=False,
     )
     s_fin, d_fin, as_fin = srr(op, x)
     resid = residue(op, s_fin, d_fin, ax=as_fin)
@@ -285,9 +288,9 @@ def solve_basic(op, x0, beta, params=None):
 def solve(op, p, params=None):
     """Compute the p smallest symplectic eigenvalues and eigenbasis of A.
 
-    Enhanced variant: L-BFGS steps inside a stage, with H0 the clamped,
-    randomized BB2 length; symplectic Rayleigh-Ritz extraction at the
-    end of each stage; penalty update beta <- ETA * theta_p (floored at
+    Enhanced variant: L-BFGS steps inside a stage, with H0 the clamped
+    BB2 length; symplectic Rayleigh-Ritz extraction at the end of each
+    stage; penalty update beta <- ETA * theta_p (floored at
     (3+sqrt(5))/2 * theta_p whenever the update would fall below a
     tenth of the previous beta); restart from S (I - D/beta)^(1/2); and
     a geometric inner-tolerance schedule eps <- DELTA_EPS * eps.  Stops
@@ -304,7 +307,7 @@ def solve(op, p, params=None):
     SympEigResult
         Status CONVERGED, MAX_ITERATIONS (outer budget exhausted), or
         NUMERICAL_FAILURE (non-finite objective, or rank-deficient
-        iterate that a re-randomized retry could not repair).
+        iterate that a retry from a random perturbation could not repair).
     """
     params = (params or SolverParams()).validate()
     n = op.n
@@ -325,12 +328,12 @@ def solve(op, p, params=None):
             stage_start = time.perf_counter()
             stage_beta = beta
             x, reached, iters = _run_inner(
-                op, x, beta, eps, params, rng, trace, stage=stage, enhanced=True,
+                op, x, beta, eps, params, trace, stage=stage, enhanced=True,
             )
             try:
                 s_fin, d_fin, as_fin = srr(op, x)
             except RankDeficientError:
-                # one retry from a re-randomized perturbation
+                # one retry from a random perturbation
                 scale = 1e-8 * max(float(np.linalg.norm(x)), 1e-30)
                 x = x + scale / np.sqrt(x.size) * rng.standard_normal(x.shape)
                 s_fin, d_fin, as_fin = srr(op, x)

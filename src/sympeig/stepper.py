@@ -1,7 +1,6 @@
-"""The inner step of both solver variants: the clamped, optionally
-randomized BB step length, the L-BFGS direction that the enhanced
-variant scales by it, and the nonmonotone (GLL) backtracking line
-search that accepts the step."""
+"""The inner step of both solver variants: the clamped BB step length,
+the L-BFGS direction that the enhanced variant scales by it, and the
+nonmonotone (GLL) backtracking line search that accepts the step."""
 
 from dataclasses import dataclass
 
@@ -12,8 +11,6 @@ from .errors import NumericalFailure
 GAMMA0 = 1e-4  # first BB step length
 GAMMA_LO = 1e-8  # step clamp, lower
 GAMMA_HI = 1e5  # step clamp, upper
-XI_LO = 0.99  # randomization factor range of the enhanced step scale
-XI_HI = 1.0
 MEMORY = 3  # L-BFGS curvature pairs kept by the enhanced variant
 DELTA = 0.5  # line-search backtracking factor
 LAM = 1e-8  # line-search sufficient-decrease weight
@@ -22,17 +19,15 @@ MAX_BACKTRACKS = 60
 _DEGENERATE = 1e-30
 
 
-def bb_step(s, z, k, rng=None, alternate=True):
-    """Length of inner step `k`: the clamped, optionally randomized
-    Barzilai-Borwein step.
+def bb_step(s, z, k, alternate=True):
+    """Length of inner step `k`: the clamped Barzilai-Borwein step.
 
-    Step 0 is `GAMMA0` and draws nothing from `rng`.  Otherwise `s` =
-    X^(k) - X^(k-1) and `z` = G^(k) - G^(k-1) are the iterate and
-    gradient differences.  With `alternate`, even k uses <S,S>/|<S,Z>|
-    (BB1) and odd k uses |<S,Z>|/<Z,Z> (BB2); without it every step is
-    BB2, the L-BFGS scale H0 = gamma I.  A denominator below 1e-30 gives
-    `GAMMA_HI`.  The value is clamped into [GAMMA_LO, GAMMA_HI] and, when
-    `rng` is given, scaled by xi ~ U[XI_LO, XI_HI].
+    Step 0 is `GAMMA0`.  Otherwise `s` = X^(k) - X^(k-1) and `z` =
+    G^(k) - G^(k-1) are the iterate and gradient differences.  With
+    `alternate`, even k uses <S,S>/|<S,Z>| (BB1) and odd k uses
+    |<S,Z>|/<Z,Z> (BB2); without it every step is BB2, the L-BFGS scale
+    H0 = gamma I.  A denominator below 1e-30 gives `GAMMA_HI`.  The
+    value is clamped into [GAMMA_LO, GAMMA_HI].
     """
     if k == 0:
         return GAMMA0
@@ -44,10 +39,7 @@ def bb_step(s, z, k, rng=None, alternate=True):
     else:
         numer, denom = sz, float(np.vdot(z, z))
     gamma = GAMMA_HI if denom < _DEGENERATE else numer / denom
-    gamma = min(max(gamma, GAMMA_LO), GAMMA_HI)
-    if rng is not None:
-        gamma = float(rng.uniform(XI_LO, XI_HI)) * gamma
-    return gamma
+    return min(max(gamma, GAMMA_LO), GAMMA_HI)
 
 
 def lbfgs_direction(g, pairs, gamma):

@@ -1,10 +1,13 @@
 """Shared test helpers: independent dense oracles for the Poisson
-kernels and construction of the same matrix in every storage kind."""
+kernels, construction of the same matrix in every storage kind, and
+random symplectic frames and stationary points of the penalty."""
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 
 from sympeig import SpdOperator
+from sympeig.operators import j_left
 
 KINDS = ("dense", "csr", "slr")
 
@@ -39,3 +42,74 @@ def make_operator(kind, a):
     c = rng.standard_normal((dim, 3)) / np.sqrt(dim)
     b = sparse.csr_array(a - c @ c.T)
     return SpdOperator.from_low_rank(b, c)
+
+
+def construct_stationary_point(shat, dhat, p, t, beta):
+    """Assemble a first-order stationary point of f_beta from symplectic
+    eigenpairs.
+
+    Parameters
+    ----------
+    shat : ndarray, shape (2n, 2q)
+        Symplectic eigenvector pairs, Shat^T A Shat = diag(dhat, dhat).
+    dhat : array_like, length q
+        Their symplectic eigenvalues, each < beta.
+    p : int
+        Column pair count of the output (q <= p; missing pairs are
+        zero-padded).
+    t : ndarray or None
+        Optional 2p-by-2p orthosymplectic right factor.
+    beta : float
+
+    Returns
+    -------
+    ndarray, shape (2n, 2p)
+        [Shat_1 W, 0, Shat_2 W, 0] T^T with W = (I - diag(dhat)/beta)^(1/2).
+    """
+    shat = np.asarray(shat, dtype=float)
+    dhat = np.atleast_1d(np.asarray(dhat, dtype=float))
+    q = dhat.size
+    if shat.ndim != 2 or shat.shape[1] != 2 * q:
+        raise ValueError(f"eigenpair block has shape {shat.shape}, need 2n x {2 * q}")
+    if q > p:
+        raise ValueError(f"got q={q} eigenpairs for p={p} output pairs")
+    if dhat.min() <= 0:
+        raise ValueError("symplectic eigenvalues must be positive")
+    if beta <= dhat.max():
+        raise ValueError(
+            f"beta={beta} must exceed every prescribed eigenvalue (max {dhat.max()})"
+        )
+    w = np.sqrt(1.0 - dhat / beta)
+    x = np.zeros((shat.shape[0], 2 * p))
+    x[:, :q] = shat[:, :q] * w
+    x[:, p : p + q] = shat[:, q:] * w
+    if t is None:
+        return x
+    t = np.asarray(t, dtype=float)
+    if t.shape != (2 * p, 2 * p):
+        raise ValueError(f"right factor must be {2 * p} x {2 * p}, got {t.shape}")
+    return x @ t.T
+
+
+def random_orthosymplectic(p, rng):
+    """Random 2p x 2p matrix in the intersection of O(2p) and Sp(2p).
+
+    Built from a Haar-distributed p x p unitary U = A + iB as
+    [[A, B], [-B, A]].
+    """
+    z = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    q = q * (diag / np.abs(diag))
+    return np.block([[q.real, q.imag], [-q.imag, q.real]])
+
+
+def random_symplectic_frame(n, p, rng):
+    """Random frame in Sp(2p, 2n): exp(J_n H) applied to the canonical
+    frame, with H random symmetric scaled so ||J_n H||_2 <= 2."""
+    h = rng.standard_normal((2 * n, 2 * n))
+    h = 0.5 * (h + h.T)
+    jh = j_left(h)
+    jh *= rng.uniform(0.0, 2.0) / np.linalg.norm(jh, 2)
+    s = scipy.linalg.expm(jh)
+    return s[:, np.r_[0:p, n : n + p]]

@@ -12,7 +12,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import KINDS, make_operator, random_spd
+from conftest import (
+    KINDS,
+    construct_stationary_point,
+    make_operator,
+    random_orthosymplectic,
+    random_spd,
+    random_symplectic_frame,
+)
 from sympeig import (
     SolverParams,
     SolveStatus,
@@ -28,10 +35,9 @@ from sympeig import (
     solve,
     solve_basic,
 )
-from sympeig.factor import random_orthosymplectic, ssvd, williamson_small
+from sympeig.factor import ssvd, williamson_small
 from sympeig.operators import canonical_frame
-from sympeig.oracle import random_symplectic_frame
-from sympeig.penalty import construct_stationary_point, evaluate, hess_quadform
+from sympeig.penalty import evaluate, hess_quadform
 
 GRID_FAMILIES = ("dense", "sparse", "slr", "prescribed")
 GRID_N = (10, 50, 200)

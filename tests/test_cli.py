@@ -289,6 +289,14 @@ class TestCheck:
         path = ladder_path(tmp_path, 4)
         assert main(["check", "--matrix", path, "--seed", "0"]) == 2
 
+    @pytest.mark.parametrize("feas_tol", ["nan", "-1", "inf"])
+    def test_bad_feas_tol_is_usage_error(self, tmp_path, capsys, feas_tol):
+        # rejected before the missing matrix file is opened (that would exit 3)
+        code = main(["check", "--matrix", str(tmp_path / "missing.mtx"),
+                     "--feas-tol", feas_tol])
+        assert code == 2
+        assert "--feas-tol" in capsys.readouterr().err
+
     def test_basis_symplecticity_checked(self, tmp_path, capsys):
         path = ladder_path(tmp_path, 5)
         out = str(tmp_path / "run")

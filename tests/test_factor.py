@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_j, random_spd
+from conftest import construct_stationary_point, dense_j, random_orthosymplectic, random_spd
 from sympeig import (
     NumericalFailure,
     RankDeficientError,
@@ -12,14 +12,13 @@ from sympeig import (
     symplectic_gram,
 )
 from sympeig.factor import (
-    random_orthosymplectic,
     restart_point,
     srr,
     ssvd,
     williamson_small,
 )
 from sympeig.operators import canonical_frame, j_left
-from sympeig.penalty import construct_stationary_point, evaluate
+from sympeig.penalty import evaluate
 
 
 class TestSsvd:

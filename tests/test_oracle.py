@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import dense_j, random_spd
+from conftest import dense_j, random_spd, random_symplectic_frame
 from sympeig import SpdOperator, gen_prescribed, poisson, reference, symplectic_gram
-from sympeig.oracle import random_symplectic_frame
 
 
 def ladder_operator(n):

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import KINDS, make_operator, random_spd
+from conftest import (
+    KINDS,
+    construct_stationary_point,
+    make_operator,
+    random_orthosymplectic,
+    random_spd,
+)
 from sympeig import SpdOperator, gen_prescribed, symplectic_gram
-from sympeig.factor import random_orthosymplectic
 from sympeig.operators import canonical_frame, j_right
-from sympeig.penalty import construct_stationary_point, evaluate, hess_quadform
+from sympeig.penalty import evaluate, hess_quadform
 
 
 def fd_gradient(op, x, beta):

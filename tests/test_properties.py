@@ -17,9 +17,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spd
+from conftest import random_orthosymplectic, random_spd
 from sympeig import SolverParams, SolveStatus, SpdOperator, reference, solve
-from sympeig.factor import random_orthosymplectic, ssvd
+from sympeig.factor import ssvd
 from sympeig.operators import j_left
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)

@@ -158,13 +158,15 @@ class TestSolveEnhanced:
         assert fa == fb
         np.testing.assert_array_equal(res_a.eigenvalues, res_b.eigenvalues)
 
-    def test_seed_changes_trajectory(self):
+    def test_seed_leaves_trajectory(self):
+        # the steps draw nothing; the seed only feeds the retry after a
+        # rank-deficient Rayleigh-Ritz step, which this solve never takes
         op, _ = gen_prescribed(10, seed=5)
         res_a = solve(op, 2, SolverParams(seed=11))
         res_b = solve(op, 2, SolverParams(seed=12))
         fa = [row.f for row in res_a.trace.inner]
         fb = [row.f for row in res_b.trace.inner]
-        assert fa != fb
+        assert fa == fb
 
     def test_beta_schedule_follows_update_rule(self):
         op, _ = gen_prescribed(16, seed=6)
@@ -311,8 +313,9 @@ class TestSolveEnhanced:
             SolverParams.from_dict({"tol": 1e-8, "bogus": 1})
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            SolverParams(beta0=-2.0).validate()
+        for name, value in (("beta0", -2.0), ("seed", -1)):
+            with pytest.raises(ValueError, match=name):
+                SolverParams(**{name: value}).validate()
 
     def test_random_dense_instance_agrees_with_reference(self):
         rng = np.random.default_rng(12)

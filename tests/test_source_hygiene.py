@@ -1,13 +1,20 @@
 """Every top-level import of a package module is read by that module or
-re-exported through its ``__all__`` (the unused-import check of a
-linter, done with ``ast``)."""
+re-exported through its ``__all__``, and every top-level definition has
+a caller outside the tests (the unused-name checks of a linter, done
+with ``ast``)."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "sympeig"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sympeig"
+PERFBENCH = ROOT / "perfbench"
+
+# the exact second-order term of the penalty: acceptance criterion 03
+# checks it, and ROADMAP item 5 makes it the kernel of the line search
+TESTED_ONLY = {"hess_quadform"}
 
 
 def imported_names(tree):
@@ -77,3 +84,30 @@ def test_no_scipy_blas(path):
             used.add(ast.unparse(node))
     assert not any(name.startswith("scipy.linalg.blas") for name in used)
     assert not any(name.split(".")[-1] == "get_blas_funcs" for name in used)
+
+
+def read_names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+            or isinstance(n, ast.Attribute)}
+
+
+def test_every_src_definition_has_a_caller():
+    # a name counts as read when a package module (outside its own
+    # definition), the package's __all__ or the benchmark reads it
+    read = set()
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= exported_names(tree)
+        for stmt in tree.body:
+            names = read_names(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined[stmt.name] = path.name
+                names.discard(stmt.name)
+            read |= names
+    for path in sorted(PERFBENCH.glob("*.py")):
+        read |= read_names(ast.parse(path.read_text(), filename=str(path)))
+    unused = sorted(f"{module}:{name}" for name, module in defined.items()
+                    if name not in read | TESTED_ONLY)
+    assert not unused, f"defined in src but read only by tests: {unused}"
