@@ -1,8 +1,9 @@
 """Command-line front end: instance generation, solving, the dense
 reference oracle, validity checks, and benchmark sweeps.
 
-Every output file embeds the resolved configuration and seed so runs
-can be audited and reproduced.  Exit codes: 0 success, 1 solver did not
+Every output file embeds the resolved configuration and the instance
+descriptor (with the seed of a generated instance) so runs can be
+audited and reproduced.  Exit codes: 0 success, 1 solver did not
 converge, 2 usage error, 3 I/O error, 4 numerical failure.
 """
 
@@ -121,11 +122,7 @@ def _add_source_args(sp, need_matrix=True):
     sp.add_argument("--rank-width", type=int, default=10, help="low-rank width m of slr")
     sp.add_argument("--spectrum", type=_list_of(float),
                     help="comma-separated prescribed eigenvalues (default 1..n)")
-    sp.add_argument("--seed", type=int, help="generator (and solver) seed (default 0)")
-
-
-def _seed_of(args):
-    return 0 if getattr(args, "seed", None) is None else args.seed
+    sp.add_argument("--seed", type=int, help="generator seed (default 0)")
 
 
 def _generate(args):
@@ -133,7 +130,7 @@ def _generate(args):
     (op, descriptor, exact_reference_or_None)."""
     spec = GeneratorSpec(
         family=args.family, n=args.n, density=args.density, m=args.rank_width,
-        seed=_seed_of(args), spectrum=args.spectrum,
+        seed=0 if args.seed is None else args.seed, spectrum=args.spectrum,
     )
     op, ref = spec.make()
     return op, {"source": "generated", **spec.describe()}, ref
@@ -142,6 +139,8 @@ def _generate(args):
 def _resolve_source(args):
     """Returns (op, descriptor, exact_reference_or_None)."""
     if args.matrix:
+        if args.seed is not None:
+            raise ValueError("--seed selects a generated instance and cannot go with --matrix")
         return load_matrix(args.matrix), {"source": "file", "path": args.matrix}, None
     if not args.family or not args.n:
         raise ValueError("pass either --matrix or --family with --n")
@@ -150,7 +149,7 @@ def _resolve_source(args):
 
 def _build_params(args):
     mapping = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 mapping = json.load(fh)
@@ -158,10 +157,8 @@ def _build_params(args):
             raise OSError(f"{args.config}: not valid JSON ({exc})") from exc
         if not isinstance(mapping, dict):
             raise ValueError(f"{args.config}: config must be a flat JSON object")
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         mapping["tol"] = args.tol
-    if getattr(args, "seed", None) is not None:
-        mapping["seed"] = args.seed
     return SolverParams.from_dict(mapping)
 
 
@@ -216,7 +213,7 @@ def _run_variant(op, p, params, variant, beta_value):
 def cmd_gen(args):
     out = _out_dir(args)
     op, descriptor, ref = _generate(args)
-    base = os.path.join(out, f"{args.family}_n{args.n}_seed{_seed_of(args)}")
+    base = os.path.join(out, f"{args.family}_n{args.n}_seed{descriptor['seed']}")
     paths = store_matrix(op, base + ".mtx")
     sidecar = {"version": __version__, **descriptor, "files": list(paths)}
     if ref is not None:
@@ -241,7 +238,6 @@ def cmd_solve(args):
         "p": args.p,
         "variant": args.variant,
         "params": vars(params).copy(),
-        "seed": params.seed,
     }
     result_path = os.path.join(out, "result.json")
     _write_json(result_path, _result_payload(result, meta))
@@ -305,7 +301,7 @@ def cmd_check(args):
 
 def _bench_cell(op, ref, cell, tol):
     family, n, p, seed, beta_label, variant = cell
-    params = SolverParams(seed=seed, tol=tol)
+    params = SolverParams(tol=tol)
     row = dict.fromkeys(BENCH_COLUMNS, "")
     row.update(family=family, n=n, p=p, seed=seed, beta_label=beta_label, variant=variant)
     try:

@@ -23,7 +23,9 @@ from .operators import j_left, symplectic_gram
 
 @dataclass
 class PenaltyEval:
-    """One evaluation of f_beta with its cached building blocks.
+    """One evaluation of f_beta with its cached building blocks, as
+    returned by :func:`evaluate`; :meth:`ensure_gradient` is the one way
+    to form the gradient.
 
     Attributes
     ----------
@@ -37,7 +39,7 @@ class PenaltyEval:
     violation : ndarray
         Cached skew matrix X^T J_n X - J_p.
     gradient : ndarray or None
-        Filled by :meth:`ensure_gradient`.
+        None until the first :meth:`ensure_gradient` call.
     """
 
     beta: float
@@ -77,8 +79,8 @@ def violation(x, jx=None):
     return g
 
 
-def evaluate(op, x, beta, want_gradient=False):
-    """Evaluate f_beta at X, optionally with its gradient.
+def evaluate(op, x, beta):
+    """Evaluate f_beta at X.
 
     Parameters
     ----------
@@ -86,13 +88,13 @@ def evaluate(op, x, beta, want_gradient=False):
     x : array_like, shape (2n, 2p)
     beta : float
         Penalty weight, > 0.
-    want_gradient : bool
-        When true the gradient is computed immediately; otherwise it can
-        be completed later via :meth:`PenaltyEval.ensure_gradient`.
 
     Returns
     -------
     PenaltyEval
+        The value and the cached blocks; the gradient is formed only by
+        :meth:`PenaltyEval.ensure_gradient`, so a rejected line-search
+        trial never pays for it.
     """
     if beta <= 0:
         raise ValueError(f"penalty weight must be positive, got {beta}")
@@ -107,10 +109,7 @@ def evaluate(op, x, beta, want_gradient=False):
     add_flops(v.size)
     feasibility = float(np.linalg.norm(v))
     value = trace_term + 0.25 * beta * feasibility * feasibility
-    ev = PenaltyEval(float(beta), value, ax, jx, v)
-    if want_gradient:
-        ev.ensure_gradient()
-    return ev
+    return PenaltyEval(float(beta), value, ax, jx, v)
 
 
 def hess_quadform(op, x, y, beta):

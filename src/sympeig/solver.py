@@ -33,6 +33,9 @@ _EPS_FLOOR = 1e-14
 DELTA_EPS = 0.1  # inner tolerance shrink per outer stage
 ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
 
+# seed of the perturbation drawn by the rank-deficiency retry
+_RETRY_SEED = 0
+
 
 class SolveStatus(Enum):
     CONVERGED = "converged"
@@ -55,9 +58,10 @@ class SolverParams:
     L-BFGS memory and line-search constants are those of
     `sympeig.stepper`; the outer-loop ones (`DELTA_EPS`, `ETA`) are
     module constants here.  No setting switches the search direction:
-    `solve` always takes L-BFGS steps and `solve_basic` BB steps, both
-    deterministic.  `seed` only draws the perturbation of `solve`'s
-    retry after a rank-deficient Rayleigh-Ritz step.
+    `solve` always takes L-BFGS steps and `solve_basic` BB steps.  No
+    setting seeds anything either: the one random draw, the perturbation
+    of `solve`'s retry after a rank-deficient Rayleigh-Ritz step, comes
+    from a generator seeded with the constant `_RETRY_SEED`.
     """
 
     beta0: float = None
@@ -65,7 +69,6 @@ class SolverParams:
     eps0: float = 0.1
     outer_max: int = 20
     tol: float = 1e-8
-    seed: int = 0
 
     def validate(self):
         for f in fields(self):
@@ -84,8 +87,6 @@ class SolverParams:
             raise ValueError("iteration limits must be positive")
         if self.beta0 is not None and self.beta0 <= 0:
             raise ValueError(f"beta0 must be positive, got {self.beta0}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         return self
 
     @classmethod
@@ -313,7 +314,7 @@ def solve(op, p, params=None):
     n = op.n
     if not 1 <= p < n:
         raise ValueError(f"need 1 <= p < n, got p={p}, n={n}")
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(_RETRY_SEED)
     beta = params.beta0 if params.beta0 is not None else beta_suggest(op, p)
     trace = SolveTrace()
     x = canonical_frame(n, p)

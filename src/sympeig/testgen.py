@@ -50,6 +50,8 @@ class GeneratorSpec:
             raise ValueError(f"density must lie in (0, 1], got {self.density}")
         if self.m < 1:
             raise ValueError(f"low-rank width must be >= 1, got {self.m}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         return self
 
     def make(self):

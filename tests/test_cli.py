@@ -35,6 +35,14 @@ class TestTopLevel:
     def test_missing_file_is_io_error(self, capsys):
         assert main(["solve", "--matrix", "/no/such.mtx", "--p", "2"]) == 3
 
+    @pytest.mark.parametrize("command", [
+        ["gen", "--family", "dense", "--n", "6"],
+        ["solve", "--family", "prescribed", "--n", "6", "--p", "2"],
+    ], ids=["gen", "solve"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        assert main([*command, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+
 
 class TestGen:
     @pytest.mark.parametrize("family,files", [
@@ -91,15 +99,32 @@ class TestSolve:
     def test_trace_audit_header(self, tmp_path, capsys):
         path = ladder_path(tmp_path, 5)
         out = str(tmp_path / "run")
-        main(["solve", "--matrix", path, "--p", "2", "--seed", "7", "--out", out])
+        main(["solve", "--matrix", path, "--p", "2", "--tol", "1e-7", "--out", out])
         lines = open(os.path.join(out, "trace.csv")).read().splitlines()
         meta = json.loads(lines[0][2:])
         assert lines[0].startswith("# {")
-        assert meta["seed"] == 7
-        assert meta["params"]["seed"] == 7
+        assert meta["matrix"] == {"source": "file", "path": path}
+        assert meta["params"]["tol"] == 1e-7
         assert lines[1] == "k,i,f,gnorm,gamma,t,beta"
         result = json.load(open(os.path.join(out, "result.json")))
         assert len(lines) - 2 == result["inner_iterations"]
+
+    def test_generated_instance_seed_is_recorded_once(self, tmp_path, capsys):
+        # the seed belongs to the instance; the solver has none
+        out = str(tmp_path / "run")
+        assert main(["solve", "--family", "dense", "--n", "10", "--p", "2",
+                     "--seed", "4", "--out", out]) == 0
+        result = json.load(open(os.path.join(out, "result.json")))
+        assert result["matrix"]["seed"] == 4
+        assert "seed" not in result
+        assert "seed" not in result["params"]
+
+    @pytest.mark.parametrize("verb", ["solve", "oracle"])
+    def test_seed_with_matrix_is_usage_error(self, tmp_path, capsys, verb):
+        path = ladder_path(tmp_path, 5)
+        assert main([verb, "--matrix", path, "--p", "2", "--seed", "7",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "--seed selects a generated instance" in capsys.readouterr().err
 
     def test_trace_cells_are_plain_numbers(self, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -164,13 +189,13 @@ class TestSolve:
     def test_flag_overrides_config(self, tmp_path, capsys):
         path = ladder_path(tmp_path, 5)
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"tol": 1e-6, "seed": 3}))
+        config.write_text(json.dumps({"tol": 1e-6, "k_max": 3000}))
         out = str(tmp_path / "run")
         main(["solve", "--matrix", path, "--p", "2", "--config", str(config),
               "--tol", "1e-4", "--out", out])
         meta = json.load(open(os.path.join(out, "result.json")))
         assert meta["params"]["tol"] == 1e-4
-        assert meta["params"]["seed"] == 3
+        assert meta["params"]["k_max"] == 3000
 
     @pytest.mark.parametrize("entry", [
         pytest.param({"nope": 1}, id="unknown-key"),
@@ -178,6 +203,7 @@ class TestSolve:
         pytest.param({"tol": "1e-8"}, id="string-tol"),
         pytest.param({"tol": float("nan")}, id="nan-tol"),
         pytest.param({"window": 10}, id="removed-key"),
+        pytest.param({"seed": 3}, id="removed-seed-key"),
     ])
     def test_bad_config_key_is_usage_error(self, tmp_path, capsys, entry):
         path = ladder_path(tmp_path, 5)

@@ -91,7 +91,7 @@ class TestSsvd:
             lhs = np.linalg.norm(a @ fac.s - j_left(fac.s @ ell))
             xax = x.T @ (a @ x)
             sigma_min = np.linalg.eigvalsh(0.5 * (xax + xax.T))[0]
-            gnorm = np.linalg.norm(evaluate(op, x, beta, want_gradient=True).gradient)
+            gnorm = np.linalg.norm(evaluate(op, x, beta).ensure_gradient())
             assert lhs <= np.sqrt(2 * p * d_n / sigma_min) * gnorm * (1 + 1e-12)
 
 
@@ -199,7 +199,7 @@ class TestRestartPoint:
         n = ref.d.size
         s = ref.s_full[:, np.r_[0:p, n : n + p]]
         x = restart_point(s, ref.d[:p], beta)
-        g = evaluate(op, x, beta, want_gradient=True).gradient
+        g = evaluate(op, x, beta).ensure_gradient()
         assert np.linalg.norm(g) <= 1e-9 * np.linalg.norm(op.densify())
 
     def test_bad_beta_rejected(self):

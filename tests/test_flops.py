@@ -53,6 +53,6 @@ class TestCounter:
         op = gen_sparse(n, seed=3)
         x = np.random.default_rng(4).standard_normal((2 * n, 2 * p))
         with count_flops() as fc:
-            evaluate(op, x, 5.0, want_gradient=True)
+            evaluate(op, x, 5.0).ensure_gradient()
         expected = op.nnz * 2 * p + 16 * n * p * p + 8 * n * p + 4 * p * p
         assert fc.count == expected

@@ -71,13 +71,13 @@ class TestObjective:
 class TestGradient:
     def test_zero_input(self):
         op = SpdOperator.from_dense(np.eye(6))
-        g = evaluate(op, np.zeros((6, 2)), 3.0, want_gradient=True).gradient
+        g = evaluate(op, np.zeros((6, 2)), 3.0).ensure_gradient()
         np.testing.assert_array_equal(g, np.zeros((6, 2)))
 
     def test_hand_checked_stationary_point(self):
         op = SpdOperator.from_dense(np.diag([2.0, 8.0]))
         x = np.sqrt(0.6) * np.diag([np.sqrt(2.0), 1.0 / np.sqrt(2.0)])
-        g = evaluate(op, x, 10.0, want_gradient=True).gradient
+        g = evaluate(op, x, 10.0).ensure_gradient()
         assert np.linalg.norm(g) <= 1e-12
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -85,7 +85,7 @@ class TestGradient:
         rng = np.random.default_rng(2)
         op = make_operator(kind, random_spd(rng, 8))
         x = rng.standard_normal((8, 4))
-        g = evaluate(op, x, 6.0, want_gradient=True).gradient
+        g = evaluate(op, x, 6.0).ensure_gradient()
         g_fd = fd_gradient(op, x, 6.0)
         assert np.linalg.norm(g - g_fd) < 1e-6 * np.linalg.norm(g)
 
@@ -93,7 +93,8 @@ class TestGradient:
         rng = np.random.default_rng(4)
         op = make_operator("dense", random_spd(rng, 8))
         x = rng.standard_normal((8, 2))
-        ev = evaluate(op, x, 3.0, want_gradient=True)
+        ev = evaluate(op, x, 3.0)
+        ev.ensure_gradient()
         np.testing.assert_array_equal(ev.ax, op.apply(x))
 
 
@@ -146,14 +147,14 @@ class TestConstructStationaryPoint:
         rng = np.random.default_rng(8)
         t = random_orthosymplectic(p, rng)
         x = construct_stationary_point(self.frame(p), self.ref.d[:p], p, t, beta)
-        g = evaluate(self.op, x, beta, want_gradient=True).gradient
+        g = evaluate(self.op, x, beta).ensure_gradient()
         assert np.linalg.norm(g) <= 1e-10 * self.a_norm
 
     def test_rank_deficient_is_stationary(self):
         p, q, beta = 3, 2, 20.0
         x = construct_stationary_point(self.frame(q), self.ref.d[:q], p, None, beta)
         assert np.linalg.norm(x[:, [q, p + q]]) == 0.0
-        g = evaluate(self.op, x, beta, want_gradient=True).gradient
+        g = evaluate(self.op, x, beta).ensure_gradient()
         assert np.linalg.norm(g) <= 1e-10 * self.a_norm
 
     def test_right_factor_cancels_in_objective(self):

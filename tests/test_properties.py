@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_orthosymplectic, random_spd
-from sympeig import SolverParams, SolveStatus, SpdOperator, reference, solve
+from sympeig import SolveStatus, SpdOperator, reference, solve
 from sympeig.factor import ssvd
 from sympeig.operators import j_left
 
@@ -86,9 +86,8 @@ def test_symplectic_congruence_is_invariant(n, seed, orthogonal):
 def test_solver_scales_with_operator(c):
     n, p = 8, 3
     a, _ = _instance(n, 11)
-    params = SolverParams(seed=2)
-    base = solve(SpdOperator.from_dense(a), p, params)
-    scaled = solve(SpdOperator.from_dense(c * a), p, params)
+    base = solve(SpdOperator.from_dense(a), p)
+    scaled = solve(SpdOperator.from_dense(c * a), p)
     assert base.status is SolveStatus.CONVERGED
     assert scaled.status is SolveStatus.CONVERGED
     np.testing.assert_allclose(scaled.eigenvalues, c * base.eigenvalues, rtol=1e-7)

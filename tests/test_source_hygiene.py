@@ -111,3 +111,18 @@ def test_every_src_definition_has_a_caller():
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
                     if name not in read | TESTED_ONLY)
     assert not unused, f"defined in src but read only by tests: {unused}"
+
+
+def test_every_solver_param_is_read():
+    # a setting that no solver code path reads is a dead knob; reads in
+    # SolverParams' own methods (validate, from_dict) do not count
+    tree = ast.parse((SRC / "solver.py").read_text())
+    (params_cls,) = [node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "SolverParams"]
+    declared = {stmt.target.id for stmt in params_cls.body if isinstance(stmt, ast.AnnAssign)}
+    read = {node.attr for stmt in tree.body if stmt is not params_cls
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "params"}
+    assert declared
+    assert not declared - read, f"never read by the solver: {sorted(declared - read)}"

@@ -159,3 +159,7 @@ class TestGeneratorSpec:
             GeneratorSpec("sparse", 10, density=2.0).validate()
         with pytest.raises(ValueError):
             GeneratorSpec("slr", 10, m=0).validate()
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            GeneratorSpec("dense", 6, seed=-1).validate()
