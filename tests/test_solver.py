@@ -149,13 +149,26 @@ class TestSolveEnhanced:
         f = evaluate(op, res.x_final, res.beta_final).value
         assert abs(f - expected) <= 1e-8 * (1.0 + abs(f))
 
-    def test_deterministic(self):
-        # no setting seeds the solver: a solve depends on (A, p, params) only
+    def test_deterministic_per_seed(self):
+        # no setting seeds the solver: two solves of the instance generated
+        # from one seed agree bit for bit
+        for seed in (5, 8):
+            op, _ = gen_prescribed(10, seed=seed)
+            res_a, res_b = solve(op, 2), solve(op, 2)
+            assert res_a.trace.inner == res_b.trace.inner
+            np.testing.assert_array_equal(res_a.eigenvalues, res_b.eigenvalues)
+            np.testing.assert_array_equal(res_a.eigenbasis, res_b.eigenbasis)
+
+    def test_seed_leaves_trajectory(self, monkeypatch):
+        # the steps draw nothing; the retry seed only feeds the perturbation
+        # after a rank-deficient Rayleigh-Ritz step, which this solve never
+        # takes
         op, _ = gen_prescribed(10, seed=5)
-        res_a, res_b = solve(op, 2), solve(op, 2)
+        res_a = solve(op, 2)
+        monkeypatch.setattr("sympeig.solver._RETRY_SEED", 12)
+        res_b = solve(op, 2)
         assert res_a.trace.inner == res_b.trace.inner
         np.testing.assert_array_equal(res_a.eigenvalues, res_b.eigenvalues)
-        np.testing.assert_array_equal(res_a.eigenbasis, res_b.eigenbasis)
 
     def test_beta_schedule_follows_update_rule(self):
         op, _ = gen_prescribed(16, seed=6)
