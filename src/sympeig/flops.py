@@ -4,9 +4,9 @@ Counts follow the fused multiply-accumulate convention: one multiply
 plus the accompanying add is a single flop.  Under this convention a
 matrix product of shapes (a, b) x (b, c) costs a*b*c, and a sparse
 matvec costs nnz per column.  Only the kernels on the solver's hot path
-report counts (operator application, the symplectic Gram matrix, and
-the penalty gradient); permutation kernels and O(p^2) bookkeeping are
-not charged.
+report counts (operator application, the symplectic Gram matrix, the
+penalty gradient, and the coefficients of the penalty along a ray);
+permutation kernels and O(p^2) bookkeeping are not charged.
 
 Counting is off unless a counter is active; activation is per-thread.
 """

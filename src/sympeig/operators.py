@@ -198,14 +198,12 @@ def j_right(x):
     return np.concatenate((-x[:, p:], x[:, :p]), axis=1)
 
 
-def symplectic_gram(x, jx=None):
+def symplectic_gram(x):
     """Return the skew part of X^T J_n X.
 
     Parameters
     ----------
     x : ndarray, shape (2n, 2p)
-    jx : ndarray, optional
-        Precomputed ``j_left(x)``, reused when the caller already has it.
 
     Notes
     -----
@@ -213,9 +211,7 @@ def symplectic_gram(x, jx=None):
     suppress round-off; the exact value is skew-symmetric.
     """
     x = np.asarray(x, dtype=float)
-    if jx is None:
-        jx = j_left(x)
-    g = x.T @ jx
+    g = x.T @ j_left(x)
     add_flops(g.shape[0] * g.shape[1] * x.shape[0])
     skew = g - g.T
     skew *= 0.5

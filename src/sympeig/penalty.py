@@ -7,10 +7,14 @@ penalty weight beta > 0,
 
 with gradient
 
-    grad f_beta(X) = A X - beta J_n X (X^T J_n X - J_p) .
+    grad f_beta(X) = A X - beta J_n (X V),  V = X^T J_n X - J_p .
 
-Evaluations cache A X, J_n X, and the constraint violation so a
-follow-up gradient costs one extra matrix product.
+A is linear, so along a direction D the objective is an exact quartic
+in the step: f(X - s D) - f(X) = c1 s + c2 s^2 + c3 s^3 + c4 s^4
+(:func:`ray`).  One apply A D gives the coefficients, and the point
+X - s D follows from it with A X and V updated in place of a new apply
+(:meth:`PenaltyEval.moved`), so the solvers call :func:`evaluate` once
+per stage and take one apply per inner step.
 """
 
 from dataclasses import dataclass, field
@@ -23,50 +27,77 @@ from .operators import j_left, symplectic_gram
 
 @dataclass
 class PenaltyEval:
-    """One evaluation of f_beta with its cached building blocks, as
-    returned by :func:`evaluate`; :meth:`ensure_gradient` is the one way
-    to form the gradient.
+    """f_beta at one point X with its building blocks, as returned by
+    :func:`evaluate` or carried along a ray by :meth:`moved`;
+    :meth:`ensure_gradient` is the one way to form the gradient.
 
     Attributes
     ----------
     beta : float
     value : float
         f_beta(X).
+    x : ndarray
+        The point X.
     ax : ndarray
-        Cached A X.
-    jx : ndarray
-        Cached J_n X.
+        A X.
     violation : ndarray
-        Cached skew matrix X^T J_n X - J_p.
+        The skew matrix V = X^T J_n X - J_p.
     gradient : ndarray or None
         None until the first :meth:`ensure_gradient` call.
     """
 
     beta: float
     value: float
-    ax: np.ndarray
-    jx: np.ndarray = field(repr=False)
+    x: np.ndarray = field(repr=False)
+    ax: np.ndarray = field(repr=False)
     violation: np.ndarray = field(repr=False)
     gradient: np.ndarray = field(default=None, repr=False)
 
     def ensure_gradient(self):
-        """Complete A X - beta J_n X (X^T J_n X - J_p) from the cache."""
+        """Complete A X - J_n (X (beta V)) from the cached blocks."""
         if self.gradient is None:
-            rows, inner = self.jx.shape
+            rows, inner = self.x.shape
             add_flops(rows * inner * self.violation.shape[1] + self.ax.size)
-            gr = self.jx @ self.violation
-            gr *= self.beta
+            gr = j_left(self.x @ (self.beta * self.violation))
             np.subtract(self.ax, gr, out=gr)
             self.gradient = gr
         return self.gradient
 
+    def moved(self, sd, ray_model, s, value):
+        """The evaluation at X - s D, carried along `ray_model` (the ray
+        of :func:`ray` from this point along D) without an apply: X - sd
+        for the displacement `sd` = s D, A X - s A D, V + s (s N - K),
+        and `value` = f + Delta(s)."""
+        return PenaltyEval(self.beta, value, self.x - sd, self.ax - s * ray_model.ad,
+                           self.violation + s * (s * ray_model.n - ray_model.k))
 
-def violation(x, jx=None):
-    """Constraint violation X^T J_n X - J_p (skew, 2p x 2p).
 
-    `jx` is ``j_left(x)`` when the caller already holds it.
+@dataclass
+class Ray:
+    """f_beta along X - s D, as returned by :func:`ray`.
+
+    Attributes
+    ----------
+    coeffs : tuple of float
+        (c1, c2, c3, c4) with f(X - s D) - f(X) = c1 s + c2 s^2
+        + c3 s^3 + c4 s^4.
+    ad : ndarray
+        A D.
+    k : ndarray
+        The skew matrix K = X^T J_n D - (X^T J_n D)^T.
+    n : ndarray
+        The skew matrix N = D^T J_n D.
     """
-    g = symplectic_gram(x, jx=jx)
+
+    coeffs: tuple
+    ad: np.ndarray = field(repr=False)
+    k: np.ndarray = field(repr=False)
+    n: np.ndarray = field(repr=False)
+
+
+def violation(x):
+    """Constraint violation X^T J_n X - J_p (skew, 2p x 2p)."""
+    g = symplectic_gram(x)
     if g.shape[0] % 2:
         raise ValueError(f"basis must have 2p columns, got {g.shape[0]}")
     # subtract J_p in place, touching only the two identity blocks: in the
@@ -93,8 +124,7 @@ def evaluate(op, x, beta):
     -------
     PenaltyEval
         The value and the cached blocks; the gradient is formed only by
-        :meth:`PenaltyEval.ensure_gradient`, so a rejected line-search
-        trial never pays for it.
+        :meth:`PenaltyEval.ensure_gradient`.
     """
     if beta <= 0:
         raise ValueError(f"penalty weight must be positive, got {beta}")
@@ -104,22 +134,62 @@ def evaluate(op, x, beta):
     ax = op.apply(x)
     add_flops(x.size)
     trace_term = 0.5 * float(np.vdot(x, ax))
-    jx = j_left(x)
-    v = violation(x, jx=jx)
+    v = violation(x)
     add_flops(v.size)
     feasibility = float(np.linalg.norm(v))
     value = trace_term + 0.25 * beta * feasibility * feasibility
-    return PenaltyEval(float(beta), value, ax, jx, v)
+    return PenaltyEval(float(beta), value, x, ax, v)
 
 
-def hess_quadform(op, x, y, beta):
-    """Second directional derivative of f_beta at X along Y.
+def ray(op, x, v, d, beta, slope):
+    """The exact quartic of f_beta along X - s D.
+
+    Parameters
+    ----------
+    op : SpdOperator
+    x, d : ndarray, shape (2n, 2p)
+        The point and the direction.
+    v : ndarray, shape (2p, 2p)
+        The violation X^T J_n X - J_p at X.
+    beta : float
+    slope : float
+        <grad f_beta(X), D>, so c1 = -slope.
 
     Returns
     -------
-    float
-        tr(Y^T A Y) - beta tr((Y^T J_n Y)(X^T J_n X - J_p))
-        + (beta/2) ||Y^T J_n X + X^T J_n Y||_F^2.
+    Ray
+        With K = X^T J D - (X^T J D)^T and N = D^T J D,
+
+            c2 = 1/2 <D, A D> + (beta/4)(||K||^2 + 2 <V, N>)
+            c3 = -(beta/2) <K, N>
+            c4 = (beta/4) ||N||^2 .
+
+        One apply, A D, and the thin products X^T J D and D^T J D.
+    """
+    ad = op.apply(d)
+    rows, cols = d.shape
+    add_flops(3 * rows * cols * cols // 2 + d.size)
+    # J D = [D_2; -D_1] for the row halves D_1, D_2, so the products
+    # with J D need no copy of it
+    h = rows // 2
+    xjd = x[:h].T @ d[h:]
+    xjd -= x[h:].T @ d[:h]
+    k = xjd - xjd.T
+    m = d[:h].T @ d[h:]
+    n = m - m.T
+    c2 = 0.5 * float(np.vdot(d, ad)) + 0.25 * beta * (
+        float(np.vdot(k, k)) + 2.0 * float(np.vdot(v, n)))
+    c3 = -0.5 * beta * float(np.vdot(k, n))
+    c4 = 0.25 * beta * float(np.vdot(n, n))
+    return Ray((-float(slope), c2, c3, c4), ad, k, n)
+
+
+def hess_quadform(op, x, y, beta):
+    """Second directional derivative of f_beta at X along Y: 2 c2 of
+    :func:`ray` along Y,
+
+        tr(Y^T A Y) + (beta/2) ||Y^T J_n X + X^T J_n Y||_F^2
+        + beta <X^T J_n X - J_p, Y^T J_n Y> .
     """
     if beta <= 0:
         raise ValueError(f"penalty weight must be positive, got {beta}")
@@ -127,14 +197,4 @@ def hess_quadform(op, x, y, beta):
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"direction shape {y.shape} does not match X {x.shape}")
-    ay = op.apply(y)
-    term_a = float(np.vdot(y, ay))
-    jx = j_left(x)
-    jy = j_left(y)
-    gram_y = symplectic_gram(y, jx=jy)
-    # tr(M N) for the two skew factors
-    term_b = -beta * float(np.sum(gram_y * violation(x, jx=jx).T))
-    cross = y.T @ jx
-    sym_cross = cross - cross.T  # Y^T J X + X^T J Y
-    term_c = 0.5 * beta * float(np.vdot(sym_cross, sym_cross))
-    return term_a + term_b + term_c
+    return 2.0 * ray(op, x, violation(x), y, beta, 0.0).coeffs[1]

@@ -1,11 +1,13 @@
 """Penalty-based solvers for the p smallest symplectic eigenvalues.
 
 `solve_basic` is the paper's fixed-penalty BB gradient iteration with
-the nonmonotone line search.  `solve` steps along L-BFGS directions
-with a BB scale under the same search, refines each stage's iterate by
-symplectic Rayleigh-Ritz, adapts the penalty weight from the Ritz
-values, restarts from the scaled eigenbasis, and tightens the inner
-tolerance geometrically.
+the nonmonotone line search.  `solve` takes the exact minimizing step
+along L-BFGS directions with a BB scale, under the same search, refines
+each stage's iterate by symplectic Rayleigh-Ritz, adapts the penalty
+weight from the Ritz values, restarts from the scaled eigenbasis, and
+tightens the inner tolerance geometrically.  Both run the search on the
+penalty's exact quartic along the step's direction, so an inner step
+costs one operator apply whatever its backtracks.
 """
 
 import math
@@ -21,8 +23,10 @@ from .errors import NumericalFailure, RankDeficientError
 from .factor import restart_point, srr
 from .metrics import feasibility, residue
 from .operators import canonical_frame
-from .penalty import evaluate
-from .stepper import MEMORY, WINDOW, bb_step, gll_search, lbfgs_direction
+from .penalty import evaluate, ray
+from .stepper import (
+    MEMORY, WINDOW, bb_step, exact_step, gll_search, lbfgs_direction,
+)
 
 # reference penalty weight as a multiple of the target eigenvalue
 BETA_BEST_FACTOR = (3.0 + math.sqrt(5.0)) / 2.0
@@ -178,21 +182,18 @@ def _run_inner(op, x, beta, eps, params, trace, stage, enhanced):
 
     Steps follow the gradient with the alternating BB length, or with
     `enhanced` the L-BFGS direction from this call's last MEMORY pairs,
-    H0 scaled by the BB2 length; `enhanced` also makes the tolerance
-    relative to max(1, ||A X||_F).
+    H0 scaled by the BB2 length, tried from the exact minimizer along it;
+    `enhanced` also makes the tolerance relative to max(1, ||A X||_F).
+    The objective is evaluated once; each step takes one apply, A D,
+    for the ray's quartic, and the accepted point's A X, violation and
+    value are carried along the ray.
     """
-
-    def f_eval(xt):
-        ev_t = evaluate(op, xt, beta)
-        return ev_t.value, ev_t
-
     ev = evaluate(op, x, beta)
     g = ev.ensure_gradient()
     gnorm = float(np.linalg.norm(g))
     window = deque([ev.value], maxlen=WINDOW + 1)
     pairs = deque(maxlen=MEMORY)
-    s_prev = None
-    z_prev = None
+    s_prev = z_prev = sz = None
     k_base = len(trace.inner)
     reached = False
     iters = 0
@@ -202,21 +203,24 @@ def _run_inner(op, x, beta, eps, params, trace, stage, enhanced):
             reached = True
             break
         if enhanced:
-            gamma = bb_step(s_prev, z_prev, k, alternate=False)
-            d, step = lbfgs_direction(g, pairs, gamma), 1.0
+            gamma = bb_step(s_prev, z_prev, k, alternate=False, sz=sz)
+            d = lbfgs_direction(g, pairs, gamma)
         else:
-            gamma = bb_step(s_prev, z_prev, k)
-            d, step = g, gamma
-        ls = gll_search(f_eval, x, d, step, float(np.vdot(g, d)), window)
-        ev_new = ls.aux
+            gamma = bb_step(s_prev, z_prev, k, sz=sz)
+            d = g
+        model = ray(op, ev.x, ev.violation, d, beta, float(np.vdot(g, d)))
+        trial = exact_step(model.coeffs) if enhanced else gamma
+        ls = gll_search(ev.value, model.coeffs, trial, window)
+        sd = ls.step * d
+        ev_new = ev.moved(sd, model, ls.step, ls.f)
         g_new = ev_new.ensure_gradient()
-        s_prev = ls.x - x
-        z_prev = g_new - g
-        if enhanced:
-            sz = float(np.vdot(s_prev, z_prev))
-            if sz > 0.0:
-                pairs.append((s_prev, z_prev, 1.0 / sz))
-        x, ev, g = ls.x, ev_new, g_new
+        # X^(k-1) - X^(k) and G^(k-1) - G^(k): negating both differences
+        # leaves <S,Z>, the BB lengths and the two-loop unchanged
+        s_prev, z_prev = sd, g - g_new
+        sz = float(np.vdot(s_prev, z_prev))
+        if enhanced and sz > 0.0:
+            pairs.append((s_prev, z_prev, 1.0 / sz))
+        ev, g = ev_new, g_new
         gnorm = float(np.linalg.norm(g))
         window.append(ev.value)
         trace.inner.append(
@@ -224,7 +228,7 @@ def _run_inner(op, x, beta, eps, params, trace, stage, enhanced):
                       beta, max(window), ls.capped)
         )
         iters += 1
-    return x, reached, iters
+    return ev.x, reached, iters
 
 
 def _result(x, s_fin, d_fin, status, trace, beta, resid, start):
@@ -250,7 +254,9 @@ def solve_basic(op, x0, beta, params=None):
 
     Iterates X <- X - delta^t gamma G with the clamped alternating BB
     step until ||G||_F < eps0 (absolute) or k_max steps, then extracts
-    Ritz pairs from the final iterate by symplectic Rayleigh-Ritz.
+    Ritz pairs from the final iterate by symplectic Rayleigh-Ritz.  The
+    GLL test runs on the exact quartic along G, so a step costs one
+    apply, A G, and its backtracks none.
 
     Returns
     -------
@@ -289,19 +295,20 @@ def solve_basic(op, x0, beta, params=None):
 def solve(op, p, params=None):
     """Compute the p smallest symplectic eigenvalues and eigenbasis of A.
 
-    Enhanced variant: L-BFGS steps inside a stage, with H0 the clamped
-    BB2 length; symplectic Rayleigh-Ritz extraction at the end of each
-    stage; penalty update beta <- ETA * theta_p (floored at
-    (3+sqrt(5))/2 * theta_p whenever the update would fall below a
-    tenth of the previous beta); restart from S (I - D/beta)^(1/2); and
-    a geometric inner-tolerance schedule eps <- DELTA_EPS * eps.  Stops
-    once the relative eigen-residual of the refined basis drops to
-    `params.tol`.  A stage's residue r tracks its eps, so when a stage
-    misses with r <= tol / (2 DELTA_EPS^2) the next one runs at
-    eps * tol / (2r) instead, aimed at half of `tol` rather than a full
-    factor DELTA_EPS below it.  The residue reuses the image A S that
-    the Rayleigh-Ritz step already formed, so a stage costs one apply
-    there and none in the residue.
+    Enhanced variant: L-BFGS directions inside a stage, with H0 the
+    clamped BB2 length, each taken with the step that minimizes the
+    penalty's quartic along it; symplectic Rayleigh-Ritz extraction at
+    the end of each stage; penalty update beta <- ETA * theta_p
+    (floored at (3+sqrt(5))/2 * theta_p whenever the update would fall
+    below a tenth of the previous beta); restart from
+    S (I - D/beta)^(1/2); and a geometric inner-tolerance schedule
+    eps <- DELTA_EPS * eps.  Stops once the relative eigen-residual of
+    the refined basis drops to `params.tol`.  A stage's residue r tracks
+    its eps, so when a stage misses with r <= tol / (2 DELTA_EPS^2) the
+    next one runs at eps * tol / (2r) instead, aimed at half of `tol`
+    rather than a full factor DELTA_EPS below it.  A stage costs one
+    apply per inner step, one for its first evaluation, and one in the
+    Rayleigh-Ritz step, whose image A S the residue reuses.
 
     Returns
     -------

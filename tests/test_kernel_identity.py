@@ -12,7 +12,7 @@ import pytest
 from conftest import KINDS, make_operator, random_spd
 from sympeig import symplectic_gram
 from sympeig.operators import j_left
-from sympeig.penalty import evaluate, violation
+from sympeig.penalty import evaluate, ray, violation
 from sympeig.stepper import DELTA, gll_search
 
 PAIRS = (1, 2, 5)
@@ -47,7 +47,6 @@ def test_subtract_poisson_matches_fancy_indexing(p):
     expected[idx, p + idx] -= 1.0
     expected[p + idx, idx] += 1.0
     assert np.array_equal(violation(x), expected)
-    assert np.array_equal(violation(x, jx=j_left(x)), expected)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -56,7 +55,7 @@ def test_gradient_matches_expression(kind, p):
     rng = np.random.default_rng(30 + p)
     op = make_operator(kind, random_spd(rng, 16))
     ev = evaluate(op, _block(rng, 8, p), 3.7)
-    expected = ev.ax - ev.beta * (ev.jx @ ev.violation)
+    expected = ev.ax - j_left(ev.x @ (ev.beta * ev.violation))
     assert np.array_equal(ev.ensure_gradient(), expected)
 
 
@@ -74,19 +73,22 @@ def test_apply_matches_expression(kind):
 @pytest.mark.parametrize("backtracks", (0, 3))
 def test_trial_point_matches_expression(backtracks):
     rng = np.random.default_rng(60 + backtracks)
+    op = make_operator("dense", random_spd(rng, 12))
     x = _block(rng, 6, 2)
     g = _block(rng, 6, 2)
-    trials = []
-
-    def f_eval(xt):
-        trials.append(xt.copy())
-        # the first `backtracks` trials fail the decrease test
-        return (1e9 if len(trials) <= backtracks else 0.0), None
-
-    ls = gll_search(f_eval, x, g, 0.3, float(np.vdot(g, g)), [1.0])
+    ev = evaluate(op, x, 2.0)
+    slope = float(np.vdot(g, g))
+    model = ray(op, x, ev.violation, g, 2.0, slope)
+    # -s + c2 s^2 <= -LAM s fails exactly for the first `backtracks`
+    # trials 0.3 DELTA^t when c2 = 1 / (1.5 * 0.3 DELTA^backtracks)
+    c2 = slope / (1.5 * 0.3 * DELTA**backtracks)
+    ls = gll_search(ev.value, (-slope, c2, 0.0, 0.0), 0.3, [ev.value])
     assert ls.t == backtracks
     step = 0.3
-    for xt in trials:
-        assert np.array_equal(xt, x - step * g)
+    for _ in range(backtracks):
         step *= DELTA
-    assert np.array_equal(ls.x, trials[-1])
+    assert ls.step == step
+    moved = ev.moved(step * g, model, ls.step, ls.f)
+    assert np.array_equal(moved.x, x - step * g)
+    assert np.array_equal(moved.ax, ev.ax - step * model.ad)
+    assert np.array_equal(moved.violation, ev.violation + step * (step * model.n - model.k))

@@ -10,7 +10,8 @@ from conftest import (
 )
 from sympeig import SpdOperator, gen_prescribed, symplectic_gram
 from sympeig.operators import canonical_frame, j_right
-from sympeig.penalty import evaluate, hess_quadform
+from sympeig.penalty import evaluate, hess_quadform, ray, violation
+from sympeig.stepper import exact_step
 
 
 def fd_gradient(op, x, beta):
@@ -96,6 +97,72 @@ class TestGradient:
         ev = evaluate(op, x, 3.0)
         ev.ensure_gradient()
         np.testing.assert_array_equal(ev.ax, op.apply(x))
+
+
+def quartic_delta(coeffs, s):
+    c1, c2, c3, c4 = coeffs
+    return s * (c1 + s * (c2 + s * (c3 + s * c4)))
+
+
+class TestRay:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_quartic_matches_evaluate(self, kind):
+        rng = np.random.default_rng(21)
+        op = make_operator(kind, random_spd(rng, 12))
+        x = rng.standard_normal((12, 4))
+        d = rng.standard_normal((12, 4))
+        beta = 4.0
+        ev = evaluate(op, x, beta)
+        model = ray(op, x, ev.violation, d, beta, float(np.vdot(ev.ensure_gradient(), d)))
+        for s in (-0.7, 1e-3, 0.1, 0.5, 1.0, 3.0):
+            fresh = evaluate(op, x - s * d, beta).value
+            got = ev.value + quartic_delta(model.coeffs, s)
+            assert got == pytest.approx(fresh, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_moved_point_matches_evaluate(self, kind):
+        rng = np.random.default_rng(22)
+        op = make_operator(kind, random_spd(rng, 12))
+        x = rng.standard_normal((12, 4))
+        d = rng.standard_normal((12, 4))
+        ev = evaluate(op, x, 4.0)
+        model = ray(op, x, ev.violation, d, 4.0, float(np.vdot(ev.ensure_gradient(), d)))
+        moved = ev.moved(0.3 * d, model, 0.3, ev.value + quartic_delta(model.coeffs, 0.3))
+        fresh = evaluate(op, x - 0.3 * d, 4.0)
+        np.testing.assert_allclose(moved.x, fresh.x, rtol=1e-14)
+        np.testing.assert_allclose(moved.ax, fresh.ax, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(moved.violation, fresh.violation, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(moved.ensure_gradient(), fresh.ensure_gradient(),
+                                   rtol=1e-12, atol=1e-12)
+        assert moved.value == pytest.approx(fresh.value, rel=1e-13)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_carried_state_matches_fresh_evaluate(self, kind):
+        # 400 exact steps along the gradient, each carried without an
+        # apply; the drift of A X, V and f stays at rounding level
+        rng = np.random.default_rng(23)
+        op = make_operator(kind, random_spd(rng, 16, cond=20.0))
+        beta = 30.0
+        ev = evaluate(op, rng.standard_normal((16, 4)), beta)
+        for _ in range(400):
+            g = ev.ensure_gradient()
+            model = ray(op, ev.x, ev.violation, g, beta, float(np.vdot(g, g)))
+            s = exact_step(model.coeffs)
+            ev = ev.moved(s * g, model, s, ev.value + quartic_delta(model.coeffs, s))
+        fresh = evaluate(op, ev.x, beta)
+        assert np.linalg.norm(ev.ax - fresh.ax) <= 1e-12 * np.linalg.norm(fresh.ax)
+        assert (np.linalg.norm(ev.violation - fresh.violation)
+                <= 1e-12 * max(1.0, np.linalg.norm(fresh.violation)))
+        assert ev.value == pytest.approx(fresh.value, rel=1e-12)
+        assert np.array_equal(ev.violation, -ev.violation.T)
+
+    def test_twice_c2_is_the_hessian_form(self):
+        rng = np.random.default_rng(24)
+        op = make_operator("dense", random_spd(rng, 8))
+        x = rng.standard_normal((8, 4))
+        y = rng.standard_normal((8, 4))
+        model = ray(op, x, violation(x), y, 6.0, 0.0)
+        assert hess_quadform(op, x, y, 6.0) == 2.0 * model.coeffs[1]
 
 
 class TestHessQuadform:

@@ -12,8 +12,9 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sympeig"
 PERFBENCH = ROOT / "perfbench"
 
-# the exact second-order term of the penalty: acceptance criterion 03
-# checks it, and ROADMAP item 5 makes it the kernel of the line search
+# the exact second-order term of the penalty, 2 c2 of `penalty.ray`:
+# acceptance criterion 03 checks it, and through it the ray kernel that
+# the line search runs on
 TESTED_ONLY = {"hess_quadform"}
 
 

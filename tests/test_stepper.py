@@ -3,14 +3,15 @@ import pytest
 
 from sympeig import NumericalFailure
 from sympeig.stepper import (
-    DELTA, GAMMA0, GAMMA_HI, GAMMA_LO, LAM, MEMORY, bb_step, gll_search, lbfgs_direction,
+    DELTA, GAMMA0, GAMMA_HI, GAMMA_LO, LAM, MEMORY, bb_step, exact_step, gll_search,
+    lbfgs_direction,
 )
 
 
-def toy_eval(x):
-    # 1-D quadratic f(x) = x^2 / 2, aux unused
-    val = 0.5 * float(x[0, 0]) ** 2
-    return val, None
+def toy_ray(x, d):
+    # f(x) = ||x||^2 / 2 along x - s d: -s <x, d> + s^2 ||d||^2 / 2; the
+    # gradient is x, so the decrease rate <g, d> is <x, d>
+    return (-float(np.vdot(x, d)), 0.5 * float(np.vdot(d, d)), 0.0, 0.0)
 
 
 class TestBbStep:
@@ -56,92 +57,168 @@ class TestBbStep:
         z = np.array([[1.0], [2.0]])
         assert bb_step(3.0 * z, z, 1) == 3.0
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alternate", [True, False])
+    def test_handed_inner_product_gives_the_same_step(self, k, alternate):
+        rng = np.random.default_rng(k)
+        s, z = rng.standard_normal((2, 6, 2))
+        sz = float(np.vdot(s, z))
+        assert bb_step(s, z, k, alternate, sz=sz) == bb_step(s, z, k, alternate)
+
     def test_clamps_high_and_low(self):
         z = np.array([[1.0], [2.0]])
         assert bb_step(1e9 * z, z, 1) == GAMMA_HI
         assert bb_step(1e-12 * z, z, 1) == GAMMA_LO
 
 
+def quartic(coeffs, s):
+    c1, c2, c3, c4 = coeffs
+    return c1 * s + c2 * s**2 + c3 * s**3 + c4 * s**4
+
+
+def roots_minimizer(coeffs):
+    # the reference: stationary points from np.roots, lowest quartic value
+    c1, c2, c3, c4 = coeffs
+    roots = np.roots([4.0 * c4, 3.0 * c3, 2.0 * c2, c1])
+    real = [r.real for r in roots if abs(r.imag) <= 1e-9 * abs(r) and r.real > 0.0]
+    return min(real, key=lambda s: quartic(coeffs, s))
+
+
+class TestExactStep:
+    def test_one_real_root(self):
+        coeffs = (-1.0, 0.5, 0.2, 0.05)
+        assert np.sum(np.abs(np.roots([0.2, 0.6, 1.0, -1.0]).imag) > 0) == 2
+        s = exact_step(coeffs)
+        assert s == pytest.approx(roots_minimizer(coeffs), rel=1e-13)
+
+    def test_three_real_roots_far_minimum_wins(self):
+        # q' = -1 + s - 0.1 s^2 + 0.001 s^3 has roots near 1.1, 11 and 89;
+        # the far minimum lies lower than the near one
+        coeffs = (-1.0, 0.5, -0.1 / 3.0, 0.001 / 4.0)
+        roots = np.roots([0.001, -0.1, 1.0, -1.0])
+        assert np.all(roots.imag == 0.0) and np.all(roots.real > 0.0)
+        s = exact_step(coeffs)
+        assert s > 50.0
+        assert s == pytest.approx(roots_minimizer(coeffs), rel=1e-13)
+
+    def test_three_real_roots_near_minimum_wins(self):
+        coeffs = (-1.0, 0.5, -0.1 / 3.0, 0.0024 / 4.0)
+        roots = np.roots([0.0024, -0.1, 1.0, -1.0])
+        assert np.all(roots.imag == 0.0) and np.all(roots.real > 0.0)
+        s = exact_step(coeffs)
+        assert s < 2.0
+        assert s == pytest.approx(roots_minimizer(coeffs), rel=1e-13)
+
+    def test_quadratic_ray(self):
+        # N = 0: c3 = c4 = 0 and the step is the quadratic's minimizer
+        assert exact_step((-3.0, 0.75, 0.0, 0.0)) == 2.0
+
+    def test_negative_curvature_at_zero(self):
+        coeffs = (-1.0, -2.0, 0.5, 0.25)
+        s = exact_step(coeffs)
+        assert s == pytest.approx(roots_minimizer(coeffs), rel=1e-13)
+
+    def test_tiny_quartic_terms_keep_the_quadratic_step(self):
+        # near convergence c3 and c4 shrink with powers of |D|; the step
+        # must stay accurate where a monic cubic in s would overflow
+        coeffs = (-2.0, 1.0, 3e-6, 1e-12)
+        assert exact_step(coeffs) == pytest.approx(roots_minimizer(coeffs), rel=1e-13)
+        for scale in (1e-12, 1e-20, 1e-40, 1e-150):
+            # q' = -2 + 2 s + 9 scale s^2 + 4 scale^2 s^3: s = 1 - 4.5 scale + O(scale^2)
+            s = exact_step((-2.0, 1.0, 3.0 * scale, scale * scale))
+            assert s == pytest.approx(1.0 - 4.5 * scale, rel=1e-15)
+
+    def test_random_rays_match_brute_force(self):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            c1 = -np.exp(rng.uniform(-5, 5))
+            c2 = rng.uniform(-1, 1) * np.exp(rng.uniform(-5, 5))
+            c3 = rng.uniform(-1, 1) * np.exp(rng.uniform(-5, 5))
+            c4 = np.exp(rng.uniform(-8, 5))
+            coeffs = (c1, c2, c3, c4)
+            s = exact_step(coeffs)
+            ref = roots_minimizer(coeffs)
+            grid = np.linspace(0.0, 2.0 * max(s, ref), 20001)
+            assert quartic(coeffs, s) <= np.min(quartic(coeffs, grid)) + 1e-12 * abs(quartic(coeffs, s))
+            assert quartic(coeffs, s) <= quartic(coeffs, ref) + 1e-12 * abs(quartic(coeffs, ref))
+
+    def test_ray_unbounded_below_gives_inf(self):
+        assert exact_step((-1.0, -1.0, 0.0, 0.0)) == float("inf")
+
+    @pytest.mark.parametrize("c1", [0.0, 1.0, float("nan")])
+    def test_no_descent_gives_nan(self, c1):
+        assert np.isnan(exact_step((c1, 1.0, 0.5, 0.25)))
+
+
 class TestGllSearch:
     def test_full_step_accepted_on_quadratic(self):
-        x = np.array([[1.0]])
-        g = np.array([[1.0]])
-        res = gll_search(toy_eval, x, g, 1.0, 1.0, [0.5])
+        one = np.array([[1.0]])
+        res = gll_search(0.5, toy_ray(one, one), 1.0, [0.5])
         assert res.t == 0
         assert res.f == 0.0
+        assert res.step == 1.0
         assert not res.capped
 
     def test_oversized_step_backtracks_to_known_count(self):
         # accept needs (1-s)^2/2 <= 1/2 - lam s, i.e. s <= 2 - 2 lam;
         # from gamma = 100 with delta = 0.5 the first such trial is t = 6
-        x = np.array([[1.0]])
-        g = np.array([[1.0]])
-        res = gll_search(toy_eval, x, g, 100.0, 1.0, [0.5])
+        one = np.array([[1.0]])
+        res = gll_search(0.5, toy_ray(one, one), 100.0, [0.5])
         assert res.t == 6
-        assert res.x[0, 0] == pytest.approx(1.0 - 100.0 * 0.5**6)
+        assert res.step == 100.0 * 0.5**6
+        assert res.f == pytest.approx(0.5 * (1.0 - 100.0 * 0.5**6) ** 2)
 
     def test_window_maximum_is_the_reference(self):
-        # trial value 0.845 sits above the last objective 0.5 but below
-        # the window max 2.0 minus the decrease term, so t = 0 passes
-        x = np.array([[1.0]])
-        g = np.array([[-0.3]])
-        res = gll_search(toy_eval, x, g, 1.0, 0.09, [2.0, 0.5])
+        # the unit step along d = 2.3 from x = 1 lands at 0.845, above the
+        # last objective 0.5 but below the window max 2.0 minus the
+        # decrease term, so t = 0 passes
+        coeffs = toy_ray(np.array([[1.0]]), np.array([[2.3]]))
+        res = gll_search(0.5, coeffs, 1.0, [2.0, 0.5])
         assert res.t == 0
         assert res.f == pytest.approx(0.845)
 
     def test_monotone_reference_would_reject(self):
         # same trial fails against a window holding only the last value
-        x = np.array([[1.0]])
-        g = np.array([[-0.3]])
-        res = gll_search(toy_eval, x, g, 1.0, 0.09, [0.5])
+        coeffs = toy_ray(np.array([[1.0]]), np.array([[2.3]]))
+        res = gll_search(0.5, coeffs, 1.0, [0.5])
         assert res.t > 0
 
     def test_cap_flags_result(self):
-        def flat(x):
-            return 0.0, None
-
-        res = gll_search(flat, np.array([[1.0]]), np.array([[1.0]]),
-                         1.0, 1.0, [0.0])
+        # a ray so steep that even the step DELTA^60 raises f
+        res = gll_search(0.0, (-1.0, 1e30, 0.0, 0.0), 1.0, [0.0])
         assert res.capped
         assert res.t == 60
+        assert res.step == DELTA**60
 
     def test_accepted_step_satisfies_condition(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 2))
-
-        def f_eval(xt):
-            return 0.5 * float(np.vdot(xt, xt)), None
-
         f0 = 0.5 * float(np.vdot(x, x))
         g = x.copy()
         window = [f0]
-        res = gll_search(f_eval, x, g, 7.0, float(np.vdot(g, g)), window)
+        res = gll_search(f0, toy_ray(x, g), 7.0, window)
         step = DELTA**res.t * 7.0
+        assert res.step == step
         assert res.f <= max(window) - LAM * step * float(np.vdot(g, g))
+        xt = x - step * g
+        assert res.f == pytest.approx(0.5 * float(np.vdot(xt, xt)), rel=1e-14, abs=1e-14)
 
     def test_direction_with_unit_step_matches_scaled_gradient(self):
         # d = 7 g tried from step 1 visits the same points and applies the
         # same test as g tried from step 7, since <g, d> = 7 ||g||^2
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 2))
-
-        def f_eval(xt):
-            return 0.5 * float(np.vdot(xt, xt)), None
-
         g = x.copy()
         window = [0.5 * float(np.vdot(x, x))]
-        along_g = gll_search(f_eval, x, g, 7.0, float(np.vdot(g, g)), window)
-        along_d = gll_search(f_eval, x, 7.0 * g, 1.0, 7.0 * float(np.vdot(g, g)), window)
+        along_g = gll_search(window[0], toy_ray(x, g), 7.0, window)
+        along_d = gll_search(window[0], toy_ray(x, 7.0 * g), 1.0, window)
         assert along_d.t == along_g.t > 0
-        np.testing.assert_allclose(along_d.x, along_g.x, rtol=1e-15)
+        np.testing.assert_allclose(x - along_d.step * (7.0 * g),
+                                   x - along_g.step * g, rtol=1e-15)
 
     def test_non_finite_trial_raises(self):
-        def bad(x):
-            return float("nan"), None
-
         with pytest.raises(NumericalFailure):
-            gll_search(bad, np.array([[1.0]]), np.array([[1.0]]),
-                       1.0, 1.0, [0.0])
+            gll_search(0.0, (-1.0, float("nan"), 0.0, 0.0), 1.0, [0.0])
 
 
 def quadratic_pairs(rng, count, shape=(6, 2)):
