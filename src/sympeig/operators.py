@@ -9,9 +9,16 @@ factor.  The Poisson matrix
 
 is never materialized on the large side; products with it are computed
 by block permutation and negation in O(k * cols).
+
+Kernels compute in the precision of their operand: float32 stays
+float32 and anything else becomes float64.  A float32 apply multiplies
+by float32 copies of B and C; inside a :func:`single_precision` block
+they are made once per operator and dropped when the block exits.
 """
 
+import contextlib
 import os
+import threading
 
 import numpy as np
 from scipy import sparse
@@ -25,6 +32,31 @@ DENSE_MAX_DIM = 4000
 
 _LOW_RANK_SUFFIX_B = ".B.mtx"
 _LOW_RANK_SUFFIX_C = ".C.mtx"
+
+
+_scope = threading.local()
+
+
+@contextlib.contextmanager
+def single_precision():
+    """Keep the float32 copies of B and C that `SpdOperator.apply` makes
+    for float32 operands on this thread until the block exits.
+
+    Outside a block each float32 apply copies them afresh.  Nested uses
+    restore the enclosing block's copies on exit.
+    """
+    previous = getattr(_scope, "copies", None)
+    _scope.copies = {}
+    try:
+        yield
+    finally:
+        _scope.copies = previous
+
+
+def as_float(x):
+    """`x` as an ndarray of float32 if it is one, else of float64."""
+    x = np.asarray(x)
+    return np.asarray(x, dtype=np.float32 if x.dtype == np.float32 else float)
 
 
 def _check_square_even(shape, what="matrix"):
@@ -104,9 +136,10 @@ class SpdOperator:
         Returns
         -------
         ndarray
-            A x, same shape as `x`.
+            A x, same shape as `x`, in float32 for a float32 `x` (see
+            :func:`single_precision`) and in float64 otherwise.
         """
-        x = np.asarray(x, dtype=float)
+        x = as_float(x)
         if x.shape[0] != 2 * self.n:
             raise ValueError(
                 f"operand has {x.shape[0]} rows, operator needs {2 * self.n}"
@@ -115,10 +148,22 @@ class SpdOperator:
         if x.ndim > 2 or cols > 2 * self.n:
             raise ValueError(f"operand shape {x.shape} not supported")
         add_flops(self._flops_per_col * cols)
-        out = self._b @ x
-        if self._c is not None:
-            out += self._c @ (self._c.T @ x)
+        b, c = (self._b, self._c) if x.dtype == float else self._single()
+        out = b @ x
+        if c is not None:
+            out += c @ (c.T @ x)
         return out
+
+    def _single(self):
+        """(B, C) in float32, kept for the enclosing `single_precision` block."""
+        copies = getattr(_scope, "copies", None)
+        found = None if copies is None else copies.get(self)
+        if found is None:
+            found = (self._b.astype(np.float32),
+                     None if self._c is None else self._c.astype(np.float32))
+            if copies is not None:
+                copies[self] = found
+        return found
 
     def trace(self):
         """tr(A), from the stored diagonal of B plus ||C||_F^2."""
@@ -173,8 +218,9 @@ class SpdOperator:
         return True
 
 
-def j_left(x):
-    """Return J_k x for an array x with 2k rows.
+def j_left(x, out=None):
+    """Return J_k x for an array x with 2k rows, written into `out` when
+    given (an array of x's shape and dtype that does not overlap x).
 
     Computed by block row permutation and negation; no 2k-by-2k matrix
     is formed.
@@ -183,7 +229,8 @@ def j_left(x):
     if x.shape[0] % 2:
         raise ValueError(f"J product needs an even row count, got {x.shape[0]}")
     k = x.shape[0] // 2
-    out = np.empty_like(x)
+    if out is None:
+        out = np.empty_like(x)
     out[:k] = x[k:]
     np.negative(x[:k], out=out[k:])
     return out
@@ -208,9 +255,10 @@ def symplectic_gram(x):
     Notes
     -----
     The product is explicitly skew-symmetrized as (G - G^T)/2 to
-    suppress round-off; the exact value is skew-symmetric.
+    suppress round-off; the exact value is skew-symmetric.  It is
+    computed in the precision of `x` (:func:`as_float`).
     """
-    x = np.asarray(x, dtype=float)
+    x = as_float(x)
     g = x.T @ j_left(x)
     add_flops(g.shape[0] * g.shape[1] * x.shape[0])
     skew = g - g.T

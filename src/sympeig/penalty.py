@@ -13,8 +13,9 @@ A is linear, so along a direction D the objective is an exact quartic
 in the step: f(X - s D) - f(X) = c1 s + c2 s^2 + c3 s^3 + c4 s^4
 (:func:`ray`).  One apply A D gives the coefficients, and the point
 X - s D follows from it with A X and V updated in place of a new apply
-(:meth:`PenaltyEval.moved`), so the solvers call :func:`evaluate` once
-per stage and take one apply per inner step.
+(:meth:`PenaltyEval.move`), so the solvers call :func:`evaluate` once
+per stage and take one apply per inner step.  Every block is computed
+in the precision of X, float32 or float64 (`operators.as_float`).
 """
 
 from dataclasses import dataclass, field
@@ -22,13 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flops import add_flops
-from .operators import j_left, symplectic_gram
+from .operators import as_float, j_left, symplectic_gram
 
 
 @dataclass
 class PenaltyEval:
     """f_beta at one point X with its building blocks, as returned by
-    :func:`evaluate` or carried along a ray by :meth:`moved`;
+    :func:`evaluate` and carried along rays by :meth:`move`;
     :meth:`ensure_gradient` is the one way to form the gradient.
 
     Attributes
@@ -37,13 +38,13 @@ class PenaltyEval:
     value : float
         f_beta(X).
     x : ndarray
-        The point X.
+        The point X; :meth:`move` updates it in place.
     ax : ndarray
-        A X.
+        A X; :meth:`move` updates it in place.
     violation : ndarray
         The skew matrix V = X^T J_n X - J_p.
     gradient : ndarray or None
-        None until the first :meth:`ensure_gradient` call.
+        None until :meth:`ensure_gradient` forms it at the current X.
     """
 
     beta: float
@@ -52,24 +53,37 @@ class PenaltyEval:
     ax: np.ndarray = field(repr=False)
     violation: np.ndarray = field(repr=False)
     gradient: np.ndarray = field(default=None, repr=False)
+    # a block of X's shape for X (beta V) and s A D, made on first use
+    _scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
-    def ensure_gradient(self):
-        """Complete A X - J_n (X (beta V)) from the cached blocks."""
+    def _work(self):
+        if self._scratch is None:
+            self._scratch = np.empty_like(self.x)
+        return self._scratch
+
+    def ensure_gradient(self, out=None):
+        """Complete A X - J_n (X (beta V)) from the cached blocks, into
+        `out` when given (a block of X's shape and dtype)."""
         if self.gradient is None:
             rows, inner = self.x.shape
             add_flops(rows * inner * self.violation.shape[1] + self.ax.size)
-            gr = j_left(self.x @ (self.beta * self.violation))
+            xv = np.matmul(self.x, self.beta * self.violation, out=self._work())
+            gr = j_left(xv, out=out)
             np.subtract(self.ax, gr, out=gr)
             self.gradient = gr
         return self.gradient
 
-    def moved(self, sd, ray_model, s, value):
-        """The evaluation at X - s D, carried along `ray_model` (the ray
-        of :func:`ray` from this point along D) without an apply: X - sd
-        for the displacement `sd` = s D, A X - s A D, V + s (s N - K),
-        and `value` = f + Delta(s)."""
-        return PenaltyEval(self.beta, value, self.x - sd, self.ax - s * ray_model.ad,
-                           self.violation + s * (s * ray_model.n - ray_model.k))
+    def move(self, sd, ray_model, s, value):
+        """Carry this evaluation to X - s D along `ray_model` (the ray of
+        :func:`ray` from X along D) without an apply: X - sd for the
+        displacement `sd` = s D and A X - s A D, both in place, V + s (s N
+        - K), and `value` = f + Delta(s).  The gradient is cleared."""
+        np.subtract(self.x, sd, out=self.x)
+        sad = np.multiply(ray_model.ad, s, out=self._work())
+        np.subtract(self.ax, sad, out=self.ax)
+        self.violation = self.violation + s * (s * ray_model.n - ray_model.k)
+        self.value = value
+        self.gradient = None
 
 
 @dataclass
@@ -110,15 +124,21 @@ def violation(x):
     return g
 
 
-def evaluate(op, x, beta):
+def evaluate(op, x, beta, ax=None):
     """Evaluate f_beta at X.
 
     Parameters
     ----------
     op : SpdOperator
     x : array_like, shape (2n, 2p)
+        Float32 or float64; other input becomes float64.  An ndarray of
+        that dtype is held, not copied, so :meth:`PenaltyEval.move`
+        updates it in place.
     beta : float
         Penalty weight, > 0.
+    ax : array_like, optional
+        A X when the caller already holds it, held like `x`; the operator
+        is applied otherwise.
 
     Returns
     -------
@@ -128,10 +148,15 @@ def evaluate(op, x, beta):
     """
     if beta <= 0:
         raise ValueError(f"penalty weight must be positive, got {beta}")
-    x = np.asarray(x, dtype=float)
+    x = as_float(x)
     if x.ndim != 2 or x.shape[1] % 2:
         raise ValueError(f"basis must be 2n-by-2p, got shape {x.shape}")
-    ax = op.apply(x)
+    if ax is None:
+        ax = op.apply(x)
+    else:
+        ax = np.asarray(ax, dtype=x.dtype)
+        if ax.shape != x.shape:
+            raise ValueError(f"image shape {ax.shape} does not match basis {x.shape}")
     add_flops(x.size)
     trace_term = 0.5 * float(np.vdot(x, ax))
     v = violation(x)

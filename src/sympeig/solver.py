@@ -2,12 +2,14 @@
 
 `solve_basic` is the paper's fixed-penalty BB gradient iteration with
 the nonmonotone line search.  `solve` takes the exact minimizing step
-along L-BFGS directions with a BB scale, under the same search, refines
-each stage's iterate by symplectic Rayleigh-Ritz, adapts the penalty
-weight from the Ritz values, restarts from the scaled eigenbasis, and
-tightens the inner tolerance geometrically.  Both run the search on the
-penalty's exact quartic along the step's direction, so an inner step
-costs one operator apply whatever its backtracks.
+along memoryless BFGS directions (L-BFGS with one curvature pair) with a
+BB scale, under the same search, refines each stage's iterate by
+symplectic Rayleigh-Ritz, adapts the penalty weight from the Ritz
+values, restarts from the scaled eigenbasis, and tightens the inner
+tolerance geometrically, running its loose stages in float32.  Both run
+the search on the penalty's exact quartic along the step's direction, so
+an inner step costs one operator apply whatever its backtracks, and
+neither allocates a block of the iterate's shape per step.
 """
 
 import math
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import NumericalFailure, RankDeficientError
 from .factor import restart_point, srr
 from .metrics import feasibility, residue
-from .operators import canonical_frame
+from .operators import canonical_frame, single_precision
 from .penalty import evaluate, ray
 from .stepper import (
     MEMORY, WINDOW, bb_step, exact_step, gll_search, lbfgs_direction,
@@ -39,6 +41,16 @@ ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
 
 # seed of the perturbation drawn by the rank-deficiency retry
 _RETRY_SEED = 0
+
+# A stage of `solve` with inner tolerance eps >= SINGLE_EPS runs in
+# float32.  Over k steps its carried A X drifts by about k eps_32
+# relative, near 1e-5 for the ~100-step stages of the n = 200-800
+# families, under 3% of eps.  The mean eigenvalue m = tr(A)/2n must lie
+# in SINGLE_SCALE: along the first direction GAMMA0 G the ray's quartic
+# coefficient grows like (GAMMA0 m)^4 n^2 and its quadratic one like
+# GAMMA0^2 m^3, which overflow and underflow float32 far outside it.
+SINGLE_EPS = math.sqrt(np.finfo(np.float32).eps)
+SINGLE_SCALE = (1e-8, 1e8)
 
 
 class SolveStatus(Enum):
@@ -60,9 +72,10 @@ class SolverParams:
     `eps0` as an absolute target.  `tol` is the relative eigen-residual
     that both solvers must reach to report convergence.  The step,
     L-BFGS memory and line-search constants are those of
-    `sympeig.stepper`; the outer-loop ones (`DELTA_EPS`, `ETA`) are
-    module constants here.  No setting switches the search direction:
-    `solve` always takes L-BFGS steps and `solve_basic` BB steps.  No
+    `sympeig.stepper`; the outer-loop and precision ones (`DELTA_EPS`,
+    `ETA`, `SINGLE_EPS`, `SINGLE_SCALE`) are module constants here.  No
+    setting switches the search direction or the precision: `solve`
+    always takes L-BFGS steps and `solve_basic` BB steps.  No
     setting seeds anything either: the one random draw, the perturbation
     of `solve`'s retry after a rank-deficient Rayleigh-Ritz step, comes
     from a generator seeded with the constant `_RETRY_SEED`.
@@ -175,24 +188,29 @@ def beta_best(d_p):
     return BETA_BEST_FACTOR * float(d_p)
 
 
-def _run_inner(op, x, beta, eps, params, trace, stage, enhanced):
+def _run_inner(op, x, ax, beta, eps, params, trace, stage, enhanced, dtype=float):
     """GLL descent until the gradient test or k_max; returns
-    (x, reached, iters): the last iterate, whether the gradient test
-    stopped the descent, and the number of steps taken.
+    (x, reached, iters): the last iterate in float64, whether the
+    gradient test stopped the descent, and the number of steps taken.
 
     Steps follow the gradient with the alternating BB length, or with
-    `enhanced` the L-BFGS direction from this call's last MEMORY pairs,
-    H0 scaled by the BB2 length, tried from the exact minimizer along it;
-    `enhanced` also makes the tolerance relative to max(1, ||A X||_F).
-    The objective is evaluated once; each step takes one apply, A D,
-    for the ray's quartic, and the accepted point's A X, violation and
-    value are carried along the ray.
+    `enhanced` the L-BFGS direction from the last MEMORY accepted
+    curvature pairs, H0 scaled by the BB2 length, tried from the exact
+    minimizer along it; `enhanced` also makes the tolerance relative to
+    max(1, ||A X||_F).  The descent runs in `dtype` on a copy of `x`.
+    The objective is evaluated once, from `ax` = A X when given; each
+    step takes one apply, A D, for the ray's quartic, and the accepted
+    point's A X, violation and value are carried along the ray.  Apart
+    from A D, a step makes no block of X's shape: the gradient, the
+    direction and the MEMORY + 1 slot pairs for S and Z are reused.
     """
-    ev = evaluate(op, x, beta)
+    ev = evaluate(op, x.astype(dtype), beta, ax=ax)
     g = ev.ensure_gradient()
+    g_new, d_buf, work = (np.empty_like(g) for _ in range(3))
+    spare = (np.empty_like(g), np.empty_like(g))
     gnorm = float(np.linalg.norm(g))
     window = deque([ev.value], maxlen=WINDOW + 1)
-    pairs = deque(maxlen=MEMORY)
+    pairs = ()
     s_prev = z_prev = sz = None
     k_base = len(trace.inner)
     reached = False
@@ -204,23 +222,30 @@ def _run_inner(op, x, beta, eps, params, trace, stage, enhanced):
             break
         if enhanced:
             gamma = bb_step(s_prev, z_prev, k, alternate=False, sz=sz)
-            d = lbfgs_direction(g, pairs, gamma)
+            d = lbfgs_direction(g, pairs, gamma, out=d_buf, work=work)
         else:
             gamma = bb_step(s_prev, z_prev, k, sz=sz)
             d = g
         model = ray(op, ev.x, ev.violation, d, beta, float(np.vdot(g, d)))
         trial = exact_step(model.coeffs) if enhanced else gamma
         ls = gll_search(ev.value, model.coeffs, trial, window)
-        sd = ls.step * d
-        ev_new = ev.moved(sd, model, ls.step, ls.f)
-        g_new = ev_new.ensure_gradient()
-        # X^(k-1) - X^(k) and G^(k-1) - G^(k): negating both differences
-        # leaves <S,Z>, the BB lengths and the two-loop unchanged
-        s_prev, z_prev = sd, g - g_new
+        # X^(k-1) - X^(k) and G^(k-1) - G^(k), written into the spare
+        # slots: negating both differences leaves <S,Z>, the BB lengths
+        # and the two-loop unchanged
+        s_prev, z_prev = spare
+        np.multiply(d, ls.step, out=s_prev)
+        ev.move(s_prev, model, ls.step, ls.f)
+        ev.ensure_gradient(out=g_new)
+        np.subtract(g, g_new, out=z_prev)
         sz = float(np.vdot(s_prev, z_prev))
         if enhanced and sz > 0.0:
-            pairs.append((s_prev, z_prev, 1.0 / sz))
-        ev, g = ev_new, g_new
+            # the newest MEMORY pairs stay; the one dropped frees its slots
+            pairs += ((s_prev, z_prev, 1.0 / sz),)
+            if len(pairs) > MEMORY:
+                spare, pairs = pairs[0][:2], pairs[1:]
+            else:
+                spare = (np.empty_like(g), np.empty_like(g))
+        g, g_new = g_new, g
         gnorm = float(np.linalg.norm(g))
         window.append(ev.value)
         trace.inner.append(
@@ -228,7 +253,7 @@ def _run_inner(op, x, beta, eps, params, trace, stage, enhanced):
                       beta, max(window), ls.capped)
         )
         iters += 1
-    return ev.x, reached, iters
+    return ev.x.astype(float, copy=False), reached, iters
 
 
 def _result(x, s_fin, d_fin, status, trace, beta, resid, start):
@@ -279,7 +304,7 @@ def solve_basic(op, x0, beta, params=None):
     trace = SolveTrace()
     start = time.perf_counter()
     x, reached, iters = _run_inner(
-        op, x0, beta, params.eps0, params, trace, stage=0, enhanced=False,
+        op, x0, None, beta, params.eps0, params, trace, stage=0, enhanced=False,
     )
     s_fin, d_fin, as_fin = srr(op, x)
     resid = residue(op, s_fin, d_fin, ax=as_fin)
@@ -295,27 +320,37 @@ def solve_basic(op, x0, beta, params=None):
 def solve(op, p, params=None):
     """Compute the p smallest symplectic eigenvalues and eigenbasis of A.
 
-    Enhanced variant: L-BFGS directions inside a stage, with H0 the
-    clamped BB2 length, each taken with the step that minimizes the
-    penalty's quartic along it; symplectic Rayleigh-Ritz extraction at
-    the end of each stage; penalty update beta <- ETA * theta_p
-    (floored at (3+sqrt(5))/2 * theta_p whenever the update would fall
-    below a tenth of the previous beta); restart from
-    S (I - D/beta)^(1/2); and a geometric inner-tolerance schedule
+    Enhanced variant: L-BFGS directions from the last accepted curvature
+    pair inside a stage, with H0 the clamped BB2 length, each taken with
+    the step that minimizes the penalty's quartic along it; symplectic
+    Rayleigh-Ritz extraction at the end of each stage; penalty update
+    beta <- ETA * theta_p (floored at (3+sqrt(5))/2 * theta_p whenever
+    the update would fall below a tenth of the previous beta); restart
+    from S (I - D/beta)^(1/2); and a geometric inner-tolerance schedule
     eps <- DELTA_EPS * eps.  Stops once the relative eigen-residual of
     the refined basis drops to `params.tol`.  A stage's residue r tracks
     its eps, so when a stage misses with r <= tol / (2 DELTA_EPS^2) the
     next one runs at eps * tol / (2r) instead, aimed at half of `tol`
-    rather than a full factor DELTA_EPS below it.  A stage costs one
-    apply per inner step, one for its first evaluation, and one in the
-    Rayleigh-Ritz step, whose image A S the residue reuses.
+    rather than a full factor DELTA_EPS below it.
+
+    A stage whose eps is at least `SINGLE_EPS` = sqrt(eps_float32)
+    (3.45e-4) runs its inner steps in float32, applies included, when
+    tr(A)/2n lies in `SINGLE_SCALE`; the Rayleigh-Ritz step, the residue,
+    the restart and the tighter stages run in float64.  The float32
+    copies `SpdOperator.apply` makes live until `solve` returns.
+
+    A stage costs one apply per inner step and one in the Rayleigh-Ritz
+    step, whose image A S the residue reuses and the restart scales into
+    the next stage's A X; the first stage adds one for its evaluation.
+    A solve thus takes inner + outer + 1 applies.
 
     Returns
     -------
     SympEigResult
-        Status CONVERGED, MAX_ITERATIONS (outer budget exhausted), or
-        NUMERICAL_FAILURE (non-finite objective, or rank-deficient
-        iterate that a retry from a random perturbation could not repair).
+        Float64 arrays throughout.  Status CONVERGED, MAX_ITERATIONS
+        (outer budget exhausted), or NUMERICAL_FAILURE (non-finite
+        objective, or rank-deficient iterate that a retry from a random
+        perturbation could not repair).
     """
     params = (params or SolverParams()).validate()
     n = op.n
@@ -323,8 +358,10 @@ def solve(op, p, params=None):
         raise ValueError(f"need 1 <= p < n, got p={p}, n={n}")
     rng = np.random.default_rng(_RETRY_SEED)
     beta = params.beta0 if params.beta0 is not None else beta_suggest(op, p)
+    single = SINGLE_SCALE[0] <= op.trace() / (2 * n) <= SINGLE_SCALE[1]
     trace = SolveTrace()
     x = canonical_frame(n, p)
+    ax = None
     eps = params.eps0
     status = SolveStatus.MAX_ITERATIONS
     s_fin = None
@@ -332,47 +369,52 @@ def solve(op, p, params=None):
     resid = float("nan")
     start = time.perf_counter()
     try:
-        for stage in range(params.outer_max):
-            stage_start = time.perf_counter()
-            stage_beta = beta
-            x, reached, iters = _run_inner(
-                op, x, beta, eps, params, trace, stage=stage, enhanced=True,
-            )
-            try:
-                s_fin, d_fin, as_fin = srr(op, x)
-            except RankDeficientError:
-                # one retry from a random perturbation
-                scale = 1e-8 * max(float(np.linalg.norm(x)), 1e-30)
-                x = x + scale / np.sqrt(x.size) * rng.standard_normal(x.shape)
-                s_fin, d_fin, as_fin = srr(op, x)
-            resid = residue(op, s_fin, d_fin, ax=as_fin)
-            elapsed = time.perf_counter() - stage_start
-            converged = resid <= params.tol
-            if not converged:
-                theta_p = float(d_fin[-1])
-                beta = ETA * theta_p
-                if beta < stage_beta / 10.0:
-                    beta = BETA_BEST_FACTOR * theta_p
-            x = restart_point(s_fin, d_fin, beta)
-            sigma_ratio = None
-            if not converged:
-                sv = np.linalg.svd(x, compute_uv=False)
-                sigma_ratio = float(sv[-1] / sv[0])
-            trace.outer.append(
-                OuterStage(stage, stage_beta, eps, d_fin.copy(), reached, iters,
-                           resid, sigma_ratio, elapsed)
-            )
-            if converged:
-                status = SolveStatus.CONVERGED
-                break
-            # a stage ends with its residue close to its eps, so once tol is
-            # within reach the next stage is aimed at tol / 2 rather than
-            # a full factor DELTA_EPS further down
-            target = 0.5 * params.tol * eps / resid
-            if target >= DELTA_EPS * DELTA_EPS * eps:
-                eps = max(target, _EPS_FLOOR)
-            else:
-                eps = max(eps * DELTA_EPS, _EPS_FLOOR)
+        with single_precision():
+            for stage in range(params.outer_max):
+                stage_start = time.perf_counter()
+                stage_beta = beta
+                dtype = np.float32 if single and eps >= SINGLE_EPS else float
+                x, reached, iters = _run_inner(
+                    op, x, ax, beta, eps, params, trace, stage=stage, enhanced=True,
+                    dtype=dtype,
+                )
+                try:
+                    s_fin, d_fin, as_fin = srr(op, x)
+                except RankDeficientError:
+                    # one retry from a random perturbation
+                    scale = 1e-8 * max(float(np.linalg.norm(x)), 1e-30)
+                    x = x + scale / np.sqrt(x.size) * rng.standard_normal(x.shape)
+                    s_fin, d_fin, as_fin = srr(op, x)
+                resid = residue(op, s_fin, d_fin, ax=as_fin)
+                elapsed = time.perf_counter() - stage_start
+                converged = resid <= params.tol
+                if not converged:
+                    theta_p = float(d_fin[-1])
+                    beta = ETA * theta_p
+                    if beta < stage_beta / 10.0:
+                        beta = BETA_BEST_FACTOR * theta_p
+                x = restart_point(s_fin, d_fin, beta)
+                sigma_ratio = None
+                if not converged:
+                    sv = np.linalg.svd(x, compute_uv=False)
+                    sigma_ratio = float(sv[-1] / sv[0])
+                trace.outer.append(
+                    OuterStage(stage, stage_beta, eps, d_fin.copy(), reached, iters,
+                               resid, sigma_ratio, elapsed)
+                )
+                if converged:
+                    status = SolveStatus.CONVERGED
+                    break
+                # restart_point scales columns, so on A S it gives A X
+                ax = restart_point(as_fin, d_fin, beta)
+                # a stage ends with its residue close to its eps, so once tol
+                # is within reach the next stage is aimed at tol / 2 rather
+                # than a full factor DELTA_EPS further down
+                target = 0.5 * params.tol * eps / resid
+                if target >= DELTA_EPS * DELTA_EPS * eps:
+                    eps = max(target, _EPS_FLOOR)
+                else:
+                    eps = max(eps * DELTA_EPS, _EPS_FLOOR)
     except NumericalFailure:
         status = SolveStatus.NUMERICAL_FAILURE
     return _result(x, s_fin, d_fin, status, trace, beta, resid, start)

@@ -3,7 +3,9 @@ the L-BFGS direction that the enhanced variant scales by it, the exact
 minimizing step along a ray of the quartic penalty, and the nonmonotone
 (GLL) backtracking line search that accepts the step.  The search runs
 on the ray's quartic (`sympeig.penalty.ray`), so a backtrack costs no
-apply."""
+apply.  The enhanced variant keeps one curvature pair (`MEMORY`), which
+makes its direction the memoryless BFGS one (Shanno, Math. Oper. Res. 3,
+1978)."""
 
 import math
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ from .errors import NumericalFailure
 GAMMA0 = 1e-4  # first BB step length
 GAMMA_LO = 1e-8  # step clamp, lower
 GAMMA_HI = 1e5  # step clamp, upper
-MEMORY = 3  # L-BFGS curvature pairs kept by the enhanced variant
+MEMORY = 1  # L-BFGS curvature pairs kept by the enhanced variant
 DELTA = 0.5  # line-search backtracking factor
 LAM = 1e-8  # line-search sufficient-decrease weight
 WINDOW = 50  # nonmonotone memory L
@@ -49,21 +51,26 @@ def bb_step(s, z, k, alternate=True, sz=None):
     return min(max(gamma, GAMMA_LO), GAMMA_HI)
 
 
-def lbfgs_direction(g, pairs, gamma):
+def lbfgs_direction(g, pairs, gamma, out=None, work=None):
     """L-BFGS two-loop product d = H g (Nocedal & Wright, Alg. 7.4).
 
     `pairs` holds the newest curvature pairs (s, y, 1/<s, y>) oldest
     first, each with <s, y> > 0, and H0 = gamma I; with no pairs d is
-    gamma g.  H is then positive definite, so <g, d> > 0.
+    gamma g.  H is then positive definite, so <g, d> > 0.  `out` receives
+    d and `work` the scaled pair vectors when given, both blocks of g's
+    shape and dtype that overlap neither g nor the pairs; `g` is only read.
     """
-    q = g.copy()
+    q = np.empty_like(g) if out is None else out
+    work = np.empty_like(g) if work is None else work
+    src = g
     alphas = []
     for s, y, rho in reversed(pairs):
-        alphas.append(rho * float(np.vdot(s, q)))
-        q -= alphas[-1] * y
-    q *= gamma
+        alphas.append(rho * float(np.vdot(s, src)))
+        np.subtract(src, np.multiply(y, alphas[-1], out=work), out=q)
+        src = q
+    np.multiply(src, gamma, out=q)
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * float(np.vdot(y, q))) * s
+        q += np.multiply(s, alpha - rho * float(np.vdot(y, q)), out=work)
     return q
 
 

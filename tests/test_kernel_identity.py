@@ -57,6 +57,11 @@ def test_gradient_matches_expression(kind, p):
     ev = evaluate(op, _block(rng, 8, p), 3.7)
     expected = ev.ax - j_left(ev.x @ (ev.beta * ev.violation))
     assert np.array_equal(ev.ensure_gradient(), expected)
+    # the same blocks, formed again into a caller's buffer
+    out = np.empty_like(expected)
+    ev.gradient = None
+    assert ev.ensure_gradient(out=out) is out
+    assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -88,7 +93,10 @@ def test_trial_point_matches_expression(backtracks):
     for _ in range(backtracks):
         step *= DELTA
     assert ls.step == step
-    moved = ev.moved(step * g, model, ls.step, ls.f)
-    assert np.array_equal(moved.x, x - step * g)
-    assert np.array_equal(moved.ax, ev.ax - step * model.ad)
-    assert np.array_equal(moved.violation, ev.violation + step * (step * model.n - model.k))
+    expected = (x - step * g, ev.ax - step * model.ad,
+                ev.violation + step * (step * model.n - model.k))
+    ev.move(step * g, model, ls.step, ls.f)
+    assert np.array_equal(ev.x, expected[0])
+    assert np.array_equal(ev.ax, expected[1])
+    assert np.array_equal(ev.violation, expected[2])
+    assert ev.value == ls.f

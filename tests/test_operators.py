@@ -6,7 +6,8 @@ from scipy import sparse
 
 from conftest import KINDS, dense_j, make_operator, random_spd
 from sympeig import SpdOperator, gen_sparse, load_matrix, poisson, store_matrix, symplectic_gram
-from sympeig.operators import canonical_frame, j_left, j_right
+from sympeig import operators
+from sympeig.operators import canonical_frame, j_left, j_right, single_precision
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -55,6 +56,58 @@ class TestApply:
             op = make_operator(kind, a)
             x = rng.standard_normal((10, 4))
             assert float(np.vdot(x, op.apply(x))) > 0.0
+
+
+class TestSinglePrecision:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_float32_apply_matches_float64_to_float32_rounding(self, kind):
+        rng = np.random.default_rng(70)
+        dim = 40
+        op = make_operator(kind, random_spd(rng, dim))
+        x = rng.standard_normal((dim, 6)).astype(np.float32)
+        got = op.apply(x)
+        assert got.dtype == np.float32
+        want = op.apply(x.astype(float))
+        assert want.dtype == np.float64
+        # each entry is a sum of at most dim + 3 products per term: the
+        # float32 error bound (dim + 3) u (|B| |x| + |C| |C^T| |x|)
+        mag = abs(op._b) @ abs(x.astype(float))
+        if op._c is not None:
+            mag += abs(op._c) @ (abs(op._c.T) @ abs(x.astype(float)))
+        u = np.finfo(np.float32).eps / 2
+        assert np.all(np.abs(got - want) <= (dim + 3) * u * mag)
+        assert np.abs(got - want).max() > 0.0  # really computed in float32
+
+    def test_copies_are_made_once_per_block_and_dropped(self):
+        rng = np.random.default_rng(71)
+        op = make_operator("slr", random_spd(rng, 12))
+        x = rng.standard_normal((12, 4)).astype(np.float32)
+        with single_precision():
+            first = op.apply(x)
+            copies = operators._scope.copies[op]
+            assert copies[0].dtype == np.float32 and copies[1].dtype == np.float32
+            assert np.array_equal(op.apply(x), first)
+            assert operators._scope.copies[op] is copies
+        assert getattr(operators._scope, "copies", None) is None
+        assert np.array_equal(op.apply(x), first)  # outside a block: fresh copies
+
+    def test_nested_blocks_restore_the_outer_copies(self):
+        op = SpdOperator.from_dense(np.eye(4))
+        x = np.ones((4, 2), dtype=np.float32)
+        with single_precision():
+            op.apply(x)
+            outer = operators._scope.copies
+            with single_precision():
+                op.apply(x)
+                assert operators._scope.copies is not outer
+            assert operators._scope.copies is outer
+
+    def test_other_dtypes_compute_in_float64(self):
+        op = SpdOperator.from_dense(np.diag([2.0, 8.0]))
+        for x in ([1, 0], np.array([1, 0], dtype=np.int32), np.array([1.0, 0.0], dtype=np.float16)):
+            out = op.apply(x)
+            assert out.dtype == np.float64
+            np.testing.assert_array_equal(out, [2.0, 0.0])
 
 
 class TestConstructors:
@@ -166,6 +219,12 @@ class TestPoissonKernels:
         with pytest.raises(ValueError):
             j_left(np.zeros((5, 2)))
 
+    def test_j_left_writes_into_out(self):
+        x = np.random.default_rng(15).standard_normal((6, 3))
+        out = np.full_like(x, np.nan)
+        assert j_left(x, out=out) is out
+        np.testing.assert_array_equal(out, j_left(x))
+
     def test_j_right_identity(self):
         np.testing.assert_array_equal(j_right(np.eye(2)), dense_j(1))
 
@@ -205,6 +264,12 @@ class TestSymplecticGram:
         rng = np.random.default_rng(13)
         g = symplectic_gram(rng.standard_normal((10, 4)))
         np.testing.assert_array_equal(g, -g.T)
+
+    def test_float32_input_stays_float32(self):
+        x = np.random.default_rng(14).standard_normal((10, 4))
+        g = symplectic_gram(x.astype(np.float32))
+        assert g.dtype == np.float32
+        np.testing.assert_allclose(g, symplectic_gram(x), atol=1e-5)
 
 
 class TestCanonicalFrame:

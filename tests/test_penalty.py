@@ -99,6 +99,35 @@ class TestGradient:
         np.testing.assert_array_equal(ev.ax, op.apply(x))
 
 
+class TestEvaluateInputs:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_given_image_is_used_instead_of_an_apply(self, kind):
+        rng = np.random.default_rng(25)
+        op = make_operator(kind, random_spd(rng, 8))
+        x = rng.standard_normal((8, 4))
+        plain = evaluate(op, x, 3.0)
+        given = evaluate(op, x, 3.0, ax=op.apply(x))
+        assert given.value == plain.value
+        assert np.array_equal(given.ensure_gradient(), plain.ensure_gradient())
+
+    def test_image_shape_checked(self):
+        op = SpdOperator.from_dense(np.eye(8))
+        with pytest.raises(ValueError, match="image shape"):
+            evaluate(op, np.ones((8, 2)), 1.0, ax=np.ones((8, 4)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_float32_point_is_evaluated_in_float32(self, kind):
+        rng = np.random.default_rng(26)
+        op = make_operator(kind, random_spd(rng, 12))
+        x = rng.standard_normal((12, 4))
+        ev = evaluate(op, x.astype(np.float32), 5.0, ax=op.apply(x))
+        g = ev.ensure_gradient()
+        assert ev.ax.dtype == ev.violation.dtype == g.dtype == np.float32
+        ref = evaluate(op, x, 5.0)
+        assert ev.value == pytest.approx(ref.value, rel=1e-5)
+        np.testing.assert_allclose(g, ref.ensure_gradient(), rtol=1e-4, atol=1e-4)
+
+
 def quartic_delta(coeffs, s):
     c1, c2, c3, c4 = coeffs
     return s * (c1 + s * (c2 + s * (c3 + s * c4)))
@@ -125,15 +154,18 @@ class TestRay:
         op = make_operator(kind, random_spd(rng, 12))
         x = rng.standard_normal((12, 4))
         d = rng.standard_normal((12, 4))
-        ev = evaluate(op, x, 4.0)
-        model = ray(op, x, ev.violation, d, 4.0, float(np.vdot(ev.ensure_gradient(), d)))
-        moved = ev.moved(0.3 * d, model, 0.3, ev.value + quartic_delta(model.coeffs, 0.3))
         fresh = evaluate(op, x - 0.3 * d, 4.0)
+        moved = evaluate(op, x, 4.0)
+        g = moved.ensure_gradient()
+        model = ray(op, x, moved.violation, d, 4.0, float(np.vdot(g, d)))
+        moved.move(0.3 * d, model, 0.3, moved.value + quartic_delta(model.coeffs, 0.3))
+        assert moved.gradient is None
         np.testing.assert_allclose(moved.x, fresh.x, rtol=1e-14)
         np.testing.assert_allclose(moved.ax, fresh.ax, rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(moved.violation, fresh.violation, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(moved.ensure_gradient(), fresh.ensure_gradient(),
+        np.testing.assert_allclose(moved.ensure_gradient(out=g), fresh.ensure_gradient(),
                                    rtol=1e-12, atol=1e-12)
+        assert moved.gradient is g
         assert moved.value == pytest.approx(fresh.value, rel=1e-13)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -148,7 +180,7 @@ class TestRay:
             g = ev.ensure_gradient()
             model = ray(op, ev.x, ev.violation, g, beta, float(np.vdot(g, g)))
             s = exact_step(model.coeffs)
-            ev = ev.moved(s * g, model, s, ev.value + quartic_delta(model.coeffs, s))
+            ev.move(s * g, model, s, ev.value + quartic_delta(model.coeffs, s))
         fresh = evaluate(op, ev.x, beta)
         assert np.linalg.norm(ev.ax - fresh.ax) <= 1e-12 * np.linalg.norm(fresh.ax)
         assert (np.linalg.norm(ev.violation - fresh.violation)

@@ -1,6 +1,8 @@
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 from conftest import KINDS, make_operator, random_spd
 from sympeig import (
+    GeneratorSpec,
     RankDeficientError,
     SolveStatus,
     SolverParams,
@@ -23,8 +26,10 @@ from sympeig import (
     solve_basic,
     symplectic_gram,
 )
+from sympeig import operators
 from sympeig.factor import restart_point, srr
 from sympeig.operators import canonical_frame
+from sympeig.solver import SINGLE_EPS
 from sympeig.penalty import evaluate
 
 BETA_FLOOR_FACTOR = (3.0 + np.sqrt(5.0)) / 2.0
@@ -42,6 +47,30 @@ class _CountingOperator:
     def apply(self, x):
         self.applies += 1
         return self._op.apply(x)
+
+
+class _MinimalOperator:
+    # the whole protocol `solve` may use: n, trace and apply
+    __slots__ = ("n", "trace", "apply")
+
+    def __init__(self, op):
+        self.n, self.trace, self.apply = op.n, op.trace, op.apply
+
+
+class _DtypeRecorder(_CountingOperator):
+    def __init__(self, op):
+        super().__init__(op)
+        self.dtypes = []
+        self.copies = []
+
+    def apply(self, x):
+        self.dtypes.append(x.dtype)
+        out = super().apply(x)
+        if x.dtype == np.float32:
+            # the float32 copies held for this solve, as weak references
+            self.copies += [weakref.ref(m) for m in operators._scope.copies[self._op]
+                            if m is not None]
+        return out
 
 
 def ladder_operator(n):
@@ -241,12 +270,14 @@ class TestSolveEnhanced:
         assert fresh <= 1e-8
 
     def test_one_apply_per_stage_outside_the_inner_loop(self):
-        # inner loop: one apply per stage start and one per step, whatever
-        # the backtracks; SRR: one per stage; the residue adds none
+        # inner loop: one apply per step, whatever the backtracks, and one
+        # for the first stage's start (a restart scales A S from SRR);
+        # SRR: one per stage; the residue adds none
         op, _ = gen_prescribed(12, seed=15)
         counted = _CountingOperator(op)
         res = solve(counted, 3)
-        assert counted.applies == res.inner_iterations + 2 * res.outer_iterations
+        assert res.outer_iterations > 1
+        assert counted.applies == res.inner_iterations + res.outer_iterations + 1
 
     def test_window_max_non_increasing_within_stages(self):
         op, _ = gen_prescribed(12, seed=8)
@@ -364,11 +395,92 @@ class TestSolveEnhanced:
         rel = np.max(np.abs(res.eigenvalues - ref.d[:3]) / ref.d[:3])
         assert rel <= 1e-6
 
+    def test_restart_image_is_the_scaled_srr_image(self):
+        # the next stage starts from restart_point(A S) in place of an apply
+        op, _ = gen_prescribed(10, seed=13)
+        x = np.random.default_rng(16).standard_normal((20, 4))
+        s_fin, d_fin, as_fin = srr(op, x)
+        fresh = op.apply(restart_point(s_fin, d_fin, 60.0))
+        image = restart_point(as_fin, d_fin, 60.0)
+        assert np.linalg.norm(image - fresh) <= 1e-12 * np.linalg.norm(fresh)
+
     def test_converged_iterate_is_restart_point(self):
         op, _ = gen_prescribed(10, seed=13)
         res = solve(op, 2)
         expected = restart_point(res.eigenbasis, res.eigenvalues, res.beta_final)
         np.testing.assert_array_equal(res.x_final, expected)
+
+
+class TestPrecision:
+    def test_single_sqrt_eps(self):
+        assert SINGLE_EPS == pytest.approx(3.4527e-4, rel=1e-4)
+
+    @pytest.mark.parametrize("family, n, p", [("dense", 30, 3), ("slr", 40, 4),
+                                              ("sparse", 40, 2)])
+    def test_float32_applies_only_in_loose_stages(self, family, n, p):
+        op, _ = GeneratorSpec(family, n, seed=2).make()
+        recorder = _DtypeRecorder(op)
+        res = solve(recorder, p)
+        assert res.status is SolveStatus.CONVERGED
+        # per stage: the first stage's evaluation, one apply per step in
+        # the stage's precision, then one float64 apply in SRR
+        expected = [np.dtype(np.float32 if res.trace.outer[0].eps >= SINGLE_EPS else float)]
+        for st in res.trace.outer:
+            single = st.eps >= SINGLE_EPS
+            expected += [np.dtype(np.float32 if single else float)] * st.inner_iters
+            expected.append(np.dtype(float))
+        assert recorder.dtypes == expected
+        assert {st.eps >= SINGLE_EPS for st in res.trace.outer} == {True, False}
+
+    def test_no_float32_copy_outlives_a_solve(self):
+        recorder = _DtypeRecorder(gen_dense(20, seed=0))
+        solve(recorder, 3)
+        assert recorder.copies
+        gc.collect()
+        assert all(ref() is None for ref in recorder.copies)
+        assert getattr(operators._scope, "copies", None) is None
+
+    def test_results_are_float64(self):
+        op = gen_dense(20, seed=0)
+        for res in (solve(op, 3), solve(op, 3, SolverParams(k_max=2, outer_max=1))):
+            assert res.trace.outer[0].eps >= SINGLE_EPS
+            for out in (res.eigenvalues, res.eigenbasis, res.x_final):
+                assert out.dtype == np.float64
+
+    def test_minimal_operator_protocol_suffices(self):
+        op, _ = GeneratorSpec("slr", 30, seed=3).make()
+        res = solve(_MinimalOperator(op), 3)
+        assert res.status is SolveStatus.CONVERGED
+        direct = solve(op, 3)
+        assert res.trace.inner == direct.trace.inner
+        np.testing.assert_array_equal(res.eigenbasis, direct.eigenbasis)
+
+    def test_operator_answering_in_float64_is_accepted(self):
+        a = gen_dense(20, seed=0).densify()
+
+        class Float64Operator:
+            n = 20
+
+            def trace(self):
+                return float(np.trace(a))
+
+            def apply(self, x):
+                return a @ np.asarray(x, dtype=float)
+
+        res = solve(Float64Operator(), 3)
+        assert res.status is SolveStatus.CONVERGED
+        ref = reference(SpdOperator.from_dense(a)).d[:3]
+        np.testing.assert_allclose(res.eigenvalues, ref, rtol=1e-6)
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6, 1e8, 1e12, 1e20])
+    def test_scaled_operator_converges(self, c):
+        # tr(cA)/2n outside solver.SINGLE_SCALE keeps every stage in float64,
+        # where the first ray's quartic terms would overflow float32 (c = 1e20)
+        a = gen_dense(20, seed=0).densify()
+        res = solve(SpdOperator.from_dense(c * a), 3)
+        assert res.status is SolveStatus.CONVERGED
+        ref = reference(SpdOperator.from_dense(a)).d[:3]
+        np.testing.assert_allclose(res.eigenvalues / c, ref, rtol=1e-6)
 
 
 _HASH_ONE_SOLVE = """
@@ -419,8 +531,9 @@ def test_aimed_stage_cost_on_a_rounding_stall_is_bounded():
     # instance (eps 6.9e-9, then 2.9e-9) stalled in the line search on
     # rounding of f: 735 applies, where the plain tenfold schedule (eps
     # 1e-8, then 1e-9) spent 553.  L-BFGS steps under a backtracking
-    # search took 323 applies, and the exact step along the ray 292.  The
-    # bound keeps this known worst case within 40% of the plain one.
+    # search took 323 applies, the exact step along the ray 292, and one
+    # curvature pair with float32 loose stages 292 as well.  The bound
+    # keeps this known worst case within 40% of the plain one.
     status, applies = _run_one_blas_thread(_COUNT_STALLED_SOLVE).split()
     assert status == "converged"
     assert int(applies) <= 1.4 * 553
@@ -439,8 +552,9 @@ print(res.status.value, counted.applies)
 def test_dense_rounding_stall_instance_converges_cheaply():
     # With plain BB steps this instance's last stage sat within a few ulps
     # of f and backtracked ~130,000 times (134,452 applies); along L-BFGS
-    # directions it took no backtracks there and 648 applies, and with the
-    # exact step along the ray 567 (one BLAS thread).
+    # directions it took no backtracks there and 648 applies, with the
+    # exact step along the ray 567, and with one curvature pair and
+    # float32 loose stages 548 (one BLAS thread).
     status, applies = _run_one_blas_thread(_COUNT_DENSE_STALL).split()
     assert status == "converged"
     assert int(applies) <= 1000

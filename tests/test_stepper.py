@@ -252,6 +252,28 @@ class TestLbfgsDirection:
             g = a @ rng.standard_normal((6, 2))
             assert float(np.vdot(g, lbfgs_direction(g, pairs, 0.2))) > 0.0
 
+    @pytest.mark.parametrize("count", [0, MEMORY, 3])
+    def test_buffers_match_the_plain_two_loop(self, count):
+        # the two-loop with a fresh array per operation, as it was written
+        # before the buffers; the arithmetic is the same, so the bits are
+        def plain(g, pairs, gamma):
+            q = g.copy()
+            alphas = []
+            for s, y, rho in reversed(pairs):
+                alphas.append(rho * float(np.vdot(s, q)))
+                q -= alphas[-1] * y
+            q *= gamma
+            for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+                q += (alpha - rho * float(np.vdot(y, q))) * s
+            return q
+
+        rng = np.random.default_rng(12)
+        _, pairs = quadratic_pairs(rng, count)
+        g = rng.standard_normal((6, 2))
+        out, work = np.empty_like(g), np.empty_like(g)
+        assert lbfgs_direction(g, pairs, 0.3, out=out, work=work) is out
+        assert np.array_equal(out, plain(g, pairs, 0.3))
+
     def test_input_gradient_untouched(self):
         rng = np.random.default_rng(11)
         _, pairs = quadratic_pairs(rng, MEMORY)
