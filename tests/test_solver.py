@@ -29,8 +29,8 @@ from sympeig import (
 from sympeig import operators
 from sympeig.factor import restart_point, srr
 from sympeig.operators import canonical_frame
-from sympeig.solver import SINGLE_EPS
 from sympeig.penalty import evaluate
+from sympeig.solver import SINGLE_EPS
 
 BETA_FLOOR_FACTOR = (3.0 + np.sqrt(5.0)) / 2.0
 
