@@ -188,6 +188,7 @@ def _result_payload(result, meta):
     return {
         **meta,
         "status": result.status.value,
+        "message": result.message,
         "gradient_test_met": _gradient_test_met(result),
         "eigenvalues": result.eigenvalues,
         "beta_final": result.beta_final,

@@ -152,12 +152,14 @@ def williamson_small(m):
     return WilliamsonForm(s=s, d=d)
 
 
-def srr(op, x):
+def srr(op, x, unit=1.0):
     """Symplectic Rayleigh-Ritz refinement of span(X).
 
     Runs ssvd to get a symplectic basis S of the span, Williamson-
-    diagonalizes the projected matrix S^T (A S), and rotates S into the
-    refined eigenbasis.
+    diagonalizes the projected matrix S^T (A S), taken in units of
+    `unit` (a power of two, so that the Ritz values of 2^k A in units of
+    2^-k unit are those of A exactly), and rotates S into the refined
+    eigenbasis.
 
     Returns
     -------
@@ -170,8 +172,8 @@ def srr(op, x):
     fac = ssvd(x)
     s = fac.s
     a_s = op.apply(s)
-    wf = williamson_small(s.T @ a_s)
-    return s @ wf.s, wf.d, a_s @ wf.s
+    wf = williamson_small(unit * (s.T @ a_s))
+    return s @ wf.s, wf.d / unit, a_s @ wf.s
 
 
 def restart_point(s_fin, d_fin, beta):

@@ -11,11 +11,12 @@ with gradient
 
 A is linear, so along a direction D the objective is an exact quartic
 in the step: f(X - s D) - f(X) = c1 s + c2 s^2 + c3 s^3 + c4 s^4
-(:func:`ray`).  One apply A D gives the coefficients, and the point
-X - s D follows from it with A X and V updated in place of a new apply
-(:meth:`PenaltyEval.move`), so the solvers call :func:`evaluate` once
-per stage and take one apply per inner step.  Every block is computed
-in the precision of X, float32 or float64 (`operators.as_float`).
+(:func:`ray`).  One apply A D, made by the caller, gives the
+coefficients, and the point X - s D follows from it with A X and V
+updated in place of a new apply (:meth:`PenaltyEval.move`), so the
+solvers call :func:`evaluate` once per stage and take one apply per
+inner step.  Every block is computed in the precision of X, float32 or
+float64 (`operators.as_float`).
 """
 
 from dataclasses import dataclass, field
@@ -166,16 +167,18 @@ def evaluate(op, x, beta, ax=None):
     return PenaltyEval(float(beta), value, x, ax, v)
 
 
-def ray(op, x, v, d, beta, slope):
+def ray(x, v, d, ad, beta, slope):
     """The exact quartic of f_beta along X - s D.
 
     Parameters
     ----------
-    op : SpdOperator
     x, d : ndarray, shape (2n, 2p)
         The point and the direction.
     v : ndarray, shape (2p, 2p)
         The violation X^T J_n X - J_p at X.
+    ad : ndarray, shape (2n, 2p)
+        A D, in the dtype of `d`; the caller applies the operator and so
+        chooses the precision of the apply.
     beta : float
     slope : float
         <grad f_beta(X), D>, so c1 = -slope.
@@ -189,9 +192,8 @@ def ray(op, x, v, d, beta, slope):
             c3 = -(beta/2) <K, N>
             c4 = (beta/4) ||N||^2 .
 
-        One apply, A D, and the thin products X^T J D and D^T J D.
+        The thin products X^T J D and D^T J D; no apply.
     """
-    ad = op.apply(d)
     rows, cols = d.shape
     add_flops(3 * rows * cols * cols // 2 + d.size)
     # J D = [D_2; -D_1] for the row halves D_1, D_2, so the products
@@ -207,19 +209,3 @@ def ray(op, x, v, d, beta, slope):
     c3 = -0.5 * beta * float(np.vdot(k, n))
     c4 = 0.25 * beta * float(np.vdot(n, n))
     return Ray((-float(slope), c2, c3, c4), ad, k, n)
-
-
-def hess_quadform(op, x, y, beta):
-    """Second directional derivative of f_beta at X along Y: 2 c2 of
-    :func:`ray` along Y,
-
-        tr(Y^T A Y) + (beta/2) ||Y^T J_n X + X^T J_n Y||_F^2
-        + beta <X^T J_n X - J_p, Y^T J_n Y> .
-    """
-    if beta <= 0:
-        raise ValueError(f"penalty weight must be positive, got {beta}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"direction shape {y.shape} does not match X {x.shape}")
-    return 2.0 * ray(op, x, violation(x), y, beta, 0.0).coeffs[1]

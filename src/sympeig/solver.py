@@ -6,10 +6,12 @@ along memoryless BFGS directions (L-BFGS with one curvature pair) with a
 BB scale, under the same search, refines each stage's iterate by
 symplectic Rayleigh-Ritz, adapts the penalty weight from the Ritz
 values, restarts from the scaled eigenbasis, and tightens the inner
-tolerance geometrically, running its loose stages in float32.  Both run
-the search on the penalty's exact quartic along the step's direction, so
-an inner step costs one operator apply whatever its backtracks, and
-neither allocates a block of the iterate's shape per step.
+tolerance geometrically.  `solve` applies the operator in float32 at
+every inner step and runs its iterates in float32 only in the loose
+stages.  Both run the search on the penalty's exact quartic along the
+step's direction, so an inner step costs one operator apply whatever its
+backtracks, and neither allocates a block of the iterate's shape per
+step.
 """
 
 import math
@@ -42,13 +44,14 @@ ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
 # seed of the perturbation drawn by the rank-deficiency retry
 _RETRY_SEED = 0
 
-# A stage of `solve` with inner tolerance eps >= SINGLE_EPS runs in
-# float32.  Over k steps its carried A X drifts by about k eps_32
-# relative, near 1e-5 for the ~100-step stages of the n = 200-800
-# families, under 3% of eps.  The mean eigenvalue m = tr(A)/2n must lie
-# in SINGLE_SCALE: along the first direction GAMMA0 G the ray's quartic
-# coefficient grows like (GAMMA0 m)^4 n^2 and its quadratic one like
-# GAMMA0^2 m^3, which overflow and underflow float32 far outside it.
+# A stage of `solve` with inner tolerance eps >= SINGLE_EPS runs its
+# iterates in float32.  Over k steps its carried A X drifts by about
+# k eps_32 relative, near 1e-5 for the ~100-step stages of the n =
+# 200-800 families, under 3% of eps.  A tighter stage keeps its iterates
+# in float64 and only applies A in float32; its carried A X drifted by at
+# most 1.4e-4 eps (dense n = 200 and slr n = 400).  Both need the mean
+# eigenvalue m = tr(A)/2n in SINGLE_SCALE, which keeps float32 copies of
+# B and C, and the squares of blocks of size m, far inside float32's range.
 SINGLE_EPS = math.sqrt(np.finfo(np.float32).eps)
 SINGLE_SCALE = (1e-8, 1e8)
 
@@ -65,7 +68,7 @@ class SolverParams:
 
     `beta0=None` resolves to the trace heuristic :func:`beta_suggest`.
     `eps0` is the first inner gradient tolerance; the enhanced solver
-    uses it relative to max(1, ||A X||_F) and shrinks it by `DELTA_EPS`
+    uses it relative to ||A X||_F and shrinks it by `DELTA_EPS`
     per outer stage, except that a stage ending with residue r <=
     tol / (2 DELTA_EPS^2) is followed by eps' = (tol / 2r) eps, aimed
     at half of `tol` (eps still falls strictly).  The basic solver reads
@@ -155,7 +158,9 @@ class SolveTrace:
 @dataclass
 class SympEigResult:
     """Solver output: eigenvalues ascending, eigenbasis columns paired
-    as [first halves | second halves], and the full iteration trace."""
+    as [first halves | second halves], and the full iteration trace.
+    `message` is the text of the numerical failure that ended a
+    NUMERICAL_FAILURE solve, None otherwise."""
 
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
@@ -168,6 +173,7 @@ class SympEigResult:
     inner_iterations: int
     outer_iterations: int
     elapsed: float
+    message: str = None
 
 
 def beta_suggest(op, p):
@@ -188,7 +194,8 @@ def beta_best(d_p):
     return BETA_BEST_FACTOR * float(d_p)
 
 
-def _run_inner(op, x, ax, beta, eps, params, trace, stage, enhanced, dtype=float):
+def _run_inner(op, x, ax, beta, eps, params, trace, stage, enhanced, single=False,
+               unit=1.0):
     """GLL descent until the gradient test or k_max; returns
     (x, reached, iters): the last iterate in float64, whether the
     gradient test stopped the descent, and the number of steps taken.
@@ -197,17 +204,29 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, enhanced, dtype=float
     `enhanced` the L-BFGS direction from the last MEMORY accepted
     curvature pairs, H0 scaled by the BB2 length, tried from the exact
     minimizer along it; `enhanced` also makes the tolerance relative to
-    max(1, ||A X||_F).  The descent runs in `dtype` on a copy of `x`.
-    The objective is evaluated once, from `ax` = A X when given; each
-    step takes one apply, A D, for the ray's quartic, and the accepted
-    point's A X, violation and value are carried along the ray.  Apart
-    from A D, a step makes no block of X's shape: the gradient, the
-    direction and the MEMORY + 1 slot pairs for S and Z are reused.
+    ||A X||_F.  The descent runs on a copy of `x`.  The objective is
+    evaluated once, from `ax` = A X when given; each step takes one
+    apply, A D, for the ray's quartic, and the accepted point's A X,
+    violation and value are carried along the ray.  Apart from A D, a
+    step makes no block of X's shape: the gradient, the direction and
+    the MEMORY + 1 slot pairs for S and Z are reused.
+
+    With `single` every step's apply runs in float32.  A stage with eps
+    >= SINGLE_EPS then runs wholly in float32; a tighter one keeps X,
+    A X, V and the gradient in float64, rounds D to float32 in place
+    before the slope <G, D> is taken, so the step moves along exactly
+    the D that was applied, and widens A D into a reused float64 block.
+    `unit` is the unit of the step lengths (:func:`bb_step`).
     """
-    ev = evaluate(op, x.astype(dtype), beta, ax=ax)
+    loose = single and eps >= SINGLE_EPS
+    ev = evaluate(op, x.astype(np.float32 if loose else float), beta, ax=ax)
     g = ev.ensure_gradient()
     g_new, d_buf, work = (np.empty_like(g) for _ in range(3))
     spare = (np.empty_like(g), np.empty_like(g))
+    mixed = single and not loose
+    if mixed:
+        # the float32 D that is applied, and A D widened to float64
+        d_single, ad_wide = np.empty(g.shape, np.float32), np.empty_like(g)
     gnorm = float(np.linalg.norm(g))
     window = deque([ev.value], maxlen=WINDOW + 1)
     pairs = ()
@@ -216,17 +235,24 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, enhanced, dtype=float
     reached = False
     iters = 0
     for k in range(params.k_max):
-        limit = eps * max(1.0, float(np.linalg.norm(ev.ax))) if enhanced else eps
+        limit = eps * float(np.linalg.norm(ev.ax)) if enhanced else eps
         if gnorm < limit:
             reached = True
             break
         if enhanced:
-            gamma = bb_step(s_prev, z_prev, k, alternate=False, sz=sz)
+            gamma = bb_step(s_prev, z_prev, k, alternate=False, sz=sz, unit=unit)
             d = lbfgs_direction(g, pairs, gamma, out=d_buf, work=work)
         else:
             gamma = bb_step(s_prev, z_prev, k, sz=sz)
             d = g
-        model = ray(op, ev.x, ev.violation, d, beta, float(np.vdot(g, d)))
+        if mixed:
+            np.copyto(d_single, d)
+            np.copyto(d, d_single)
+            ad = ad_wide
+            np.copyto(ad, op.apply(d_single))
+        else:
+            ad = op.apply(d)
+        model = ray(ev.x, ev.violation, d, ad, beta, float(np.vdot(g, d)))
         trial = exact_step(model.coeffs) if enhanced else gamma
         ls = gll_search(ev.value, model.coeffs, trial, window)
         # X^(k-1) - X^(k) and G^(k-1) - G^(k), written into the spare
@@ -256,7 +282,7 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, enhanced, dtype=float
     return ev.x.astype(float, copy=False), reached, iters
 
 
-def _result(x, s_fin, d_fin, status, trace, beta, resid, start):
+def _result(x, s_fin, d_fin, status, trace, beta, resid, start, message=None):
     # feasibility of the returned eigenbasis, not of the penalty iterate
     # (the latter sits at the minimizer with violation -D/beta by design)
     return SympEigResult(
@@ -271,6 +297,7 @@ def _result(x, s_fin, d_fin, status, trace, beta, resid, start):
         inner_iterations=len(trace.inner),
         outer_iterations=len(trace.outer),
         elapsed=time.perf_counter() - start,
+        message=message,
     )
 
 
@@ -333,11 +360,14 @@ def solve(op, p, params=None):
     next one runs at eps * tol / (2r) instead, aimed at half of `tol`
     rather than a full factor DELTA_EPS below it.
 
-    A stage whose eps is at least `SINGLE_EPS` = sqrt(eps_float32)
-    (3.45e-4) runs its inner steps in float32, applies included, when
-    tr(A)/2n lies in `SINGLE_SCALE`; the Rayleigh-Ritz step, the residue,
-    the restart and the tighter stages run in float64.  The float32
-    copies `SpdOperator.apply` makes live until `solve` returns.
+    When tr(A)/2n lies in `SINGLE_SCALE`, every inner step applies A in
+    float32, and the iterates run in float32 only in the stages with eps
+    >= `SINGLE_EPS` = sqrt(eps_float32) (3.45e-4); everything else runs
+    in float64.  The float32 copies `SpdOperator.apply` makes live until
+    `solve` returns.  Step lengths and the Rayleigh-Ritz step are in units
+    of 2^-e, e the binary exponent of tr(A)/2n, so solve(2^k A) repeats
+    solve(A) bit for bit,
+    eigenvalues times 2^k, while both lie on one side of `SINGLE_SCALE`.
 
     A stage costs one apply per inner step and one in the Rayleigh-Ritz
     step, whose image A S the residue reuses and the restart scales into
@@ -350,7 +380,7 @@ def solve(op, p, params=None):
         Float64 arrays throughout.  Status CONVERGED, MAX_ITERATIONS
         (outer budget exhausted), or NUMERICAL_FAILURE (non-finite
         objective, or rank-deficient iterate that a retry from a random
-        perturbation could not repair).
+        perturbation could not repair), whose text is kept in `message`.
     """
     params = (params or SolverParams()).validate()
     n = op.n
@@ -358,12 +388,18 @@ def solve(op, p, params=None):
         raise ValueError(f"need 1 <= p < n, got p={p}, n={n}")
     rng = np.random.default_rng(_RETRY_SEED)
     beta = params.beta0 if params.beta0 is not None else beta_suggest(op, p)
-    single = SINGLE_SCALE[0] <= op.trace() / (2 * n) <= SINGLE_SCALE[1]
+    mean = op.trace() / (2 * n)
+    single = SINGLE_SCALE[0] <= mean <= SINGLE_SCALE[1]
+    # step lengths and Ritz values in units of 2^-e for the binary exponent
+    # e of the mean eigenvalue, so that solve(2^k A) repeats solve(A) bit
+    # for bit
+    unit = math.ldexp(1.0, -math.frexp(mean)[1])
     trace = SolveTrace()
     x = canonical_frame(n, p)
     ax = None
     eps = params.eps0
     status = SolveStatus.MAX_ITERATIONS
+    message = None
     s_fin = None
     d_fin = None
     resid = float("nan")
@@ -373,18 +409,17 @@ def solve(op, p, params=None):
             for stage in range(params.outer_max):
                 stage_start = time.perf_counter()
                 stage_beta = beta
-                dtype = np.float32 if single and eps >= SINGLE_EPS else float
                 x, reached, iters = _run_inner(
                     op, x, ax, beta, eps, params, trace, stage=stage, enhanced=True,
-                    dtype=dtype,
+                    single=single, unit=unit,
                 )
                 try:
-                    s_fin, d_fin, as_fin = srr(op, x)
+                    s_fin, d_fin, as_fin = srr(op, x, unit)
                 except RankDeficientError:
                     # one retry from a random perturbation
                     scale = 1e-8 * max(float(np.linalg.norm(x)), 1e-30)
                     x = x + scale / np.sqrt(x.size) * rng.standard_normal(x.shape)
-                    s_fin, d_fin, as_fin = srr(op, x)
+                    s_fin, d_fin, as_fin = srr(op, x, unit)
                 resid = residue(op, s_fin, d_fin, ax=as_fin)
                 elapsed = time.perf_counter() - stage_start
                 converged = resid <= params.tol
@@ -415,6 +450,7 @@ def solve(op, p, params=None):
                     eps = max(target, _EPS_FLOOR)
                 else:
                     eps = max(eps * DELTA_EPS, _EPS_FLOOR)
-    except NumericalFailure:
+    except NumericalFailure as exc:
         status = SolveStatus.NUMERICAL_FAILURE
-    return _result(x, s_fin, d_fin, status, trace, beta, resid, start)
+        message = str(exc)
+    return _result(x, s_fin, d_fin, status, trace, beta, resid, start, message)

@@ -25,7 +25,7 @@ MAX_BACKTRACKS = 60
 _DEGENERATE = 1e-30
 
 
-def bb_step(s, z, k, alternate=True, sz=None):
+def bb_step(s, z, k, alternate=True, sz=None, unit=1.0):
     """Length of inner step `k`: the clamped Barzilai-Borwein step.
 
     Step 0 is `GAMMA0`.  Otherwise `s` = X^(k) - X^(k-1) and `z` =
@@ -35,20 +35,25 @@ def bb_step(s, z, k, alternate=True, sz=None):
     it every step is BB2, the L-BFGS scale H0 = gamma I.  A denominator
     below 1e-30 gives `GAMMA_HI`.  The value is clamped into
     [GAMMA_LO, GAMMA_HI].
+
+    The constants are in units of `unit`, a power of two: a step length
+    scales like 1/A, so with `unit` = 2^-e for an operator scaled by 2^e
+    the lengths are those of the unscaled operator times 2^-e, bit for bit.
     """
     if k == 0:
-        return GAMMA0
+        return GAMMA0 * unit
     if s is None or z is None:
         raise ValueError("bb_step needs the previous iterate and gradient differences")
     if sz is None:
         sz = float(np.vdot(s, z))
-    sz = abs(sz)
+    # <S,Z> and <Z,Z> in units where the length is unit-free
+    sz = abs(sz) * unit
     if alternate and k % 2 == 0:
         numer, denom = float(np.vdot(s, s)), sz
     else:
-        numer, denom = sz, float(np.vdot(z, z))
+        numer, denom = sz, float(np.vdot(z, z)) * unit * unit
     gamma = GAMMA_HI if denom < _DEGENERATE else numer / denom
-    return min(max(gamma, GAMMA_LO), GAMMA_HI)
+    return min(max(gamma, GAMMA_LO), GAMMA_HI) * unit
 
 
 def lbfgs_direction(g, pairs, gamma, out=None, work=None):

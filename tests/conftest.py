@@ -1,6 +1,7 @@
 """Shared test helpers: independent dense oracles for the Poisson
-kernels, construction of the same matrix in every storage kind, and
-random symplectic frames and stationary points of the penalty."""
+kernels, construction of the same matrix in every storage kind, random
+symplectic frames and stationary points of the penalty, and its
+second-order form along a direction."""
 
 import numpy as np
 import scipy.linalg
@@ -8,6 +9,7 @@ from scipy import sparse
 
 from sympeig import SpdOperator
 from sympeig.operators import j_left
+from sympeig.penalty import ray, violation
 
 KINDS = ("dense", "csr", "slr")
 
@@ -113,3 +115,19 @@ def random_symplectic_frame(n, p, rng):
     jh *= rng.uniform(0.0, 2.0) / np.linalg.norm(jh, 2)
     s = scipy.linalg.expm(jh)
     return s[:, np.r_[0:p, n : n + p]]
+
+
+def hess_quadform(op, x, y, beta):
+    """Second directional derivative of f_beta at X along Y: 2 c2 of
+    :func:`sympeig.penalty.ray` along Y,
+
+        tr(Y^T A Y) + (beta/2) ||Y^T J_n X + X^T J_n Y||_F^2
+        + beta <X^T J_n X - J_p, Y^T J_n Y> .
+    """
+    if beta <= 0:
+        raise ValueError(f"penalty weight must be positive, got {beta}")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"direction shape {y.shape} does not match X {x.shape}")
+    return 2.0 * ray(x, violation(x), y, op.apply(y), beta, 0.0).coeffs[1]

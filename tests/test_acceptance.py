@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     KINDS,
     construct_stationary_point,
+    hess_quadform,
     make_operator,
     random_orthosymplectic,
     random_spd,
@@ -37,7 +38,7 @@ from sympeig import (
 )
 from sympeig.factor import ssvd, williamson_small
 from sympeig.operators import canonical_frame
-from sympeig.penalty import evaluate, hess_quadform
+from sympeig.penalty import evaluate
 
 GRID_FAMILIES = ("dense", "sparse", "slr", "prescribed")
 GRID_N = (10, 50, 200)

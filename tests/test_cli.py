@@ -6,7 +6,7 @@ import pytest
 from scipy import sparse
 from scipy.io import mmread, mmwrite
 
-from sympeig import SpdOperator, poisson, store_matrix, symplectic_gram
+from sympeig import RankDeficientError, SpdOperator, poisson, store_matrix, symplectic_gram
 from sympeig.cli import main
 from sympeig.operators import canonical_frame
 
@@ -80,8 +80,21 @@ class TestSolve:
         assert code == 0
         result = json.load(open(os.path.join(out, "result.json")))
         assert result["status"] == "converged"
+        assert result["message"] is None
         np.testing.assert_allclose(result["eigenvalues"], [1.0, 2.0, 3.0], rtol=1e-6)
         assert result["residue"] <= 1e-7
+
+    def test_numerical_failure_message_is_written(self, tmp_path, capsys, monkeypatch):
+        def failing_srr(*args):
+            raise RankDeficientError("injected rank loss", deficient=1)
+
+        monkeypatch.setattr("sympeig.solver.srr", failing_srr)
+        out = str(tmp_path / "run")
+        code = main(["solve", "--matrix", ladder_path(tmp_path, 6), "--p", "3", "--out", out])
+        assert code == 4
+        result = json.load(open(os.path.join(out, "result.json")))
+        assert result["status"] == "numerical_failure"
+        assert result["message"] == "injected rank loss"
 
     def test_solves_generated_prescribed_file(self, tmp_path, capsys):
         gen_out = str(tmp_path / "gen")

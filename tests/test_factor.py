@@ -157,6 +157,18 @@ class TestSrr:
         target = np.diag(np.concatenate([d_fin, d_fin]))
         assert np.linalg.norm(proj - target) <= 1e-9 * np.linalg.norm(proj)
 
+    @pytest.mark.parametrize("k", [-3, 1, 6])
+    def test_ritz_values_in_units_scale_exactly(self, k):
+        # odd k too: without the unit, the square root inside the Williamson
+        # form would round A and 2A differently
+        a = random_spd(np.random.default_rng(9), 20)
+        x = np.random.default_rng(8).standard_normal((20, 6))
+        s_fin, d_fin, image = srr(SpdOperator.from_dense(a), x, 0.25)
+        s_k, d_k, image_k = srr(SpdOperator.from_dense(np.ldexp(a, k)), x, 0.25 * 2.0**-k)
+        assert np.array_equal(s_k, s_fin)
+        assert np.array_equal(d_k, np.ldexp(d_fin, k))
+        assert np.array_equal(image_k, np.ldexp(image, k))
+
     def test_image_matches_a_fresh_apply(self):
         op, _ = gen_prescribed(10, seed=4)
         x = np.random.default_rng(8).standard_normal((20, 6))

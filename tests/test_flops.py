@@ -58,12 +58,13 @@ class TestCounter:
         assert fc.count == expected
 
     def test_ray_total(self):
-        # the ray's apply, X^T J D (8 n p^2), D^T J D (4 n p^2) and <D, A D>
+        # the apply of D for the ray, X^T J D (8 n p^2), D^T J D (4 n p^2)
+    # and <D, A D>
         n, p = 60, 3
         op = gen_sparse(n, seed=3)
         rng = np.random.default_rng(5)
         x, d = rng.standard_normal((2, 2 * n, 2 * p))
         v = evaluate(op, x, 5.0).violation
         with count_flops() as fc:
-            ray(op, x, v, d, 5.0, 1.0)
+            ray(x, v, d, op.apply(d), 5.0, 1.0)
         assert fc.count == op.nnz * 2 * p + 12 * n * p * p + 4 * n * p

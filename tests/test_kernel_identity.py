@@ -83,7 +83,7 @@ def test_trial_point_matches_expression(backtracks):
     g = _block(rng, 6, 2)
     ev = evaluate(op, x, 2.0)
     slope = float(np.vdot(g, g))
-    model = ray(op, x, ev.violation, g, 2.0, slope)
+    model = ray(x, ev.violation, g, op.apply(g), 2.0, slope)
     # -s + c2 s^2 <= -LAM s fails exactly for the first `backtracks`
     # trials 0.3 DELTA^t when c2 = 1 / (1.5 * 0.3 DELTA^backtracks)
     c2 = slope / (1.5 * 0.3 * DELTA**backtracks)

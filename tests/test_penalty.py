@@ -4,13 +4,14 @@ import pytest
 from conftest import (
     KINDS,
     construct_stationary_point,
+    hess_quadform,
     make_operator,
     random_orthosymplectic,
     random_spd,
 )
 from sympeig import SpdOperator, gen_prescribed, symplectic_gram
 from sympeig.operators import canonical_frame, j_right
-from sympeig.penalty import evaluate, hess_quadform, ray, violation
+from sympeig.penalty import evaluate, ray, violation
 from sympeig.stepper import exact_step
 
 
@@ -142,7 +143,8 @@ class TestRay:
         d = rng.standard_normal((12, 4))
         beta = 4.0
         ev = evaluate(op, x, beta)
-        model = ray(op, x, ev.violation, d, beta, float(np.vdot(ev.ensure_gradient(), d)))
+        model = ray(x, ev.violation, d, op.apply(d), beta,
+                    float(np.vdot(ev.ensure_gradient(), d)))
         for s in (-0.7, 1e-3, 0.1, 0.5, 1.0, 3.0):
             fresh = evaluate(op, x - s * d, beta).value
             got = ev.value + quartic_delta(model.coeffs, s)
@@ -157,7 +159,7 @@ class TestRay:
         fresh = evaluate(op, x - 0.3 * d, 4.0)
         moved = evaluate(op, x, 4.0)
         g = moved.ensure_gradient()
-        model = ray(op, x, moved.violation, d, 4.0, float(np.vdot(g, d)))
+        model = ray(x, moved.violation, d, op.apply(d), 4.0, float(np.vdot(g, d)))
         moved.move(0.3 * d, model, 0.3, moved.value + quartic_delta(model.coeffs, 0.3))
         assert moved.gradient is None
         np.testing.assert_allclose(moved.x, fresh.x, rtol=1e-14)
@@ -178,7 +180,7 @@ class TestRay:
         ev = evaluate(op, rng.standard_normal((16, 4)), beta)
         for _ in range(400):
             g = ev.ensure_gradient()
-            model = ray(op, ev.x, ev.violation, g, beta, float(np.vdot(g, g)))
+            model = ray(ev.x, ev.violation, g, op.apply(g), beta, float(np.vdot(g, g)))
             s = exact_step(model.coeffs)
             ev.move(s * g, model, s, ev.value + quartic_delta(model.coeffs, s))
         fresh = evaluate(op, ev.x, beta)
@@ -193,7 +195,7 @@ class TestRay:
         op = make_operator("dense", random_spd(rng, 8))
         x = rng.standard_normal((8, 4))
         y = rng.standard_normal((8, 4))
-        model = ray(op, x, violation(x), y, 6.0, 0.0)
+        model = ray(x, violation(x), y, op.apply(y), 6.0, 0.0)
         assert hess_quadform(op, x, y, 6.0) == 2.0 * model.coeffs[1]
 
 

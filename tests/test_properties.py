@@ -8,8 +8,12 @@ Phys. 56, 2015).  Symplectic singular values scale the same way,
 sigma(cX) = c sigma(X), so no absolute threshold may enter either.  The
 reference is the dense oracle; instances stay at n <= 8 so each example
 costs milliseconds.  The solver's answer must not depend on the order
-of the coordinate pairs (i, n + i), although its iterates do.
+of the coordinate pairs (i, n + i), although its iterates do.  Nor may
+the solver's own work depend on scale: for a power of two it repeats
+itself exactly.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from conftest import random_orthosymplectic, random_spd
 from sympeig import SolveStatus, SpdOperator, reference, solve
 from sympeig.factor import ssvd
 from sympeig.operators import j_left
+from sympeig.solver import SINGLE_SCALE
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -91,6 +96,49 @@ def test_solver_scales_with_operator(c):
     assert base.status is SolveStatus.CONVERGED
     assert scaled.status is SolveStatus.CONVERGED
     np.testing.assert_allclose(scaled.eigenvalues, c * base.eigenvalues, rtol=1e-7)
+
+
+class _CountingOperator:
+    def __init__(self, a):
+        self._op = SpdOperator.from_dense(a)
+        self.n = self._op.n
+        self.applies = 0
+
+    def trace(self):
+        return self._op.trace()
+
+    def apply(self, x):
+        self.applies += 1
+        return self._op.apply(x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(n=st.integers(min_value=2, max_value=8), seed=seeds,
+       shift=st.sampled_from([-80, 0, 70]), data=st.data())
+def test_solver_repeats_itself_on_power_of_two_multiples(n, seed, shift, data):
+    # solve(2^k A) takes the steps and applies of solve(A), and returns
+    # 2^k times its eigenvalues and the same eigenbasis, bit for bit.  k
+    # keeps 2^k A on A's side of SINGLE_SCALE, so both run their stages
+    # in the same precision: A's mean eigenvalue lies below the guard
+    # (shift -80), inside it (0) or above it (70)
+    p = data.draw(st.integers(min_value=1, max_value=n - 1), label="p")
+    a, _ = _instance(n, seed)
+    a = np.ldexp(a, shift)
+    mean = np.trace(a) / (2 * n)
+    lo, hi = -40, 40
+    if SINGLE_SCALE[0] <= mean <= SINGLE_SCALE[1]:
+        lo = max(lo, math.ceil(math.log2(SINGLE_SCALE[0] / mean)))
+        hi = min(hi, math.floor(math.log2(SINGLE_SCALE[1] / mean)))
+    k = data.draw(st.integers(min_value=lo, max_value=hi), label="k")
+    base, scaled = _CountingOperator(a), _CountingOperator(np.ldexp(a, k))
+    res, res_k = solve(base, p), solve(scaled, p)
+    assert res.status is SolveStatus.CONVERGED
+    assert res_k.status is res.status
+    assert res_k.inner_iterations == res.inner_iterations
+    assert res_k.outer_iterations == res.outer_iterations
+    assert scaled.applies == base.applies
+    assert np.array_equal(res_k.eigenvalues, np.ldexp(res.eigenvalues, k))
+    assert np.array_equal(res_k.eigenbasis, res.eigenbasis)
 
 
 @PROPERTY

@@ -12,11 +12,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sympeig"
 PERFBENCH = ROOT / "perfbench"
 
-# the exact second-order term of the penalty, 2 c2 of `penalty.ray`:
-# acceptance criterion 03 checks it, and through it the ray kernel that
-# the line search runs on
-TESTED_ONLY = {"hess_quadform"}
-
 
 def imported_names(tree):
     for node in tree.body:
@@ -110,7 +105,7 @@ def test_every_src_definition_has_a_caller():
     for path in sorted(PERFBENCH.glob("*.py")):
         read |= read_names(ast.parse(path.read_text(), filename=str(path)))
     unused = sorted(f"{module}:{name}" for name, module in defined.items()
-                    if name not in read | TESTED_ONLY)
+                    if name not in read)
     assert not unused, f"defined in src but read only by tests: {unused}"
 
 

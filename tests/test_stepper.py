@@ -70,6 +70,17 @@ class TestBbStep:
         assert bb_step(1e9 * z, z, 1) == GAMMA_HI
         assert bb_step(1e-12 * z, z, 1) == GAMMA_LO
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("c", [1.0, 1e9, 1e-12])
+    def test_unit_scales_every_length_exactly(self, k, c):
+        # gradient differences 2^40 times larger give lengths 2^-40 times
+        # as long in units of 2^-40, clamps and first step included
+        rng = np.random.default_rng(k)
+        z = rng.standard_normal((6, 2))
+        s = c * z + rng.standard_normal((6, 2))
+        unit = 2.0**-40
+        assert bb_step(s, z / unit, k, unit=unit) == unit * bb_step(s, z, k)
+
 
 def quartic(coeffs, s):
     c1, c2, c3, c4 = coeffs
