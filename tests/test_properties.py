@@ -26,6 +26,7 @@ from sympeig import SolveStatus, SpdOperator, reference, solve
 from sympeig.factor import ssvd
 from sympeig.operators import j_left
 from sympeig.solver import SINGLE_SCALE
+from test_solver import _CountingOperator
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -98,20 +99,6 @@ def test_solver_scales_with_operator(c):
     np.testing.assert_allclose(scaled.eigenvalues, c * base.eigenvalues, rtol=1e-7)
 
 
-class _CountingOperator:
-    def __init__(self, a):
-        self._op = SpdOperator.from_dense(a)
-        self.n = self._op.n
-        self.applies = 0
-
-    def trace(self):
-        return self._op.trace()
-
-    def apply(self, x):
-        self.applies += 1
-        return self._op.apply(x)
-
-
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(n=st.integers(min_value=2, max_value=8), seed=seeds,
        shift=st.sampled_from([-80, 0, 70]), data=st.data())
@@ -130,7 +117,8 @@ def test_solver_repeats_itself_on_power_of_two_multiples(n, seed, shift, data):
         lo = max(lo, math.ceil(math.log2(SINGLE_SCALE[0] / mean)))
         hi = min(hi, math.floor(math.log2(SINGLE_SCALE[1] / mean)))
     k = data.draw(st.integers(min_value=lo, max_value=hi), label="k")
-    base, scaled = _CountingOperator(a), _CountingOperator(np.ldexp(a, k))
+    base = _CountingOperator(SpdOperator.from_dense(a))
+    scaled = _CountingOperator(SpdOperator.from_dense(np.ldexp(a, k)))
     res, res_k = solve(base, p), solve(scaled, p)
     assert res.status is SolveStatus.CONVERGED
     assert res_k.status is res.status
