@@ -46,7 +46,7 @@ EXIT_BY_STATUS = {
 
 OUT_ENV_VAR = "SYMPEIG_OUT"
 
-TRACE_COLUMNS = ("k", "i", "f", "gnorm", "gamma", "t", "beta")
+TRACE_COLUMNS = ("k", "i", "f", "gnorm", "gamma", "t", "beta", "window_max", "capped")
 BENCH_COLUMNS = (
     "family", "n", "p", "seed", "beta_label", "beta", "variant", "status",
     "outer_iters", "inner_iters", "time_s", "residue", "gw_err", "feasibility",
@@ -243,7 +243,8 @@ def cmd_solve(args):
     result_path = os.path.join(out, "result.json")
     _write_json(result_path, _result_payload(result, meta))
     _write_csv(os.path.join(out, "trace.csv"), meta, TRACE_COLUMNS,
-               ((r.k, r.stage, r.f, r.gnorm, r.gamma, r.t, r.beta) for r in result.trace.inner))
+               ((r.k, r.stage, r.f, r.gnorm, r.gamma, r.t, r.beta, r.window_max,
+                 int(r.capped)) for r in result.trace.inner))
     if args.save_basis and result.eigenbasis is not None:
         mmwrite(os.path.join(out, "basis.mtx"), result.eigenbasis, precision=17)
     print(result_path)

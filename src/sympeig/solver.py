@@ -194,21 +194,19 @@ def beta_best(d_p):
     return BETA_BEST_FACTOR * float(d_p)
 
 
-def _run_inner(op, x, ax, beta, eps, params, trace, stage, enhanced, single=False,
-               unit=1.0):
-    """GLL descent until the gradient test or k_max; returns
-    (x, reached, iters): the last iterate in float64, whether the
-    gradient test stopped the descent, and the number of steps taken.
+def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
+    """One stage of `solve`: GLL descent until ||G||_F < eps ||A X||_F or
+    k_max steps; returns (x, reached, iters): the last iterate in float64,
+    whether the gradient test stopped the descent, and the number of
+    steps taken.
 
-    Steps follow the gradient with the alternating BB length, or with
-    `enhanced` the L-BFGS direction from the last MEMORY accepted
+    Steps follow the L-BFGS direction from the last MEMORY accepted
     curvature pairs, H0 scaled by the BB2 length, tried from the exact
-    minimizer along it; `enhanced` also makes the tolerance relative to
-    ||A X||_F.  The descent runs on a copy of `x`.  The objective is
-    evaluated once, from `ax` = A X when given; each step takes one
-    apply, A D, for the ray's quartic, and the accepted point's A X,
-    violation and value are carried along the ray.  Apart from A D, a
-    step makes no block of X's shape: the gradient, the direction and
+    minimizer along it.  The descent runs on a copy of `x`.  The
+    objective is evaluated once, from `ax` = A X when given; each step
+    takes one apply, A D, for the ray's quartic, and the accepted point's
+    A X, violation and value are carried along the ray.  Apart from A D,
+    a step makes no block of X's shape: the gradient, the direction and
     the MEMORY + 1 slot pairs for S and Z are reused.
 
     With `single` every step's apply runs in float32.  A stage with eps
@@ -235,16 +233,11 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, enhanced, single=Fals
     reached = False
     iters = 0
     for k in range(params.k_max):
-        limit = eps * float(np.linalg.norm(ev.ax)) if enhanced else eps
-        if gnorm < limit:
+        if gnorm < eps * float(np.linalg.norm(ev.ax)):
             reached = True
             break
-        if enhanced:
-            gamma = bb_step(s_prev, z_prev, k, alternate=False, sz=sz, unit=unit)
-            d = lbfgs_direction(g, pairs, gamma, out=d_buf, work=work)
-        else:
-            gamma = bb_step(s_prev, z_prev, k, sz=sz)
-            d = g
+        gamma = bb_step(s_prev, z_prev, k, alternate=False, sz=sz, unit=unit)
+        d = lbfgs_direction(g, pairs, gamma, out=d_buf, work=work)
         if mixed:
             np.copyto(d_single, d)
             np.copyto(d, d_single)
@@ -253,10 +246,9 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, enhanced, single=Fals
         else:
             ad = op.apply(d)
         model = ray(ev.x, ev.violation, d, ad, beta, float(np.vdot(g, d)))
-        trial = exact_step(model.coeffs) if enhanced else gamma
-        ls = gll_search(ev.value, model.coeffs, trial, window)
+        ls = gll_search(ev.value, model.coeffs, exact_step(model.coeffs), window)
         # X^(k-1) - X^(k) and G^(k-1) - G^(k), written into the spare
-        # slots: negating both differences leaves <S,Z>, the BB lengths
+        # slots: negating both differences leaves <S,Z>, the BB length
         # and the two-loop unchanged
         s_prev, z_prev = spare
         np.multiply(d, ls.step, out=s_prev)
@@ -264,7 +256,7 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, enhanced, single=Fals
         ev.ensure_gradient(out=g_new)
         np.subtract(g, g_new, out=z_prev)
         sz = float(np.vdot(s_prev, z_prev))
-        if enhanced and sz > 0.0:
+        if sz > 0.0:
             # the newest MEMORY pairs stay; the one dropped frees its slots
             pairs += ((s_prev, z_prev, 1.0 / sz),)
             if len(pairs) > MEMORY:
@@ -308,7 +300,8 @@ def solve_basic(op, x0, beta, params=None):
     step until ||G||_F < eps0 (absolute) or k_max steps, then extracts
     Ritz pairs from the final iterate by symplectic Rayleigh-Ritz.  The
     GLL test runs on the exact quartic along G, so a step costs one
-    apply, A G, and its backtracks none.
+    apply, A G, and its backtracks none.  The loop is the paper's method
+    and shares no step code with `solve`'s.
 
     Returns
     -------
@@ -316,28 +309,55 @@ def solve_basic(op, x0, beta, params=None):
         One outer stage; status CONVERGED when the gradient test was
         met and the refined eigen-residual is at most `params.tol`,
         MAX_ITERATIONS otherwise (k_max ran out first, or the gradient
-        test stopped the descent short of `tol`).
+        test stopped the descent short of `tol`), or NUMERICAL_FAILURE
+        (non-finite objective in the line search, or a final iterate too
+        rank-deficient for the extraction), whose text is kept in
+        `message`.
 
     Raises
     ------
-    NumericalFailure
-        If the objective turns non-finite during the line search, or
-        the final iterate is too rank-deficient for the extraction.
+    ValueError
+        If `params`, `beta` or the shape of `x0` is invalid.
     """
     params = (params or SolverParams()).validate()
     if not (math.isfinite(beta) and beta > 0):
         raise ValueError(f"penalty weight must be positive and finite, got {beta}")
-    x0 = np.array(x0, dtype=float)
+    # evaluate holds x, so the steps move it in place
+    x = np.array(x0, dtype=float)
     trace = SolveTrace()
     start = time.perf_counter()
-    x, reached, iters = _run_inner(
-        op, x0, None, beta, params.eps0, params, trace, stage=0, enhanced=False,
-    )
-    s_fin, d_fin, as_fin = srr(op, x)
-    resid = residue(op, s_fin, d_fin, ax=as_fin)
+    try:
+        ev = evaluate(op, x, beta)
+        g = ev.ensure_gradient()
+        # the next gradient, X^(k-1) - X^(k) and G^(k-1) - G^(k)
+        g_new, s, z = (np.empty_like(g) for _ in range(3))
+        gnorm = float(np.linalg.norm(g))
+        window = deque([ev.value], maxlen=WINDOW + 1)
+        sz = None
+        reached = False
+        for k in range(params.k_max):
+            if gnorm < params.eps0:
+                reached = True
+                break
+            gamma = bb_step(s, z, k, sz=sz)
+            model = ray(x, ev.violation, g, op.apply(g), beta, float(np.vdot(g, g)))
+            ls = gll_search(ev.value, model.coeffs, gamma, window)
+            ev.move(np.multiply(g, ls.step, out=s), model, ls.step, ls.f)
+            ev.ensure_gradient(out=g_new)
+            sz = float(np.vdot(s, np.subtract(g, g_new, out=z)))
+            g, g_new = g_new, g
+            gnorm = float(np.linalg.norm(g))
+            window.append(ev.value)
+            trace.inner.append(InnerStep(k, 0, ev.value, gnorm, gamma, ls.t, beta,
+                                         max(window), ls.capped))
+        s_fin, d_fin, as_fin = srr(op, x)
+        resid = residue(op, s_fin, d_fin, ax=as_fin)
+    except NumericalFailure as exc:
+        return _result(x, None, None, SolveStatus.NUMERICAL_FAILURE, trace, beta,
+                       math.nan, start, str(exc))
     trace.outer.append(
-        OuterStage(0, float(beta), params.eps0, d_fin.copy(), reached, iters,
-                   resid, None, time.perf_counter() - start)
+        OuterStage(0, float(beta), params.eps0, d_fin.copy(), reached,
+                   len(trace.inner), resid, None, time.perf_counter() - start)
     )
     converged = reached and resid <= params.tol
     status = SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS
@@ -410,8 +430,7 @@ def solve(op, p, params=None):
                 stage_start = time.perf_counter()
                 stage_beta = beta
                 x, reached, iters = _run_inner(
-                    op, x, ax, beta, eps, params, trace, stage=stage, enhanced=True,
-                    single=single, unit=unit,
+                    op, x, ax, beta, eps, params, trace, stage, single, unit,
                 )
                 try:
                     s_fin, d_fin, as_fin = srr(op, x, unit)

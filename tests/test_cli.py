@@ -89,12 +89,15 @@ class TestSolve:
             raise RankDeficientError("injected rank loss", deficient=1)
 
         monkeypatch.setattr("sympeig.solver.srr", failing_srr)
-        out = str(tmp_path / "run")
-        code = main(["solve", "--matrix", ladder_path(tmp_path, 6), "--p", "3", "--out", out])
-        assert code == 4
-        result = json.load(open(os.path.join(out, "result.json")))
-        assert result["status"] == "numerical_failure"
-        assert result["message"] == "injected rank loss"
+        path = ladder_path(tmp_path, 6)
+        for variant in ("enhanced", "basic"):
+            out = str(tmp_path / variant)
+            code = main(["solve", "--matrix", path, "--p", "3", "--variant", variant,
+                         "--out", out])
+            assert code == 4
+            result = json.load(open(os.path.join(out, "result.json")))
+            assert result["status"] == "numerical_failure"
+            assert result["message"] == "injected rank loss"
 
     def test_solves_generated_prescribed_file(self, tmp_path, capsys):
         gen_out = str(tmp_path / "gen")
@@ -118,9 +121,12 @@ class TestSolve:
         assert lines[0].startswith("# {")
         assert meta["matrix"] == {"source": "file", "path": path}
         assert meta["params"]["tol"] == 1e-7
-        assert lines[1] == "k,i,f,gnorm,gamma,t,beta"
+        assert lines[1] == "k,i,f,gnorm,gamma,t,beta,window_max,capped"
         result = json.load(open(os.path.join(out, "result.json")))
         assert len(lines) - 2 == result["inner_iterations"]
+        row = dict(zip(lines[1].split(","), lines[-1].split(",")))
+        assert float(row["window_max"]) >= float(row["f"])
+        assert row["capped"] == "0"
 
     def test_generated_instance_seed_is_recorded_once(self, tmp_path, capsys):
         # the seed belongs to the instance; the solver has none

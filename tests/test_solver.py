@@ -141,6 +141,26 @@ class TestSolveBasic:
         assert sum(row.t for row in res.trace.inner) > 0
         assert counted.applies == res.inner_iterations + 2
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_numerical_failure_status(self):
+        a = np.eye(8)
+        a[0, 0] = 1e308  # the first ray's quartic overflows
+        res = solve_basic(SpdOperator.from_dense(a), canonical_frame(4, 2), 1e308)
+        assert res.status is SolveStatus.NUMERICAL_FAILURE
+        assert res.message.startswith("objective not finite at line-search trial")
+        assert res.eigenvalues is None and not res.trace.outer
+
+    def test_failure_message_is_kept(self, monkeypatch):
+        def failing_srr(*args):
+            raise RankDeficientError("injected rank loss", deficient=1)
+
+        monkeypatch.setattr("sympeig.solver.srr", failing_srr)
+        op = gen_dense(20, seed=0)
+        res = solve_basic(op, canonical_frame(20, 2), beta_suggest(op, 2))
+        assert res.status is SolveStatus.NUMERICAL_FAILURE
+        assert res.message == "injected rank loss"
+        assert res.inner_iterations > 0 and res.x_final.dtype == np.float64
+
     def test_trace_rows_well_formed(self):
         op = ladder_operator(5)
         params = SolverParams(eps0=1e-6)
@@ -483,6 +503,13 @@ class TestPrecision:
         assert len(tight) >= 3
         assert all(rel <= 1e-2 * eps for eps, rel in tight)
 
+    def test_solve_basic_applies_only_float64(self):
+        op = gen_dense(20, seed=0)
+        recorder = _DtypeRecorder(op)
+        res = solve_basic(recorder, canonical_frame(20, 3), beta_suggest(op, 3),
+                          SolverParams(eps0=1e-6, k_max=3000))
+        assert recorder.dtypes == [np.dtype(float)] * (res.inner_iterations + 2)
+
     def test_no_float32_copy_outlives_a_solve(self):
         recorder = _DtypeRecorder(gen_dense(20, seed=0))
         solve(recorder, 3)
@@ -536,16 +563,19 @@ class TestPrecision:
 
 _HASH_ONE_SOLVE = """
 import hashlib
-from sympeig import GeneratorSpec, solve
+from sympeig import GeneratorSpec, SolverParams, beta_suggest, solve, solve_basic
+from sympeig.operators import canonical_frame
 op, _ = GeneratorSpec("dense", 50, seed=0).make()
-res = solve(op, 5)
-h = hashlib.sha256()
-for row in res.trace.inner:
-    h.update(repr((row.k, row.stage, row.f, row.gnorm, row.gamma, row.t,
-                   row.beta, row.window_max, row.capped)).encode())
-h.update(res.eigenvalues.tobytes())
-h.update(res.eigenbasis.tobytes())
-print(res.status.value, res.inner_iterations, h.hexdigest())
+basic = solve_basic(op, canonical_frame(50, 5), beta_suggest(op, 5),
+                    SolverParams(eps0=1e-5, k_max=3000))
+for res in (solve(op, 5), basic):
+    h = hashlib.sha256()
+    for row in res.trace.inner:
+        h.update(repr((row.k, row.stage, row.f, row.gnorm, row.gamma, row.t,
+                       row.beta, row.window_max, row.capped)).encode())
+    h.update(res.eigenvalues.tobytes())
+    h.update(res.eigenbasis.tobytes())
+    print(res.status.value, res.inner_iterations, h.hexdigest())
 """
 
 
@@ -562,8 +592,10 @@ def _run_one_blas_thread(script):
 
 
 def test_solve_reproducible_across_processes():
+    # one line for `solve`, then one for `solve_basic`
     outputs = [_run_one_blas_thread(_HASH_ONE_SOLVE) for _ in range(2)]
     assert outputs[0].startswith("converged ")
+    assert len(outputs[0].splitlines()) == 2
     assert outputs[0] == outputs[1]
 
 

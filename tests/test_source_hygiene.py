@@ -122,3 +122,31 @@ def test_every_solver_param_is_read():
             and isinstance(node.value, ast.Name) and node.value.id == "params"}
     assert declared
     assert not declared - read, f"never read by the solver: {sorted(declared - read)}"
+
+
+# the names of `solve`'s direction, step, pair memory and precision
+SOLVE_ONLY = {"exact_step", "lbfgs_direction", "MEMORY", "SINGLE_EPS", "SINGLE_SCALE",
+              "single_precision"}
+
+
+def names_read_from(functions, entry):
+    """Names read by `entry` and by every function of `functions` it calls."""
+    seen, todo, read = set(), [entry], set()
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            names = read_names(functions[name])
+            read |= names
+            todo += sorted(names & functions.keys())
+    return read
+
+
+def test_solve_basic_shares_no_code_with_solve_steps():
+    # `solve_basic` is the paper's method and the subject of acceptance
+    # criterion 06, so a change to `solve`'s inner step must not reach it
+    tree = ast.parse((SRC / "solver.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert SOLVE_ONLY <= names_read_from(functions, "solve")
+    leaked = sorted(SOLVE_ONLY & names_read_from(functions, "solve_basic"))
+    assert not leaked, f"solve_basic reaches {leaked}"
