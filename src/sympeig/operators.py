@@ -140,12 +140,14 @@ class SpdOperator:
             :func:`single_precision`) and in float64 otherwise.
         """
         x = as_float(x)
+        if x.ndim not in (1, 2):
+            raise ValueError(f"operand shape {x.shape} not supported")
         if x.shape[0] != 2 * self.n:
             raise ValueError(
                 f"operand has {x.shape[0]} rows, operator needs {2 * self.n}"
             )
         cols = 1 if x.ndim == 1 else x.shape[1]
-        if x.ndim > 2 or cols > 2 * self.n:
+        if cols > 2 * self.n:
             raise ValueError(f"operand shape {x.shape} not supported")
         add_flops(self._flops_per_col * cols)
         b, c = (self._b, self._c) if x.dtype == float else self._single()
@@ -286,16 +288,20 @@ def canonical_frame(n, p):
 
 def _read_mm(path):
     try:
-        return mmread(path)
+        m = mmread(path)
     except OSError:
         raise
     except Exception as exc:
         raise OSError(f"{path}: not a readable Matrix Market file ({exc})") from exc
+    if m.dtype.kind == "c":
+        raise OSError(f"{path}: complex Matrix Market field, a real matrix is needed")
+    return m
 
 
 def load_dense(path):
     """Read a Matrix Market file, array or coordinate format, as a dense
-    float array; an unreadable file raises OSError."""
+    float array; an unreadable file, or one with a complex field, raises
+    OSError."""
     m = _read_mm(path)
     return np.asarray(m.toarray() if sparse.issparse(m) else m, dtype=float)
 
@@ -307,7 +313,8 @@ def load_matrix(path):
     the file's array/coordinate format; the ``symmetric`` qualifier is
     honored (mirrored on read).  A sparse-plus-low-rank instance is a
     two-file pair ``<base>.B.mtx`` (sparse part) and ``<base>.C.mtx``
-    (dense factor); pass the ``.B.mtx`` path.
+    (dense factor); pass the ``.B.mtx`` path.  A missing or unreadable
+    file, or one with a complex field, raises OSError.
     """
     path = os.fspath(path)
     if path.endswith(_LOW_RANK_SUFFIX_C):

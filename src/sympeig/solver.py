@@ -3,15 +3,15 @@
 `solve_basic` is the paper's fixed-penalty BB gradient iteration with
 the nonmonotone line search.  `solve` takes the exact minimizing step
 along memoryless BFGS directions (L-BFGS with one curvature pair) with a
-BB scale, under the same search, refines each stage's iterate by
-symplectic Rayleigh-Ritz, adapts the penalty weight from the Ritz
-values, restarts from the scaled eigenbasis, and tightens the inner
-tolerance geometrically.  `solve` applies the operator in float32 at
-every inner step and runs its iterates in float32 only in the loose
-stages.  Both run the search on the penalty's exact quartic along the
-step's direction, so an inner step costs one operator apply whatever its
-backtracks, and neither allocates a block of the iterate's shape per
-step.
+BB scale, accepted by the same search run as a monotone test, refines
+each stage's iterate by symplectic Rayleigh-Ritz, adapts the penalty
+weight from the Ritz values, restarts from the scaled eigenbasis, and
+tightens the inner tolerance geometrically.  `solve` applies the
+operator in float32 at every inner step and runs its iterates in float32
+only in the loose stages.  Both run the search on the penalty's exact
+quartic along the step's direction, so an inner step costs one operator
+apply whatever its backtracks, and neither allocates a block of the
+iterate's shape per step.
 """
 
 import math
@@ -29,7 +29,7 @@ from .metrics import feasibility, residue
 from .operators import canonical_frame, single_precision
 from .penalty import evaluate, ray
 from .stepper import (
-    MEMORY, WINDOW, bb_step, exact_step, gll_search, lbfgs_direction,
+    WINDOW, bb_step, exact_step, gll_search, lbfgs_direction,
 )
 
 # reference penalty weight as a multiple of the target eigenvalue
@@ -73,10 +73,10 @@ class SolverParams:
     tol / (2 DELTA_EPS^2) is followed by eps' = (tol / 2r) eps, aimed
     at half of `tol` (eps still falls strictly).  The basic solver reads
     `eps0` as an absolute target.  `tol` is the relative eigen-residual
-    that both solvers must reach to report convergence.  The step,
-    L-BFGS memory and line-search constants are those of
-    `sympeig.stepper`; the outer-loop and precision ones (`DELTA_EPS`,
-    `ETA`, `SINGLE_EPS`, `SINGLE_SCALE`) are module constants here.  No
+    that both solvers must reach to report convergence.  The step and
+    line-search constants are those of `sympeig.stepper`; the outer-loop
+    and precision ones (`DELTA_EPS`, `ETA`, `SINGLE_EPS`,
+    `SINGLE_SCALE`) are module constants here.  No
     setting switches the search direction or the precision: `solve`
     always takes L-BFGS steps and `solve_basic` BB steps.  No
     setting seeds anything either: the one random draw, the perturbation
@@ -129,7 +129,7 @@ class InnerStep:
     gamma: float  # BB length (basic) or L-BFGS H0 scale (enhanced)
     t: int
     beta: float
-    window_max: float
+    window_max: float  # GLL window maximum (basic) or f (enhanced)
     capped: bool
 
 
@@ -195,19 +195,22 @@ def beta_best(d_p):
 
 
 def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
-    """One stage of `solve`: GLL descent until ||G||_F < eps ||A X||_F or
+    """One stage of `solve`: descent until ||G||_F < eps ||A X||_F or
     k_max steps; returns (x, reached, iters): the last iterate in float64,
     whether the gradient test stopped the descent, and the number of
     steps taken.
 
-    Steps follow the L-BFGS direction from the last MEMORY accepted
-    curvature pairs, H0 scaled by the BB2 length, tried from the exact
-    minimizer along it.  The descent runs on a copy of `x`.  The
-    objective is evaluated once, from `ax` = A X when given; each step
-    takes one apply, A D, for the ray's quartic, and the accepted point's
-    A X, violation and value are carried along the ray.  Apart from A D,
-    a step makes no block of X's shape: the gradient, the direction and
-    the MEMORY + 1 slot pairs for S and Z are reused.
+    Steps follow the memoryless BFGS direction from the last step's
+    curvature pair, H0 scaled by the BB2 length, and take the exact
+    minimizer along it.  There <G_new, D> = 0, so <S, Z> = s <G, D> > 0
+    and the step passes the search's test with the window (f,), which
+    makes the test monotone; a pair with <S, Z> <= 0, which only
+    rounding could give, is dropped.  The descent runs on a copy of `x`.
+    The objective is evaluated once, from `ax` = A X when given; each
+    step takes one apply, A D, for the ray's quartic, and the accepted
+    point's A X, violation and value are carried along the ray.  Apart
+    from A D, a step makes no block of X's shape: the gradient, the
+    direction and the pair's S and Z are reused.
 
     With `single` every step's apply runs in float32.  A stage with eps
     >= SINGLE_EPS then runs wholly in float32; a tighter one keeps X,
@@ -219,16 +222,13 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     loose = single and eps >= SINGLE_EPS
     ev = evaluate(op, x.astype(np.float32 if loose else float), beta, ax=ax)
     g = ev.ensure_gradient()
-    g_new, d_buf, work = (np.empty_like(g) for _ in range(3))
-    spare = (np.empty_like(g), np.empty_like(g))
+    g_new, d_buf, work, s, z = (np.empty_like(g) for _ in range(5))
     mixed = single and not loose
     if mixed:
         # the float32 D that is applied, and A D widened to float64
         d_single, ad_wide = np.empty(g.shape, np.float32), np.empty_like(g)
     gnorm = float(np.linalg.norm(g))
-    window = deque([ev.value], maxlen=WINDOW + 1)
-    pairs = ()
-    s_prev = z_prev = sz = None
+    pair = sz = None
     k_base = len(trace.inner)
     reached = False
     iters = 0
@@ -236,8 +236,8 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
         if gnorm < eps * float(np.linalg.norm(ev.ax)):
             reached = True
             break
-        gamma = bb_step(s_prev, z_prev, k, alternate=False, sz=sz, unit=unit)
-        d = lbfgs_direction(g, pairs, gamma, out=d_buf, work=work)
+        gamma = bb_step(s, z, k, alternate=False, sz=sz, unit=unit)
+        d = lbfgs_direction(g, pair, gamma, out=d_buf, work=work)
         if mixed:
             np.copyto(d_single, d)
             np.copyto(d, d_single)
@@ -246,29 +246,21 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
         else:
             ad = op.apply(d)
         model = ray(ev.x, ev.violation, d, ad, beta, float(np.vdot(g, d)))
-        ls = gll_search(ev.value, model.coeffs, exact_step(model.coeffs), window)
-        # X^(k-1) - X^(k) and G^(k-1) - G^(k), written into the spare
-        # slots: negating both differences leaves <S,Z>, the BB length
-        # and the two-loop unchanged
-        s_prev, z_prev = spare
-        np.multiply(d, ls.step, out=s_prev)
-        ev.move(s_prev, model, ls.step, ls.f)
+        ls = gll_search(ev.value, model.coeffs, exact_step(model.coeffs), (ev.value,))
+        # X^(k-1) - X^(k) and G^(k-1) - G^(k), written over the pair the
+        # direction has read: negating both differences leaves <S,Z>, the
+        # BB length and the two-loop unchanged
+        np.multiply(d, ls.step, out=s)
+        ev.move(s, model, ls.step, ls.f)
         ev.ensure_gradient(out=g_new)
-        np.subtract(g, g_new, out=z_prev)
-        sz = float(np.vdot(s_prev, z_prev))
-        if sz > 0.0:
-            # the newest MEMORY pairs stay; the one dropped frees its slots
-            pairs += ((s_prev, z_prev, 1.0 / sz),)
-            if len(pairs) > MEMORY:
-                spare, pairs = pairs[0][:2], pairs[1:]
-            else:
-                spare = (np.empty_like(g), np.empty_like(g))
+        np.subtract(g, g_new, out=z)
+        sz = float(np.vdot(s, z))
+        pair = (s, z, 1.0 / sz) if sz > 0.0 else None
         g, g_new = g_new, g
         gnorm = float(np.linalg.norm(g))
-        window.append(ev.value)
         trace.inner.append(
             InnerStep(k_base + iters, stage, ev.value, gnorm, gamma, ls.t,
-                      beta, max(window), ls.capped)
+                      beta, ev.value, ls.capped)
         )
         iters += 1
     return ev.x.astype(float, copy=False), reached, iters
@@ -367,9 +359,10 @@ def solve_basic(op, x0, beta, params=None):
 def solve(op, p, params=None):
     """Compute the p smallest symplectic eigenvalues and eigenbasis of A.
 
-    Enhanced variant: L-BFGS directions from the last accepted curvature
-    pair inside a stage, with H0 the clamped BB2 length, each taken with
-    the step that minimizes the penalty's quartic along it; symplectic
+    Enhanced variant: memoryless BFGS directions from the last step's
+    curvature pair inside a stage, with H0 the clamped BB2 length, each
+    taken with the step that minimizes the penalty's quartic along it,
+    which a monotone test accepts; symplectic
     Rayleigh-Ritz extraction at the end of each stage; penalty update
     beta <- ETA * theta_p (floored at (3+sqrt(5))/2 * theta_p whenever
     the update would fall below a tenth of the previous beta); restart

@@ -1,11 +1,9 @@
 """The inner step of both solver variants: the clamped BB step length,
-the L-BFGS direction that the enhanced variant scales by it, the exact
-minimizing step along a ray of the quartic penalty, and the nonmonotone
-(GLL) backtracking line search that accepts the step.  The search runs
-on the ray's quartic (`sympeig.penalty.ray`), so a backtrack costs no
-apply.  The enhanced variant keeps one curvature pair (`MEMORY`), which
-makes its direction the memoryless BFGS one (Shanno, Math. Oper. Res. 3,
-1978)."""
+the memoryless BFGS direction (Shanno, Math. Oper. Res. 3, 1978) that
+the enhanced variant scales by it, the exact minimizing step along a ray
+of the quartic penalty, and the nonmonotone (GLL) backtracking line
+search that accepts the step.  The search runs on the ray's quartic
+(`sympeig.penalty.ray`), so a backtrack costs no apply."""
 
 import math
 from dataclasses import dataclass
@@ -17,7 +15,6 @@ from .errors import NumericalFailure
 GAMMA0 = 1e-4  # first BB step length
 GAMMA_LO = 1e-8  # step clamp, lower
 GAMMA_HI = 1e5  # step clamp, upper
-MEMORY = 1  # L-BFGS curvature pairs kept by the enhanced variant
 DELTA = 0.5  # line-search backtracking factor
 LAM = 1e-8  # line-search sufficient-decrease weight
 WINDOW = 50  # nonmonotone memory L
@@ -56,26 +53,25 @@ def bb_step(s, z, k, alternate=True, sz=None, unit=1.0):
     return min(max(gamma, GAMMA_LO), GAMMA_HI) * unit
 
 
-def lbfgs_direction(g, pairs, gamma, out=None, work=None):
-    """L-BFGS two-loop product d = H g (Nocedal & Wright, Alg. 7.4).
+def lbfgs_direction(g, pair, gamma, out=None, work=None):
+    """L-BFGS two-loop product d = H g with one curvature pair (Nocedal &
+    Wright, Alg. 7.4), the memoryless BFGS direction.
 
-    `pairs` holds the newest curvature pairs (s, y, 1/<s, y>) oldest
-    first, each with <s, y> > 0, and H0 = gamma I; with no pairs d is
-    gamma g.  H is then positive definite, so <g, d> > 0.  `out` receives
-    d and `work` the scaled pair vectors when given, both blocks of g's
-    shape and dtype that overlap neither g nor the pairs; `g` is only read.
+    `pair` is (s, y, 1/<s, y>) with <s, y> > 0, or None, and H0 = gamma
+    I; with no pair d is gamma g.  H is then positive definite, so <g, d>
+    > 0.  `out` receives d and `work` the scaled pair vectors when given,
+    both blocks of g's shape and dtype that overlap neither g nor the
+    pair; `g` is only read.
     """
     q = np.empty_like(g) if out is None else out
+    if pair is None:
+        return np.multiply(g, gamma, out=q)
     work = np.empty_like(g) if work is None else work
-    src = g
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alphas.append(rho * float(np.vdot(s, src)))
-        np.subtract(src, np.multiply(y, alphas[-1], out=work), out=q)
-        src = q
-    np.multiply(src, gamma, out=q)
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += np.multiply(s, alpha - rho * float(np.vdot(y, q)), out=work)
+    s, y, rho = pair
+    alpha = rho * float(np.vdot(s, g))
+    np.subtract(g, np.multiply(y, alpha, out=work), out=q)
+    q *= gamma
+    q += np.multiply(s, alpha - rho * float(np.vdot(y, q)), out=work)
     return q
 
 
@@ -157,7 +153,8 @@ def gll_search(f, coeffs, gamma, f_window):
         Trial step, > 0: the BB length along g, the exact minimizer
         along the L-BFGS direction.
     f_window : iterable of float
-        Objective values over the nonmonotone window.
+        Objective values over the nonmonotone window; ``(f,)`` makes
+        the test monotone.
 
     Returns
     -------

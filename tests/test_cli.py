@@ -35,6 +35,21 @@ class TestTopLevel:
     def test_missing_file_is_io_error(self, capsys):
         assert main(["solve", "--matrix", "/no/such.mtx", "--p", "2"]) == 3
 
+    @pytest.mark.parametrize("command", [["check"], ["solve", "--p", "2"]],
+                             ids=["check", "solve"])
+    @pytest.mark.parametrize("storage", ["array", "coordinate"])
+    def test_complex_matrix_is_io_error(self, tmp_path, monkeypatch, capsys,
+                                        command, storage):
+        # a Hermitian matrix whose real part is SPD: read as real, it
+        # would pass every check and solve
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(0)
+        m = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+        h = m @ m.conj().T + 20.0 * np.eye(20)
+        mmwrite("hermitian.mtx", h if storage == "array" else sparse.coo_array(h))
+        assert main([*command, "--matrix", "hermitian.mtx"]) == 3
+        assert "complex" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", [
         ["gen", "--family", "dense", "--n", "6"],
         ["solve", "--family", "prescribed", "--n", "6", "--p", "2"],
@@ -358,6 +373,13 @@ class TestCheck:
         basis = tmp_path / "basis.mtx"
         basis.write_text("not a matrix market file\n")
         assert main(["check", "--matrix", path, "--basis", str(basis)]) == 3
+
+    def test_complex_basis_is_io_error(self, tmp_path, capsys):
+        path = ladder_path(tmp_path, 5)
+        basis = str(tmp_path / "basis.mtx")
+        mmwrite(basis, canonical_frame(5, 2) * (1.0 + 0.0j))
+        assert main(["check", "--matrix", path, "--basis", basis]) == 3
+        assert "complex" in capsys.readouterr().err
 
     def test_coordinate_basis_read_as_dense(self, tmp_path, capsys):
         path = ladder_path(tmp_path, 5)

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.io import mmwrite
 
 from conftest import KINDS, dense_j, make_operator, random_spd
 from sympeig import SpdOperator, gen_sparse, load_matrix, poisson, store_matrix, symplectic_gram
@@ -48,6 +49,9 @@ class TestApply:
             op.apply(np.zeros((6, 2)))
         with pytest.raises(ValueError):
             op.apply(np.zeros((4, 10)))
+        for operand in (3.0, np.zeros((4, 2, 2))):
+            with pytest.raises(ValueError, match="operand shape"):
+                op.apply(operand)
 
     def test_spd_quadratic_form_positive(self):
         rng = np.random.default_rng(3)
@@ -326,6 +330,16 @@ class TestStorage:
         store_matrix(SpdOperator.from_csr(b), str(tmp_path / "lone.B.mtx"))
         with pytest.raises(OSError, match="missing dense factor"):
             load_matrix(str(tmp_path / "lone.B.mtx"))
+
+    @pytest.mark.parametrize("part", ["B", "C"])
+    def test_low_rank_complex_part_rejected(self, tmp_path, part):
+        b = sparse.identity(8, format="csr")
+        c = np.ones((8, 2))
+        paths = store_matrix(SpdOperator.from_low_rank(b, c), str(tmp_path / "pair.mtx"))
+        rewritten = b * (1.0 + 0.0j) if part == "B" else c * (1.0 + 0.0j)
+        mmwrite(paths["BC".index(part)], rewritten)
+        with pytest.raises(OSError, match="complex"):
+            load_matrix(paths[0])
 
     def test_missing_file(self):
         with pytest.raises(OSError):

@@ -308,6 +308,20 @@ class TestSolveEnhanced:
         for values in by_stage.values():
             assert all(b <= a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("family", ["prescribed", "dense", "slr"])
+    def test_exact_step_accepted_monotonically(self, family):
+        # at the exact step <G_new, D> = 0, so <S, Z> = s <G, D> > 0 and the
+        # step passes the monotone test without a backtrack
+        op, _ = GeneratorSpec(family, 12, seed=8).make()
+        res = solve(op, 3)
+        assert res.status == SolveStatus.CONVERGED
+        by_stage = {}
+        for row in res.trace.inner:
+            assert row.window_max == row.f and row.t == 0 and not row.capped
+            by_stage.setdefault(row.stage, []).append(row.f)
+        for values in by_stage.values():
+            assert all(b <= a for a, b in zip(values, values[1:]))
+
     def test_restart_rank_margins_recorded(self):
         op, _ = gen_prescribed(12, seed=9)
         res = solve(op, 3)

@@ -124,8 +124,8 @@ def test_every_solver_param_is_read():
     assert not declared - read, f"never read by the solver: {sorted(declared - read)}"
 
 
-# the names of `solve`'s direction, step, pair memory and precision
-SOLVE_ONLY = {"exact_step", "lbfgs_direction", "MEMORY", "SINGLE_EPS", "SINGLE_SCALE",
+# the names of `solve`'s direction, step and precision
+SOLVE_ONLY = {"exact_step", "lbfgs_direction", "SINGLE_EPS", "SINGLE_SCALE",
               "single_precision"}
 
 
