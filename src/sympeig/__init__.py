@@ -12,7 +12,7 @@ kernels (penalty evaluation, line search, factorizations, ...) are
 imported from their modules.
 """
 
-from .errors import NumericalFailure, RankDeficientError
+from .errors import NumericalFailure
 from .flops import count_flops
 from .metrics import MetricsReport, feasibility, golub_werman, report, residue
 from .operators import SpdOperator, load_matrix, poisson, store_matrix, symplectic_gram
@@ -43,7 +43,6 @@ __all__ = [
     "GeneratorSpec",
     "MetricsReport",
     "NumericalFailure",
-    "RankDeficientError",
     "ReferenceSpectrum",
     "SolveStatus",
     "SolveTrace",

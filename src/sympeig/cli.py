@@ -20,7 +20,7 @@ from scipy.io import mmwrite
 from . import __version__
 from .errors import NumericalFailure
 from .metrics import feasibility, golub_werman
-from .operators import DENSE_MAX_DIM, canonical_frame, load_dense, load_matrix, store_matrix
+from .operators import DENSE_MAX_DIM, load_dense, load_matrix, store_matrix
 from .oracle import reference
 from .solver import SolverParams, SolveStatus, beta_best, beta_suggest, solve, solve_basic
 from .testgen import FAMILIES, GeneratorSpec
@@ -205,10 +205,7 @@ def _run_variant(op, p, params, variant, beta_value):
     else at `beta_suggest`; an explicit `beta_value` is kept as beta0."""
     if beta_value is not None:
         params.beta0 = beta_value
-    if variant == "enhanced":
-        return solve(op, p, params)
-    beta = params.beta0 if params.beta0 is not None else beta_suggest(op, p)
-    return solve_basic(op, canonical_frame(op.n, p), beta, params)
+    return (solve if variant == "enhanced" else solve_basic)(op, p, params)
 
 
 def cmd_gen(args):

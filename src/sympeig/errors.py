@@ -5,23 +5,8 @@ class NumericalFailure(RuntimeError):
     """A numerical routine produced an unusable result.
 
     Raised when a factorization breaks down, an objective value turns
-    non-finite, or an input violates a positivity contract in a way that
-    only shows up at run time.
+    non-finite, a basis is numerically rank-deficient for the symplectic
+    SVD (the message gives the count of lost directions), or an input
+    violates a positivity contract in a way that only shows up at run
+    time.
     """
-
-
-class RankDeficientError(NumericalFailure):
-    """A basis lost (numerical) full column rank.
-
-    Parameters
-    ----------
-    message : str
-        Human-readable description.
-    deficient : int
-        Number of symplectic directions found to be numerically
-        rank-deficient.
-    """
-
-    def __init__(self, message, deficient=0):
-        super().__init__(message)
-        self.deficient = deficient

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalFailure, RankDeficientError
+from .errors import NumericalFailure
 from .operators import j_left, symplectic_gram
 
 
@@ -81,10 +81,10 @@ def ssvd(x):
 
     Raises
     ------
-    RankDeficientError
-        If any symplectic singular value falls at or below
-        tol = 1e-10 * ||X||_2; the exception carries the deficient pair
-        count.
+    NumericalFailure
+        If the basis is rank-deficient: any symplectic singular value
+        falls at or below tol = 1e-10 * ||X||_2.  The message gives the
+        count of deficient pairs.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] % 2:
@@ -95,10 +95,9 @@ def ssvd(x):
     q, d, deficient = _skew_schur_pairs(gram, dtol=tol * tol)
     if deficient or d.size != p:
         deficient = max(deficient, p - d.size)
-        raise RankDeficientError(
+        raise NumericalFailure(
             f"basis numerically rank-deficient in {deficient} symplectic "
-            f"direction(s) at tolerance {tol:g}",
-            deficient=deficient,
+            f"direction(s) at tolerance {tol:g}"
         )
     sigma = np.sqrt(np.concatenate([d, d]))
     s = (x @ q) / sigma

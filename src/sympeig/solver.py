@@ -7,11 +7,12 @@ BB scale, accepted by the same search run as a monotone test, refines
 each stage's iterate by symplectic Rayleigh-Ritz, adapts the penalty
 weight from the Ritz values, restarts from the scaled eigenbasis, and
 tightens the inner tolerance geometrically.  `solve` applies the
-operator in float32 at every inner step and runs its iterates in float32
-only in the loose stages.  Both run the search on the penalty's exact
-quartic along the step's direction, so an inner step costs one operator
-apply whatever its backtracks, and neither allocates a block of the
-iterate's shape per step.
+operator in float32 at every inner step, save in a first stage that
+starts tight, and runs its iterates in float32 only in the loose stages.  Both start from
+the canonical frame and run the search on the penalty's exact quartic
+along the step's direction, so an inner step costs one operator apply
+whatever its backtracks, and neither allocates a block of the iterate's
+shape per step.
 """
 
 import math
@@ -23,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NumericalFailure, RankDeficientError
+from .errors import NumericalFailure
 from .factor import restart_point, srr
 from .metrics import feasibility, residue
 from .operators import canonical_frame, single_precision
@@ -41,15 +42,14 @@ _EPS_FLOOR = 1e-14
 DELTA_EPS = 0.1  # inner tolerance shrink per outer stage
 ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
 
-# seed of the perturbation drawn by the rank-deficiency retry
-_RETRY_SEED = 0
-
 # A stage of `solve` with inner tolerance eps >= SINGLE_EPS runs its
 # iterates in float32.  Over k steps its carried A X drifts by about
 # k eps_32 relative, near 1e-5 for the ~100-step stages of the n =
 # 200-800 families, under 3% of eps.  A tighter stage keeps its iterates
 # in float64 and only applies A in float32; its carried A X drifted by at
-# most 1.4e-4 eps (dense n = 200 and slr n = 400).  Both need the mean
+# most 1.4e-4 eps (dense n = 200 and slr n = 400).  A tight first stage
+# applies A in float64: its path from the canonical frame is long, and
+# the float32 drift stalled it short of eps.  Both need the mean
 # eigenvalue m = tr(A)/2n in SINGLE_SCALE, which keeps float32 copies of
 # B and C, and the squares of blocks of size m, far inside float32's range.
 SINGLE_EPS = math.sqrt(np.finfo(np.float32).eps)
@@ -78,10 +78,8 @@ class SolverParams:
     and precision ones (`DELTA_EPS`, `ETA`, `SINGLE_EPS`,
     `SINGLE_SCALE`) are module constants here.  No
     setting switches the search direction or the precision: `solve`
-    always takes L-BFGS steps and `solve_basic` BB steps.  No
-    setting seeds anything either: the one random draw, the perturbation
-    of `solve`'s retry after a rank-deficient Rayleigh-Ritz step, comes
-    from a generator seeded with the constant `_RETRY_SEED`.
+    always takes L-BFGS steps and `solve_basic` BB steps.  No setting
+    seeds anything either: neither solver draws a random number.
     """
 
     beta0: float = None
@@ -194,6 +192,13 @@ def beta_best(d_p):
     return BETA_BEST_FACTOR * float(d_p)
 
 
+def _initial_beta(op, p, params):
+    """`params.beta0`, else :func:`beta_suggest`, once p is checked."""
+    if not 1 <= p < op.n:
+        raise ValueError(f"need 1 <= p < n, got p={p}, n={op.n}")
+    return params.beta0 if params.beta0 is not None else beta_suggest(op, p)
+
+
 def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     """One stage of `solve`: descent until ||G||_F < eps ||A X||_F or
     k_max steps; returns (x, reached, iters): the last iterate in float64,
@@ -212,18 +217,20 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     from A D, a step makes no block of X's shape: the gradient, the
     direction and the pair's S and Z are reused.
 
-    With `single` every step's apply runs in float32.  A stage with eps
-    >= SINGLE_EPS then runs wholly in float32; a tighter one keeps X,
-    A X, V and the gradient in float64, rounds D to float32 in place
-    before the slope <G, D> is taken, so the step moves along exactly
-    the D that was applied, and widens A D into a reused float64 block.
+    With `single` a stage with eps >= SINGLE_EPS runs wholly in float32.
+    A tighter one keeps X, A X, V and the gradient in float64.  When it
+    restarts from a Rayleigh-Ritz point (`ax` given) it still applies A
+    in float32: it rounds D to float32 in place before the slope <G, D>
+    is taken, so the step moves along exactly the D that was applied,
+    and widens A D into a reused float64 block.  A tight first stage
+    applies A in float64.
     `unit` is the unit of the step lengths (:func:`bb_step`).
     """
     loose = single and eps >= SINGLE_EPS
     ev = evaluate(op, x.astype(np.float32 if loose else float), beta, ax=ax)
     g = ev.ensure_gradient()
     g_new, d_buf, work, s, z = (np.empty_like(g) for _ in range(5))
-    mixed = single and not loose
+    mixed = single and not loose and ax is not None
     if mixed:
         # the float32 D that is applied, and A D widened to float64
         d_single, ad_wide = np.empty(g.shape, np.float32), np.empty_like(g)
@@ -285,15 +292,16 @@ def _result(x, s_fin, d_fin, status, trace, beta, resid, start, message=None):
     )
 
 
-def solve_basic(op, x0, beta, params=None):
+def solve_basic(op, p, params=None):
     """Fixed-penalty descent (basic variant).
 
-    Iterates X <- X - delta^t gamma G with the clamped alternating BB
-    step until ||G||_F < eps0 (absolute) or k_max steps, then extracts
-    Ritz pairs from the final iterate by symplectic Rayleigh-Ritz.  The
-    GLL test runs on the exact quartic along G, so a step costs one
-    apply, A G, and its backtracks none.  The loop is the paper's method
-    and shares no step code with `solve`'s.
+    From the canonical frame, at the penalty weight `params.beta0` (else
+    :func:`beta_suggest`), iterates X <- X - delta^t gamma G with the
+    clamped alternating BB step until ||G||_F < eps0 (absolute) or k_max
+    steps, then extracts Ritz pairs from the final iterate by symplectic
+    Rayleigh-Ritz.  The GLL test runs on the exact quartic along G, so a
+    step costs one apply, A G, and its backtracks none.  The loop is the
+    paper's method and shares no step code with `solve`'s.
 
     Returns
     -------
@@ -309,13 +317,12 @@ def solve_basic(op, x0, beta, params=None):
     Raises
     ------
     ValueError
-        If `params`, `beta` or the shape of `x0` is invalid.
+        If `params` is invalid or p is outside [1, n).
     """
     params = (params or SolverParams()).validate()
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValueError(f"penalty weight must be positive and finite, got {beta}")
+    beta = _initial_beta(op, p, params)
     # evaluate holds x, so the steps move it in place
-    x = np.array(x0, dtype=float)
+    x = canonical_frame(op.n, p)
     trace = SolveTrace()
     start = time.perf_counter()
     try:
@@ -374,10 +381,11 @@ def solve(op, p, params=None):
     rather than a full factor DELTA_EPS below it.
 
     When tr(A)/2n lies in `SINGLE_SCALE`, every inner step applies A in
-    float32, and the iterates run in float32 only in the stages with eps
-    >= `SINGLE_EPS` = sqrt(eps_float32) (3.45e-4); everything else runs
-    in float64.  The float32 copies `SpdOperator.apply` makes live until
-    `solve` returns.  Step lengths and the Rayleigh-Ritz step are in units
+    float32, save in a first stage that already has eps < `SINGLE_EPS`
+    = sqrt(eps_float32) (3.45e-4).  The iterates run in float32 only in
+    the stages with eps >= `SINGLE_EPS`; everything else runs in float64.
+    The float32 copies `SpdOperator.apply` makes live until `solve`
+    returns.  Step lengths and the Rayleigh-Ritz step are in units
     of 2^-e, e the binary exponent of tr(A)/2n, so solve(2^k A) repeats
     solve(A) bit for bit,
     eigenvalues times 2^k, while both lie on one side of `SINGLE_SCALE`.
@@ -392,15 +400,12 @@ def solve(op, p, params=None):
     SympEigResult
         Float64 arrays throughout.  Status CONVERGED, MAX_ITERATIONS
         (outer budget exhausted), or NUMERICAL_FAILURE (non-finite
-        objective, or rank-deficient iterate that a retry from a random
-        perturbation could not repair), whose text is kept in `message`.
+        objective, or a stage's iterate too rank-deficient for the
+        Rayleigh-Ritz step), whose text is kept in `message`.
     """
     params = (params or SolverParams()).validate()
     n = op.n
-    if not 1 <= p < n:
-        raise ValueError(f"need 1 <= p < n, got p={p}, n={n}")
-    rng = np.random.default_rng(_RETRY_SEED)
-    beta = params.beta0 if params.beta0 is not None else beta_suggest(op, p)
+    beta = _initial_beta(op, p, params)
     mean = op.trace() / (2 * n)
     single = SINGLE_SCALE[0] <= mean <= SINGLE_SCALE[1]
     # step lengths and Ritz values in units of 2^-e for the binary exponent
@@ -425,13 +430,7 @@ def solve(op, p, params=None):
                 x, reached, iters = _run_inner(
                     op, x, ax, beta, eps, params, trace, stage, single, unit,
                 )
-                try:
-                    s_fin, d_fin, as_fin = srr(op, x, unit)
-                except RankDeficientError:
-                    # one retry from a random perturbation
-                    scale = 1e-8 * max(float(np.linalg.norm(x)), 1e-30)
-                    x = x + scale / np.sqrt(x.size) * rng.standard_normal(x.shape)
-                    s_fin, d_fin, as_fin = srr(op, x, unit)
+                s_fin, d_fin, as_fin = srr(op, x, unit)
                 resid = residue(op, s_fin, d_fin, ax=as_fin)
                 elapsed = time.perf_counter() - stage_start
                 converged = resid <= params.tol

@@ -37,7 +37,6 @@ from sympeig import (
     solve_basic,
 )
 from sympeig.factor import ssvd, williamson_small
-from sympeig.operators import canonical_frame
 from sympeig.penalty import evaluate
 
 GRID_FAMILIES = ("dense", "sparse", "slr", "prescribed")
@@ -218,8 +217,6 @@ def test_criterion_05_factorization_invariants(emit):
 
 def test_criterion_06_beta_sensitivity_u_shape(emit):
     n, p = 200, 10
-    params = SolverParams(eps0=1e-7, k_max=20000)
-    x0 = canonical_frame(n, p)
     counts = {"lo": [], "sug": [], "hi": []}
     for seed in range(5):
         op = gen_dense(n, seed=seed)
@@ -227,7 +224,8 @@ def test_criterion_06_beta_sensitivity_u_shape(emit):
         b_sug = beta_suggest(op, p)
         for key, beta in (("lo", 1.001 * d_p), ("sug", b_sug),
                           ("hi", 100.0 * b_sug)):
-            trace = solve_basic(op, x0, beta, params).trace
+            params = SolverParams(beta0=beta, eps0=1e-7, k_max=20000)
+            trace = solve_basic(op, p, params).trace
             counts[key].append(len(trace.inner))
     med = {k: float(np.median(v)) for k, v in counts.items()}
     ratio_lo = med["lo"] / med["sug"]
@@ -318,13 +316,12 @@ def test_criterion_10_cost_accounting(emit):
         worst_excess = max(worst_excess, abs(counter.count - model) / model)
 
     nb, pb = 800, 10
-    x0 = canonical_frame(nb, pb)
     t_basic, t_enh = [], []
     for seed in range(5):
         op = gen_sparse(nb, seed=seed)
         b_sug = beta_suggest(op, pb)
         t0 = time.perf_counter()
-        solve_basic(op, x0, b_sug, SolverParams(eps0=1e-7, k_max=50000))
+        solve_basic(op, pb, SolverParams(beta0=b_sug, eps0=1e-7, k_max=50000))
         t_basic.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         res = solve(op, pb)

@@ -4,7 +4,6 @@ import pytest
 from conftest import construct_stationary_point, dense_j, random_orthosymplectic, random_spd
 from sympeig import (
     NumericalFailure,
-    RankDeficientError,
     SpdOperator,
     gen_prescribed,
     poisson,
@@ -60,12 +59,11 @@ class TestSsvd:
         x = canonical_frame(5, 2)
         x[:, 1] = x[:, 0]  # duplicate a column: one symplectic direction lost
         x[:, 3] = x[:, 2]
-        with pytest.raises(RankDeficientError) as info:
+        with pytest.raises(NumericalFailure, match="rank-deficient"):
             ssvd(x)
-        assert info.value.deficient >= 1
 
     def test_zero_basis_rejected(self):
-        with pytest.raises(RankDeficientError):
+        with pytest.raises(NumericalFailure, match="rank-deficient"):
             ssvd(np.zeros((8, 4)))
 
     def test_odd_columns_rejected(self):

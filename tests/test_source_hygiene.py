@@ -63,6 +63,19 @@ def test_only_operators_runs_arpack(path):
     assert path.name == "operators.py" or "scipy.sparse.linalg" not in modules
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_instances_and_arpack_draw(path):
+    # no solver draws a random number: the instance generators and the
+    # ARPACK start vector of `SpdOperator.extreme_eigvals` are the draws
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name))}
+    used |= {f"{node.module}.{alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    draws = {name for name in used
+             if "random" in name.split(".") or name.endswith("default_rng")}
+    assert path.name in ("testgen.py", "operators.py") or not draws, sorted(draws)
+
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_scipy_blas(path):
