@@ -7,12 +7,11 @@ BB scale, accepted by the same search run as a monotone test, refines
 each stage's iterate by symplectic Rayleigh-Ritz, adapts the penalty
 weight from the Ritz values, restarts from the scaled eigenbasis, and
 tightens the inner tolerance geometrically.  `solve` applies the
-operator in float32 at every inner step, save in a first stage that
-starts tight, and runs its iterates in float32 only in the loose stages.  Both start from
-the canonical frame and run the search on the penalty's exact quartic
-along the step's direction, so an inner step costs one operator apply
-whatever its backtracks, and neither allocates a block of the iterate's
-shape per step.
+operator in float32 at every inner step and runs its iterates in float32
+only in the loose stages.  Both start from the canonical frame and run
+the search on the penalty's exact quartic along the step's direction, so
+an inner step costs one operator apply whatever its backtracks, and
+neither allocates a block of the iterate's shape per step.
 """
 
 import math
@@ -39,6 +38,7 @@ BETA_BEST_FACTOR = (3.0 + math.sqrt(5.0)) / 2.0
 _EPS_FLOOR = 1e-14
 
 # outer-loop constants; the step and line-search ones live in `stepper`
+EPS_FIRST = 0.1  # inner tolerance of the first stage
 DELTA_EPS = 0.1  # inner tolerance shrink per outer stage
 ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
 
@@ -47,9 +47,7 @@ ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
 # k eps_32 relative, near 1e-5 for the ~100-step stages of the n =
 # 200-800 families, under 3% of eps.  A tighter stage keeps its iterates
 # in float64 and only applies A in float32; its carried A X drifted by at
-# most 1.4e-4 eps (dense n = 200 and slr n = 400).  A tight first stage
-# applies A in float64: its path from the canonical frame is long, and
-# the float32 drift stalled it short of eps.  Both need the mean
+# most 1.4e-4 eps (dense n = 200 and slr n = 400).  Both need the mean
 # eigenvalue m = tr(A)/2n in SINGLE_SCALE, which keeps float32 copies of
 # B and C, and the squares of blocks of size m, far inside float32's range.
 SINGLE_EPS = math.sqrt(np.finfo(np.float32).eps)
@@ -67,16 +65,18 @@ class SolverParams:
     """Settings of both solver variants.
 
     `beta0=None` resolves to the trace heuristic :func:`beta_suggest`.
-    `eps0` is the first inner gradient tolerance; the enhanced solver
-    uses it relative to ||A X||_F and shrinks it by `DELTA_EPS`
-    per outer stage, except that a stage ending with residue r <=
-    tol / (2 DELTA_EPS^2) is followed by eps' = (tol / 2r) eps, aimed
-    at half of `tol` (eps still falls strictly).  The basic solver reads
-    `eps0` as an absolute target.  `tol` is the relative eigen-residual
-    that both solvers must reach to report convergence.  The step and
-    line-search constants are those of `sympeig.stepper`; the outer-loop
-    and precision ones (`DELTA_EPS`, `ETA`, `SINGLE_EPS`,
-    `SINGLE_SCALE`) are module constants here.  No
+    `k_max` is the inner step budget, per stage for `solve`.  `eps0` is
+    `solve_basic`'s absolute gradient target and `outer_max` `solve`'s
+    stage budget; each solver ignores the other's.  `tol` is the relative
+    eigen-residual that both solvers must reach to report convergence.
+    `solve`'s inner tolerance, relative to ||A X||_F, is no setting: it
+    starts at `EPS_FIRST` and shrinks by `DELTA_EPS` per outer stage,
+    except that a stage ending with residue r <= tol / (2 DELTA_EPS^2) is
+    followed by eps' = (tol / 2r) eps, aimed at half of `tol` (eps still
+    falls strictly).  The step and line-search constants are those of
+    `sympeig.stepper`; the outer-loop and precision ones (`EPS_FIRST`,
+    `DELTA_EPS`, `ETA`, `SINGLE_EPS`, `SINGLE_SCALE`) are module
+    constants here.  No
     setting switches the search direction or the precision: `solve`
     always takes L-BFGS steps and `solve_basic` BB steps.  No setting
     seeds anything either: neither solver draws a random number.
@@ -84,7 +84,7 @@ class SolverParams:
 
     beta0: float = None
     k_max: int = 5000
-    eps0: float = 0.1
+    eps0: float = 1e-8
     outer_max: int = 20
     tol: float = 1e-8
 
@@ -218,19 +218,17 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     direction and the pair's S and Z are reused.
 
     With `single` a stage with eps >= SINGLE_EPS runs wholly in float32.
-    A tighter one keeps X, A X, V and the gradient in float64.  When it
-    restarts from a Rayleigh-Ritz point (`ax` given) it still applies A
-    in float32: it rounds D to float32 in place before the slope <G, D>
-    is taken, so the step moves along exactly the D that was applied,
-    and widens A D into a reused float64 block.  A tight first stage
-    applies A in float64.
+    A tighter one keeps X, A X, V and the gradient in float64 and still
+    applies A in float32: it rounds D to float32 in place before the
+    slope <G, D> is taken, so the step moves along exactly the D that was
+    applied, and widens A D into a reused float64 block.
     `unit` is the unit of the step lengths (:func:`bb_step`).
     """
     loose = single and eps >= SINGLE_EPS
     ev = evaluate(op, x.astype(np.float32 if loose else float), beta, ax=ax)
     g = ev.ensure_gradient()
     g_new, d_buf, work, s, z = (np.empty_like(g) for _ in range(5))
-    mixed = single and not loose and ax is not None
+    mixed = single and not loose
     if mixed:
         # the float32 D that is applied, and A D widened to float64
         d_single, ad_wide = np.empty(g.shape, np.float32), np.empty_like(g)
@@ -374,16 +372,16 @@ def solve(op, p, params=None):
     beta <- ETA * theta_p (floored at (3+sqrt(5))/2 * theta_p whenever
     the update would fall below a tenth of the previous beta); restart
     from S (I - D/beta)^(1/2); and a geometric inner-tolerance schedule
-    eps <- DELTA_EPS * eps.  Stops once the relative eigen-residual of
-    the refined basis drops to `params.tol`.  A stage's residue r tracks
-    its eps, so when a stage misses with r <= tol / (2 DELTA_EPS^2) the
-    next one runs at eps * tol / (2r) instead, aimed at half of `tol`
-    rather than a full factor DELTA_EPS below it.
+    eps <- DELTA_EPS * eps from eps = EPS_FIRST.  Stops once the relative
+    eigen-residual of the refined basis drops to `params.tol`.  A stage's
+    residue r tracks its eps, so when a stage misses with r <= tol /
+    (2 DELTA_EPS^2) the next one runs at eps * tol / (2r) instead, aimed
+    at half of `tol` rather than a full factor DELTA_EPS below it.
 
     When tr(A)/2n lies in `SINGLE_SCALE`, every inner step applies A in
-    float32, save in a first stage that already has eps < `SINGLE_EPS`
-    = sqrt(eps_float32) (3.45e-4).  The iterates run in float32 only in
-    the stages with eps >= `SINGLE_EPS`; everything else runs in float64.
+    float32.  The iterates run in float32 only in the stages with eps >=
+    `SINGLE_EPS` = sqrt(eps_float32) (3.45e-4); everything else runs in
+    float64.
     The float32 copies `SpdOperator.apply` makes live until `solve`
     returns.  Step lengths and the Rayleigh-Ritz step are in units
     of 2^-e, e the binary exponent of tr(A)/2n, so solve(2^k A) repeats
@@ -415,7 +413,7 @@ def solve(op, p, params=None):
     trace = SolveTrace()
     x = canonical_frame(n, p)
     ax = None
-    eps = params.eps0
+    eps = EPS_FIRST
     status = SolveStatus.MAX_ITERATIONS
     message = None
     s_fin = None

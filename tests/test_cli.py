@@ -190,10 +190,13 @@ class TestSolve:
     ])
     def test_basic_variant_short_of_tol_is_not_converged(self, tmp_path, capsys,
                                                          source):
-        # the default absolute gradient test (eps0 = 0.1) stops these runs
+        # a loose absolute gradient test (eps0 = 0.1) stops these runs
         # with a residue far above tol: not a convergence
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"eps0": 0.1}))
         out = str(tmp_path / "run")
-        code = main(["solve", *source, "--variant", "basic", "--out", out])
+        code = main(["solve", *source, "--variant", "basic", "--config", str(config),
+                     "--out", out])
         assert code == 1
         result = json.load(open(os.path.join(out, "result.json")))
         assert result["status"] == "max_iterations"

@@ -2,8 +2,11 @@
 module attributes through which ``perfbench/tracing.py`` wraps each
 layer of a solve."""
 
+import dataclasses
 import importlib.util
+import json
 import os
+import re
 
 import sympeig
 
@@ -24,6 +27,7 @@ PUBLIC = {
 }
 
 TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def load_tracing():
@@ -38,6 +42,21 @@ def test_exported_names():
     assert set(sympeig.__all__) == PUBLIC
     for name in sympeig.__all__:
         assert getattr(sympeig, name) is not None
+
+
+def test_readme_matches_the_package():
+    # the README's SolverParams table (keys, order, defaults) and its count
+    # of the exported names
+    text = open(README, encoding="utf-8").read()
+    table = text[text.index("| key "):].split("\n\n")[0]
+    rows = re.findall(r"^\| `(\w+)` +\| `([^`]*)` +\|", table, flags=re.MULTILINE)
+    fields = dataclasses.fields(sympeig.SolverParams)
+    assert [key for key, _ in rows] == [f.name for f in fields]
+    for (key, default), f in zip(rows, fields):
+        value = json.loads(default)
+        assert value == f.default and type(value) is type(f.default), key
+    (count,) = re.findall(r"`sympeig\.__all__`, (\d+) names", text)
+    assert int(count) == len(sympeig.__all__)
 
 
 def test_every_patch_point_records_a_span():

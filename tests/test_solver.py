@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from sympeig import operators
 from sympeig.factor import restart_point, srr, ssvd
 from sympeig.operators import canonical_frame
 from sympeig.penalty import evaluate
-from sympeig.solver import SINGLE_EPS
+from sympeig.solver import EPS_FIRST, SINGLE_EPS
 
 BETA_FLOOR_FACTOR = (3.0 + np.sqrt(5.0)) / 2.0
 
@@ -71,6 +72,20 @@ class _DtypeRecorder(_CountingOperator):
             self.copies += [weakref.ref(m) for m in operators._scope.copies[self._op]
                             if m is not None]
         return out
+
+
+def assert_same_solve(res, other):
+    # bit for bit: every trace row, every stage but its wall time, and
+    # the returned arrays and status
+    assert res.status is other.status and res.message == other.message
+    assert res.trace.inner == other.trace.inner
+    assert len(res.trace.outer) == len(other.trace.outer)
+    for st, ot in zip(res.trace.outer, other.trace.outer):
+        for f in fields(st):
+            if f.name != "elapsed":
+                np.testing.assert_array_equal(getattr(st, f.name), getattr(ot, f.name))
+    for name in ("x_final", "eigenvalues", "eigenbasis", "beta_final", "residue"):
+        np.testing.assert_array_equal(getattr(res, name), getattr(other, name))
 
 
 def ladder_operator(n):
@@ -161,6 +176,15 @@ class TestSolveBasic:
         assert res.status is SolveStatus.NUMERICAL_FAILURE
         assert res.message == "injected rank loss"
         assert res.inner_iterations > 0 and res.x_final.dtype == np.float64
+
+    @pytest.mark.parametrize("family, n, p", [("dense", 50, 5), ("prescribed", 30, 3)])
+    def test_converges_at_default_params(self, family, n, p):
+        # the default eps0 is tol's default, 1e-8: the absolute gradient
+        # test then stops the descent close enough for the extraction
+        op, _ = GeneratorSpec(family, n, seed=0).make()
+        res = solve_basic(op, p)
+        assert res.trace.outer[0].reached
+        assert res.status is SolveStatus.CONVERGED
 
     def test_trace_rows_well_formed(self):
         op = ladder_operator(5)
@@ -420,6 +444,34 @@ class TestSolveEnhanced:
         np.testing.assert_array_equal(res.x_final, expected)
 
 
+class TestPenaltyBelowTarget:
+    # beta0 below d_p: the penalty's minimizers have collapsed pairs, and
+    # only the beta update after the first Rayleigh-Ritz step lifts beta
+    # above d_p.  A tight first stage would converge towards the collapsed
+    # point, so `solve` starts loose whatever eps0.
+
+    @pytest.mark.parametrize("family, n", [("prescribed", 20), ("prescribed", 40),
+                                           ("sparse", 40), ("dense", 20), ("dense", 40)])
+    def test_tight_eps0_below_d_p_converges(self, family, n):
+        op, _ = GeneratorSpec(family, n, seed=1).make()
+        d_3 = reference(op).d[2]
+        for c in (0.5, 0.9, 0.99):
+            loose = solve(op, 3, SolverParams(beta0=c * d_3, eps0=0.1))
+            assert loose.status is SolveStatus.CONVERGED
+            for eps0 in (1e-6, 1e-12):
+                assert_same_solve(solve(op, 3, SolverParams(beta0=c * d_3, eps0=eps0)),
+                                  loose)
+
+    @pytest.mark.parametrize("beta0", [1e-4, 1e-2, 0.5, 1.5, 2.9])
+    def test_tight_eps0_below_d_p_on_the_ladder(self, beta0):
+        # diag(1..20, 1..20): d_3 = 3
+        op = ladder_operator(20)
+        loose = solve(op, 3, SolverParams(beta0=beta0, eps0=0.1))
+        assert loose.status is SolveStatus.CONVERGED
+        for eps0 in (1e-6, 1e-12):
+            assert_same_solve(solve(op, 3, SolverParams(beta0=beta0, eps0=eps0)), loose)
+
+
 class TestPrecision:
     def test_single_sqrt_eps(self):
         assert SINGLE_EPS == pytest.approx(3.4527e-4, rel=1e-4)
@@ -431,33 +483,28 @@ class TestPrecision:
         recorder = _DtypeRecorder(op)
         res = solve(recorder, p)
         assert res.status is SolveStatus.CONVERGED
-        # the first stage's evaluation in its iterates' precision, then per
+        # the first stage's evaluation in float32 (it is loose), then per
         # stage one float32 apply per step, loose or tight, and one float64
         # apply in SRR
-        expected = [np.dtype(np.float32 if res.trace.outer[0].eps >= SINGLE_EPS else float)]
+        expected = [np.dtype(np.float32)]
         for st in res.trace.outer:
             expected += [np.dtype(np.float32)] * st.inner_iters
             expected.append(np.dtype(float))
         assert recorder.dtypes == expected
         assert {st.eps >= SINGLE_EPS for st in res.trace.outer} == {True, False}
 
-    @pytest.mark.parametrize("n, p, eps0, outer_max", [(30, 3, 1e-8, 20),
-                                                       (30, 3, 1e-12, 4),
-                                                       (200, 10, 1e-6, 20)])
-    def test_tight_first_stage_applies_float64(self, n, p, eps0, outer_max):
-        # the path of a first stage from the canonical frame is long; with
-        # float32 applies the drift of its carried A X stalled it until
-        # k_max (5,000 steps; n = 30 at eps0 = 1e-8 ended at residue 3.4e-6)
-        recorder = _DtypeRecorder(gen_dense(n, seed=0))
-        res = solve(recorder, p, SolverParams(eps0=eps0, outer_max=outer_max))
+    @pytest.mark.parametrize("n, p, eps0", [(30, 3, 1e-8), (30, 3, 1e-12),
+                                            (200, 10, 1e-6)])
+    def test_eps0_does_not_reach_solve(self, n, p, eps0):
+        # `solve` starts every solve at EPS_FIRST: a tight eps0 changes
+        # nothing, and the first stage evaluates in float32
+        op = gen_dense(n, seed=0)
+        recorder = _DtypeRecorder(op)
+        res = solve(recorder, p, SolverParams(eps0=eps0))
         assert res.status is SolveStatus.CONVERGED
-        assert all(st.reached for st in res.trace.outer)
-        expected = [np.dtype(float)]
-        for st in res.trace.outer:
-            single = st.stage > 0
-            expected += [np.dtype(np.float32 if single else float)] * st.inner_iters
-            expected.append(np.dtype(float))
-        assert recorder.dtypes == expected
+        assert res.trace.outer[0].eps == EPS_FIRST
+        assert recorder.dtypes[0] == np.dtype(np.float32)
+        assert_same_solve(res, solve(op, p))
 
     def test_every_apply_is_float64_outside_the_guard(self):
         # tr(A)/2n = 1e12 x 6.45 lies above SINGLE_SCALE

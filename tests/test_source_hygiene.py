@@ -137,9 +137,9 @@ def test_every_solver_param_is_read():
     assert not declared - read, f"never read by the solver: {sorted(declared - read)}"
 
 
-# the names of `solve`'s direction, step and precision
-SOLVE_ONLY = {"exact_step", "lbfgs_direction", "SINGLE_EPS", "SINGLE_SCALE",
-              "single_precision"}
+# the names of `solve`'s direction, step, first tolerance and precision
+SOLVE_ONLY = {"exact_step", "lbfgs_direction", "EPS_FIRST", "SINGLE_EPS",
+              "SINGLE_SCALE", "single_precision"}
 
 
 def names_read_from(functions, entry):
