@@ -13,10 +13,10 @@ imported from their modules.
 """
 
 from .errors import NumericalFailure
+from .factor import reference
 from .flops import count_flops
-from .metrics import MetricsReport, feasibility, golub_werman, report, residue
+from .metrics import feasibility, golub_werman, residue
 from .operators import SpdOperator, load_matrix, poisson, store_matrix, symplectic_gram
-from .oracle import ReferenceSpectrum, reference
 from .solver import (
     SolverParams,
     SolveStatus,
@@ -41,9 +41,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FAMILIES",
     "GeneratorSpec",
-    "MetricsReport",
     "NumericalFailure",
-    "ReferenceSpectrum",
     "SolveStatus",
     "SolveTrace",
     "SolverParams",
@@ -61,7 +59,6 @@ __all__ = [
     "load_matrix",
     "poisson",
     "reference",
-    "report",
     "residue",
     "solve",
     "solve_basic",

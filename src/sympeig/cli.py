@@ -19,9 +19,9 @@ from scipy.io import mmwrite
 
 from . import __version__
 from .errors import NumericalFailure
+from .factor import reference
 from .metrics import feasibility, golub_werman
 from .operators import DENSE_MAX_DIM, load_dense, load_matrix, store_matrix
-from .oracle import reference
 from .solver import SolverParams, SolveStatus, beta_best, beta_suggest, solve, solve_basic
 from .testgen import FAMILIES, GeneratorSpec
 
@@ -325,6 +325,9 @@ def _bench_cell(op, ref, cell, tol):
 
 
 def cmd_bench(args):
+    for flag in ("families", "n_list", "p_list", "seeds", "betas", "variants"):
+        if not getattr(args, flag):
+            raise ValueError(f"--{flag.replace('_', '-')} lists no value")
     out = _out_dir(args)
     SolverParams(tol=args.tol).validate()
     for family in args.families:

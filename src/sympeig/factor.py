@@ -1,5 +1,6 @@
-"""Symplectic SVD, small dense Williamson diagonalization, and the
-symplectic Rayleigh-Ritz refinement.
+"""Symplectic SVD, small dense Williamson diagonalization, the dense
+reference spectrum of an operator, and the symplectic Rayleigh-Ritz
+refinement.
 
 The common engine is the real Schur form of a skew-symmetric matrix K,
 whose 2x2 blocks [[0, d], [-d, 0]] are sign-normalized (d > 0 by
@@ -32,6 +33,14 @@ class WilliamsonForm:
 
     s: np.ndarray
     d: np.ndarray
+
+    def frame(self, p):
+        """Columns of s for the p smallest eigenvalue pairs, in
+        [first halves | second halves] layout."""
+        n = self.d.size
+        if not 1 <= p <= n:
+            raise ValueError(f"need 1 <= p <= {n}, got {p}")
+        return self.s[:, np.r_[0:p, n : n + p]]
 
 
 def _skew_schur_pairs(k, dtol):
@@ -149,6 +158,13 @@ def williamson_small(m):
     scale = np.sqrt(np.concatenate([d, d]))
     s = (r_inv @ q) * scale
     return WilliamsonForm(s=s, d=d)
+
+
+def reference(op):
+    """Exact symplectic spectrum of `op` (densified, so 2n must stay within
+    `DENSE_MAX_DIM`): the WilliamsonForm of all n pairs, whose ``frame(p)``
+    is the reference basis of the p smallest."""
+    return williamson_small(op.densify())
 
 
 def srr(op, x, unit=1.0):

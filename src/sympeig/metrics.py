@@ -1,23 +1,9 @@
 """Subspace and eigen-residual error measures."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .operators import j_left, j_right
-from .penalty import evaluate, violation
-
-
-@dataclass
-class MetricsReport:
-    """Aggregated error measures of a computed basis."""
-
-    golub_werman: float
-    residue: float
-    feasibility: float
-    objective: float
-    eig_abs_err: np.ndarray
-    eig_rel_err: np.ndarray
+from .penalty import violation
 
 
 def _orthonormal(x):
@@ -77,44 +63,3 @@ def residue(op, x, d, ax=None):
     doubled = np.concatenate([d, d])
     target = j_left(-j_right(x) * doubled)
     return float(np.linalg.norm(ax - target) / np.linalg.norm(ax))
-
-
-def report(op, x, result, reference=None, beta=None):
-    """Aggregate the error measures for a computed basis.
-
-    Parameters
-    ----------
-    op : SpdOperator
-    x : ndarray, shape (2n, 2p)
-        Computed basis (eigenbasis or final iterate).
-    result : SympEigResult or array_like
-        Solver result, or just the computed eigenvalues (length p).
-    reference : ReferenceSpectrum, optional
-        When given, the subspace error and per-eigenvalue errors
-        against the reference are included.
-    beta : float, optional
-        When given, the penalty objective at `x` is included; taken
-        from `result` when that is a solver result.
-    """
-    if hasattr(result, "eigenvalues"):
-        d = result.eigenvalues
-        if beta is None:
-            beta = result.beta_final
-    else:
-        d = result
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    p = d.size
-    gw = abs_err = rel_err = None
-    if reference is not None:
-        gw = golub_werman(x, reference.frame(p))
-        d_ref = reference.d[:p]
-        abs_err = np.abs(d - d_ref)
-        rel_err = abs_err / d_ref
-    return MetricsReport(
-        golub_werman=gw,
-        residue=residue(op, x, d),
-        feasibility=feasibility(x),
-        objective=None if beta is None else evaluate(op, x, beta).value,
-        eig_abs_err=abs_err,
-        eig_rel_err=rel_err,
-    )

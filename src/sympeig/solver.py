@@ -193,10 +193,9 @@ def beta_best(d_p):
 
 
 def _initial_beta(op, p, params):
-    """`params.beta0`, else :func:`beta_suggest`, once p is checked."""
-    if not 1 <= p < op.n:
-        raise ValueError(f"need 1 <= p < n, got p={p}, n={op.n}")
-    return params.beta0 if params.beta0 is not None else beta_suggest(op, p)
+    """`params.beta0`, else :func:`beta_suggest`, which checks p either way."""
+    suggested = beta_suggest(op, p)
+    return params.beta0 if params.beta0 is not None else suggested
 
 
 def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.linalg
 from scipy import sparse
 
+from .factor import WilliamsonForm
 from .operators import SpdOperator, j_left
-from .oracle import ReferenceSpectrum
 
 FAMILIES = ("dense", "sparse", "slr", "prescribed")
 
@@ -156,7 +156,7 @@ def gen_prescribed(n, spectrum=None, seed=0):
 
     Returns
     -------
-    (SpdOperator, ReferenceSpectrum)
+    (SpdOperator, WilliamsonForm)
     """
     d = (
         np.arange(1.0, n + 1.0)
@@ -180,4 +180,4 @@ def gen_prescribed(n, spectrum=None, seed=0):
     half = scipy.linalg.solve(s.T, doubled)
     a = scipy.linalg.solve(s.T, half.T)
     a = 0.5 * (a + a.T)
-    return SpdOperator.from_dense(a), ReferenceSpectrum(d=d, s_full=s)
+    return SpdOperator.from_dense(a), WilliamsonForm(s=s, d=d)

@@ -1,7 +1,11 @@
 """Shared test helpers: independent dense oracles for the Poisson
 kernels, construction of the same matrix in every storage kind, random
-symplectic frames and stationary points of the penalty, and its
-second-order form along a direction."""
+symplectic frames and stationary points of the penalty, its
+second-order form along a direction, and the benchmark's tracing
+module."""
+
+import importlib.util
+import pathlib
 
 import numpy as np
 import scipy.linalg
@@ -12,6 +16,16 @@ from sympeig.operators import j_left
 from sympeig.penalty import ray, violation
 
 KINDS = ("dense", "csr", "slr")
+
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    """`perfbench/tracing.py`, which is not a package module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def dense_j(k):

@@ -478,6 +478,15 @@ class TestBench:
         assert rows(["--n-list", "8,", "--seeds", "0,"], tmp_path / "b") == plain
         assert len(plain[1]) == 1
 
+    @pytest.mark.parametrize("flag", ["--families", "--n-list", "--p-list", "--seeds",
+                                      "--betas", "--variants"])
+    def test_empty_grid_flag_rejected_before_any_run(self, tmp_path, capsys, flag):
+        out = tmp_path / "b"
+        assert main(["bench", "--n-list", "8", "--p-list", "2", "--seeds", "0",
+                     flag, ",", "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (out / "bench.csv").exists()
+
     def test_malformed_list_item_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "b"
         assert main(["bench", "--n-list", "8x", "--out", str(out)]) == 2

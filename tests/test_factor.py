@@ -146,8 +146,7 @@ class TestSrr:
     def test_recovers_eigenvalues_from_minimizer(self):
         op, ref = gen_prescribed(10, seed=4)
         p, beta = 3, 25.0
-        n = ref.d.size
-        shat = ref.s_full[:, np.r_[0:p, n : n + p]]
+        shat = ref.frame(p)
         x = construct_stationary_point(shat, ref.d[:p], p, None, beta)
         s_fin, d_fin, _ = srr(op, x)
         np.testing.assert_allclose(d_fin, ref.d[:p], rtol=1e-10)
@@ -177,8 +176,7 @@ class TestSrr:
     def test_right_factor_invariance(self):
         op, ref = gen_prescribed(9, seed=5)
         p, beta = 2, 30.0
-        n = ref.d.size
-        shat = ref.s_full[:, np.r_[0:p, n : n + p]]
+        shat = ref.frame(p)
         rng = np.random.default_rng(6)
         t = random_orthosymplectic(p, rng)
         _, d_plain, _ = srr(op, construct_stationary_point(shat, ref.d[:p], p, None, beta))
@@ -206,8 +204,7 @@ class TestRestartPoint:
     def test_restart_is_stationary_for_exact_pairs(self):
         op, ref = gen_prescribed(10, seed=8)
         p, beta = 3, 40.0
-        n = ref.d.size
-        s = ref.s_full[:, np.r_[0:p, n : n + p]]
+        s = ref.frame(p)
         x = restart_point(s, ref.d[:p], beta)
         g = evaluate(op, x, beta).ensure_gradient()
         assert np.linalg.norm(g) <= 1e-9 * np.linalg.norm(op.densify())

@@ -38,7 +38,7 @@ class TestReference:
         n = 10
         a = random_spd(rng, 2 * n)
         ref = reference(SpdOperator.from_dense(a))
-        s = ref.s_full
+        s = ref.s
         target = np.diag(np.concatenate([ref.d, ref.d]))
         assert np.linalg.norm(s.T @ a @ s - target) <= 1e-8 * np.linalg.norm(a)
         assert np.linalg.norm(s.T @ dense_j(n) @ s - dense_j(n)) <= 1e-9

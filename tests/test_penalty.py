@@ -239,21 +239,17 @@ class TestConstructStationaryPoint:
         self.op, self.ref = gen_prescribed(8, seed=7)
         self.a_norm = np.linalg.norm(self.op.densify())
 
-    def frame(self, q):
-        n = self.ref.d.size
-        return self.ref.s_full[:, np.r_[0:q, n : n + q]]
-
     def test_full_rank_is_stationary(self):
         p, beta = 3, 20.0
         rng = np.random.default_rng(8)
         t = random_orthosymplectic(p, rng)
-        x = construct_stationary_point(self.frame(p), self.ref.d[:p], p, t, beta)
+        x = construct_stationary_point(self.ref.frame(p), self.ref.d[:p], p, t, beta)
         g = evaluate(self.op, x, beta).ensure_gradient()
         assert np.linalg.norm(g) <= 1e-10 * self.a_norm
 
     def test_rank_deficient_is_stationary(self):
         p, q, beta = 3, 2, 20.0
-        x = construct_stationary_point(self.frame(q), self.ref.d[:q], p, None, beta)
+        x = construct_stationary_point(self.ref.frame(q), self.ref.d[:q], p, None, beta)
         assert np.linalg.norm(x[:, [q, p + q]]) == 0.0
         g = evaluate(self.op, x, beta).ensure_gradient()
         assert np.linalg.norm(g) <= 1e-10 * self.a_norm
@@ -261,39 +257,42 @@ class TestConstructStationaryPoint:
     def test_right_factor_cancels_in_objective(self):
         p, beta = 3, 20.0
         rng = np.random.default_rng(9)
-        x_id = construct_stationary_point(self.frame(p), self.ref.d[:p], p, None, beta)
+        x_id = construct_stationary_point(self.ref.frame(p), self.ref.d[:p], p, None, beta)
         t = random_orthosymplectic(p, rng)
-        x_t = construct_stationary_point(self.frame(p), self.ref.d[:p], p, t, beta)
+        x_t = construct_stationary_point(self.ref.frame(p), self.ref.d[:p], p, t, beta)
         f_id = evaluate(self.op, x_id, beta).value
         f_t = evaluate(self.op, x_t, beta).value
         assert abs(f_t - f_id) <= 1e-12 * abs(f_id)
 
     def test_global_value_formula(self):
-        # f_beta at the global minimizer is sum(d_i - d_i^2 / (2 beta))
+        # f_beta at the global minimizer is sum(d_i - d_i^2 / (2 beta)); at
+        # the exact eigenbasis, which is feasible, it is sum(d_i)
         p, beta = 3, 20.0
         d = self.ref.d[:p]
-        x = construct_stationary_point(self.frame(p), d, p, None, beta)
+        x = construct_stationary_point(self.ref.frame(p), d, p, None, beta)
         expected = float(np.sum(d - d * d / (2.0 * beta)))
         assert evaluate(self.op, x, beta).value == pytest.approx(expected, rel=1e-12)
+        f_basis = evaluate(self.op, self.ref.frame(p), beta).value
+        assert f_basis == pytest.approx(float(d.sum()), rel=1e-10)
 
     def test_beta_bound_enforced(self):
         with pytest.raises(ValueError):
-            construct_stationary_point(self.frame(2), self.ref.d[:2], 2, None, 1.5)
+            construct_stationary_point(self.ref.frame(2), self.ref.d[:2], 2, None, 1.5)
 
     def test_positive_eigenvalues_required(self):
         with pytest.raises(ValueError):
-            construct_stationary_point(self.frame(2), [-1.0, 2.0], 2, None, 10.0)
+            construct_stationary_point(self.ref.frame(2), [-1.0, 2.0], 2, None, 10.0)
 
     def test_q_exceeding_p_rejected(self):
         with pytest.raises(ValueError):
-            construct_stationary_point(self.frame(3), self.ref.d[:3], 2, None, 20.0)
+            construct_stationary_point(self.ref.frame(3), self.ref.d[:3], 2, None, 20.0)
 
     def test_skew_hamiltonian_witness_at_stationary_points(self):
         # W = -X^T J_n X J_p at a stationary X: symmetric PSD, ||W||_2 <= 1
         p, beta = 3, 20.0
         rng = np.random.default_rng(10)
         t = random_orthosymplectic(p, rng)
-        x = construct_stationary_point(self.frame(p), self.ref.d[:p], p, t, beta)
+        x = construct_stationary_point(self.ref.frame(p), self.ref.d[:p], p, t, beta)
         w = -j_right(symplectic_gram(x))
         assert np.linalg.norm(w - w.T) <= 1e-12
         eigs = np.linalg.eigvalsh(0.5 * (w + w.T))

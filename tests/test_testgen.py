@@ -124,7 +124,7 @@ class TestGenPrescribed:
         op, ref = gen_prescribed(8, seed=3)
         a = op.densify()
         target = np.diag(np.concatenate([ref.d, ref.d]))
-        err = np.linalg.norm(ref.s_full.T @ a @ ref.s_full - target)
+        err = np.linalg.norm(ref.s.T @ a @ ref.s - target)
         assert err <= 1e-8 * np.linalg.norm(a)
 
     def test_validation(self):
