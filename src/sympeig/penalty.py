@@ -54,7 +54,7 @@ class PenaltyEval:
     ax: np.ndarray = field(repr=False)
     violation: np.ndarray = field(repr=False)
     gradient: np.ndarray = field(default=None, repr=False)
-    # a block of X's shape for X (beta V) and s A D, made on first use
+    # a block of X's shape for X (beta V), made on first use
     _scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def _work(self):
@@ -78,10 +78,10 @@ class PenaltyEval:
         """Carry this evaluation to X - s D along `ray_model` (the ray of
         :func:`ray` from X along D) without an apply: X - sd for the
         displacement `sd` = s D and A X - s A D, both in place, V + s (s N
-        - K), and `value` = f + Delta(s).  The gradient is cleared."""
+        - K), and `value` = f + Delta(s).  The gradient is cleared.  An
+        A D serves one move: `ray_model.ad` is scaled to s A D in place."""
         np.subtract(self.x, sd, out=self.x)
-        sad = np.multiply(ray_model.ad, s, out=self._work())
-        np.subtract(self.ax, sad, out=self.ax)
+        np.subtract(self.ax, np.multiply(ray_model.ad, s, out=ray_model.ad), out=self.ax)
         self.violation = self.violation + s * (s * ray_model.n - ray_model.k)
         self.value = value
         self.gradient = None

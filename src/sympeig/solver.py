@@ -231,13 +231,13 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     if mixed:
         # the float32 D that is applied, and A D widened to float64
         d_single, ad_wide = np.empty(g.shape, np.float32), np.empty_like(g)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = float(np.sqrt(np.vdot(g, g)))
     pair = sz = None
     k_base = len(trace.inner)
     reached = False
     iters = 0
     for k in range(params.k_max):
-        if gnorm < eps * float(np.linalg.norm(ev.ax)):
+        if gnorm < eps * float(np.sqrt(np.vdot(ev.ax, ev.ax))):
             reached = True
             break
         gamma = bb_step(s, z, k, alternate=False, sz=sz, unit=unit)
@@ -251,17 +251,17 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
             ad = op.apply(d)
         model = ray(ev.x, ev.violation, d, ad, beta, float(np.vdot(g, d)))
         ls = gll_search(ev.value, model.coeffs, exact_step(model.coeffs), (ev.value,))
-        # X^(k-1) - X^(k) and G^(k-1) - G^(k), written over the pair the
-        # direction has read: negating both differences leaves <S,Z>, the
-        # BB length and the two-loop unchanged
-        np.multiply(d, ls.step, out=s)
+        # X^(k-1) - X^(k) over D and G^(k-1) - G^(k) over the old
+        # gradient, each in place; the buffers of the pair the direction
+        # has read take the next D and gradient.  Negating both differences
+        # leaves <S,Z>, the BB length and the two-loop unchanged
+        s, d_buf = np.multiply(d, ls.step, out=d), s
         ev.move(s, model, ls.step, ls.f)
         ev.ensure_gradient(out=g_new)
-        np.subtract(g, g_new, out=z)
+        z, g, g_new = np.subtract(g, g_new, out=g), g_new, z
         sz = float(np.vdot(s, z))
         pair = (s, z, 1.0 / sz) if sz > 0.0 else None
-        g, g_new = g_new, g
-        gnorm = float(np.linalg.norm(g))
+        gnorm = float(np.sqrt(np.vdot(g, g)))
         trace.inner.append(
             InnerStep(k_base + iters, stage, ev.value, gnorm, gamma, ls.t,
                       beta, ev.value, ls.capped)

@@ -69,7 +69,7 @@ def lbfgs_direction(g, pair, gamma, out=None, work=None):
     work = np.empty_like(g) if work is None else work
     s, y, rho = pair
     alpha = rho * float(np.vdot(s, g))
-    np.subtract(g, np.multiply(y, alpha, out=work), out=q)
+    np.add(np.multiply(y, -alpha, out=q), g, out=q)  # rounds as g - alpha y
     q *= gamma
     q += np.multiply(s, alpha - rho * float(np.vdot(y, q)), out=work)
     return q
