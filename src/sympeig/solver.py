@@ -39,17 +39,17 @@ _EPS_FLOOR = 1e-14
 
 # outer-loop constants; the step and line-search ones live in `stepper`
 EPS_FIRST = 0.1  # inner tolerance of the first stage
-DELTA_EPS = 0.1  # inner tolerance shrink per outer stage
+DELTA_EPS = 0.01  # inner tolerance shrink per outer stage
 ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
 
 # A stage of `solve` with inner tolerance eps >= SINGLE_EPS runs its
-# iterates in float32.  Over k steps its carried A X drifts by about
-# k eps_32 relative, near 1e-5 for the ~100-step stages of the n =
-# 200-800 families, under 3% of eps.  A tighter stage keeps its iterates
-# in float64 and only applies A in float32; its carried A X drifted by at
-# most 1.4e-4 eps (dense n = 200 and slr n = 400).  Both need the mean
-# eigenvalue m = tr(A)/2n in SINGLE_SCALE, which keeps float32 copies of
-# B and C, and the squares of blocks of size m, far inside float32's range.
+# iterates in float32.  Over k steps its carried A X drifts by about k
+# eps_32 relative: at most 1.3% of eps over the 47-304-step loose stages
+# of the n = 200-800 families.  A tighter stage keeps its iterates in
+# float64 and only applies A in float32; its carried A X drifted by at
+# most 7.9e-3 eps (in the aimed stage; dense n = 200, slr n = 400).  Both
+# need the mean eigenvalue m = tr(A)/2n in SINGLE_SCALE, which keeps float32
+# copies of B and C, and the squares of blocks of size m, far in range.
 SINGLE_EPS = math.sqrt(np.finfo(np.float32).eps)
 SINGLE_SCALE = (1e-8, 1e8)
 
@@ -70,16 +70,16 @@ class SolverParams:
     stage budget; each solver ignores the other's.  `tol` is the relative
     eigen-residual that both solvers must reach to report convergence.
     `solve`'s inner tolerance, relative to ||A X||_F, is no setting: it
-    starts at `EPS_FIRST` and shrinks by `DELTA_EPS` per outer stage,
-    except that a stage ending with residue r <= tol / (2 DELTA_EPS^2) is
-    followed by eps' = (tol / 2r) eps, aimed at half of `tol` (eps still
-    falls strictly).  The step and line-search constants are those of
-    `sympeig.stepper`; the outer-loop and precision ones (`EPS_FIRST`,
-    `DELTA_EPS`, `ETA`, `SINGLE_EPS`, `SINGLE_SCALE`) are module
-    constants here.  No
-    setting switches the search direction or the precision: `solve`
-    always takes L-BFGS steps and `solve_basic` BB steps.  No setting
-    seeds anything either: neither solver draws a random number.
+    starts at `EPS_FIRST` and shrinks by `DELTA_EPS` per outer stage (0.1,
+    1e-3, 1e-5, ...), except that a stage ending with residue r <= tol /
+    (2 DELTA_EPS^2) (5e3 tol) is followed by eps' = (tol / 2r) eps, aimed
+    at half of `tol` (eps still falls strictly).  The step and line-search
+    constants are those of `sympeig.stepper`; the outer-loop and precision
+    ones (`EPS_FIRST`, `DELTA_EPS`, `ETA`, `SINGLE_EPS`, `SINGLE_SCALE`)
+    are module constants here.  No setting switches the search direction
+    or the precision: `solve` always takes L-BFGS steps and `solve_basic`
+    BB steps.  No setting seeds anything either: neither solver draws a
+    random number.
     """
 
     beta0: float = None
@@ -366,25 +366,25 @@ def solve(op, p, params=None):
     Enhanced variant: memoryless BFGS directions from the last step's
     curvature pair inside a stage, with H0 the clamped BB2 length, each
     taken with the step that minimizes the penalty's quartic along it,
-    which a monotone test accepts; symplectic
-    Rayleigh-Ritz extraction at the end of each stage; penalty update
-    beta <- ETA * theta_p (floored at (3+sqrt(5))/2 * theta_p whenever
-    the update would fall below a tenth of the previous beta); restart
-    from S (I - D/beta)^(1/2); and a geometric inner-tolerance schedule
-    eps <- DELTA_EPS * eps from eps = EPS_FIRST.  Stops once the relative
+    which a monotone test accepts; symplectic Rayleigh-Ritz extraction at
+    the end of each stage; penalty update beta <- ETA * theta_p (floored
+    at (3+sqrt(5))/2 * theta_p whenever the update would fall below a
+    tenth of the previous beta); restart from S (I - D/beta)^(1/2); and a
+    geometric inner-tolerance schedule eps <- DELTA_EPS * eps (a
+    hundredfold) from eps = EPS_FIRST.  Stops once the relative
     eigen-residual of the refined basis drops to `params.tol`.  A stage's
-    residue r tracks its eps, so when a stage misses with r <= tol /
-    (2 DELTA_EPS^2) the next one runs at eps * tol / (2r) instead, aimed
-    at half of `tol` rather than a full factor DELTA_EPS below it.
+    residue r tracks its eps, so when a stage misses with r <= tol / (2
+    DELTA_EPS^2) the next one runs at eps * tol / (2r) instead, aimed at
+    half of `tol` rather than a full factor DELTA_EPS below it: at the
+    defaults, four stages.
 
     When tr(A)/2n lies in `SINGLE_SCALE`, every inner step applies A in
     float32.  The iterates run in float32 only in the stages with eps >=
-    `SINGLE_EPS` = sqrt(eps_float32) (3.45e-4); everything else runs in
-    float64.
-    The float32 copies `SpdOperator.apply` makes live until `solve`
-    returns.  Step lengths and the Rayleigh-Ritz step are in units
-    of 2^-e, e the binary exponent of tr(A)/2n, so solve(2^k A) repeats
-    solve(A) bit for bit,
+    `SINGLE_EPS` = sqrt(eps_float32) (3.45e-4; the 0.1 and 1e-3 stages
+    at the defaults); everything else runs in float64.  The float32
+    copies `SpdOperator.apply` makes live until `solve` returns.  Step
+    lengths and the Rayleigh-Ritz step are in units of 2^-e, e the binary
+    exponent of tr(A)/2n, so solve(2^k A) repeats solve(A) bit for bit,
     eigenvalues times 2^k, while both lie on one side of `SINGLE_SCALE`.
 
     A stage costs one apply per inner step and one in the Rayleigh-Ritz
