@@ -43,13 +43,13 @@ DELTA_EPS = 0.01  # inner tolerance shrink per outer stage
 ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
 
 # A stage of `solve` with inner tolerance eps >= SINGLE_EPS runs its
-# iterates in float32.  Over k steps its carried A X drifts by about k
-# eps_32 relative: at most 1.3% of eps over the 47-304-step loose stages
-# of the n = 200-800 families.  A tighter stage keeps its iterates in
-# float64 and only applies A in float32; its carried A X drifted by at
-# most 7.9e-3 eps (in the aimed stage; dense n = 200, slr n = 400).  Both
-# need the mean eigenvalue m = tr(A)/2n in SINGLE_SCALE, which keeps float32
-# copies of B and C, and the squares of blocks of size m, far in range.
+# iterates in float32.  Over k steps its carried A X drifts by about k eps_32
+# relative: at most 1.3% of eps in the 47-304-step loose stages of the n =
+# 200-800 families.  A tighter stage keeps its iterates in float64 and only
+# applies A in float32; its carried A X drifted by at most 7.9e-3 eps, in the
+# aimed stage (dense n = 200, slr n = 400).  Both need the mean eigenvalue m =
+# tr(A)/2n in SINGLE_SCALE, which keeps float32 copies of B and C, and the
+# squares of blocks of size m, far inside float32's range.
 SINGLE_EPS = math.sqrt(np.finfo(np.float32).eps)
 SINGLE_SCALE = (1e-8, 1e8)
 
