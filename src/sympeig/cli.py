@@ -162,7 +162,7 @@ def _build_params(args):
     return SolverParams.from_dict(mapping)
 
 
-def _resolve_beta(label, op, p, ref=None):
+def _resolve_beta(label, op, p, ref):
     """Map a beta spec ('auto', 'sug', '2sug', 'best', '1.001dp', or a
     float literal) to a value; 'auto' returns None (solver heuristic)."""
     if label is None or label == "auto":

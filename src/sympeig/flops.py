@@ -9,6 +9,8 @@ penalty gradient, and the coefficients of the penalty along a ray);
 permutation kernels and O(p^2) bookkeeping are not charged.
 
 Counting is off unless a counter is active; activation is per-thread.
+Off, a call costs about 0.6 us (0.1 us on a thread that has run a counter;
+Python 3.11, one Xeon vCPU), and an inner step of either solver makes three.
 """
 
 import contextlib

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .operators import j_left, j_right
+from .operators import j_left
 from .penalty import violation
 
 
@@ -44,7 +44,8 @@ def feasibility(x):
 
 def residue(op, x, d, ax=None):
     """Relative eigen-residual ||A X - J_n X J_p^T D||_F / ||A X||_F
-    with D = diag(d, d).
+    with D = diag(d, d), both J products formed by permuting and
+    negating blocks.
 
     `ax` is A X when the caller already holds it (as `srr` does); the
     operator is applied otherwise."""
@@ -60,6 +61,6 @@ def residue(op, x, d, ax=None):
         ax = op.apply(x)
     elif np.shape(ax) != x.shape:
         raise ValueError(f"image shape {np.shape(ax)} does not match basis {x.shape}")
-    doubled = np.concatenate([d, d])
-    target = j_left(-j_right(x) * doubled)
+    # X J_p^T = [X_2, -X_1]: roll the column halves, and put the sign on D
+    target = j_left(np.roll(x, d.size, axis=1) * np.concatenate([d, -d]))
     return float(np.linalg.norm(ax - target) / np.linalg.norm(ax))

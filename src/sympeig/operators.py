@@ -238,15 +238,6 @@ def j_left(x, out=None):
     return out
 
 
-def j_right(x):
-    """Return x J_p for a matrix x with 2p columns."""
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[1] % 2:
-        raise ValueError(f"x J_p needs an even column count, got shape {x.shape}")
-    p = x.shape[1] // 2
-    return np.concatenate((-x[:, p:], x[:, :p]), axis=1)
-
-
 def symplectic_gram(x):
     """Return the skew part of X^T J_n X.
 

@@ -31,7 +31,7 @@ from .operators import as_float, j_left, symplectic_gram
 class PenaltyEval:
     """f_beta at one point X with its building blocks, as returned by
     :func:`evaluate` and carried along rays by :meth:`move`;
-    :meth:`ensure_gradient` is the one way to form the gradient.
+    :meth:`ensure_gradient` forms the gradient from them.
 
     Attributes
     ----------
@@ -44,8 +44,6 @@ class PenaltyEval:
         A X; :meth:`move` updates it in place.
     violation : ndarray
         The skew matrix V = X^T J_n X - J_p.
-    gradient : ndarray or None
-        None until :meth:`ensure_gradient` forms it at the current X.
     """
 
     beta: float
@@ -53,38 +51,28 @@ class PenaltyEval:
     x: np.ndarray = field(repr=False)
     ax: np.ndarray = field(repr=False)
     violation: np.ndarray = field(repr=False)
-    gradient: np.ndarray = field(default=None, repr=False)
-    # a block of X's shape for X (beta V), made on first use
-    _scratch: np.ndarray = field(default=None, init=False, repr=False, compare=False)
-
-    def _work(self):
-        if self._scratch is None:
-            self._scratch = np.empty_like(self.x)
-        return self._scratch
+    # a block of X's shape for X (beta V), handed in by `evaluate`
+    _scratch: np.ndarray = field(repr=False, compare=False)
 
     def ensure_gradient(self, out=None):
-        """Complete A X - J_n (X (beta V)) from the cached blocks, into
-        `out` when given (a block of X's shape and dtype)."""
-        if self.gradient is None:
-            rows, inner = self.x.shape
-            add_flops(rows * inner * self.violation.shape[1] + self.ax.size)
-            xv = np.matmul(self.x, self.beta * self.violation, out=self._work())
-            gr = j_left(xv, out=out)
-            np.subtract(self.ax, gr, out=gr)
-            self.gradient = gr
-        return self.gradient
+        """The gradient A X - J_n (X (beta V)) at the current X, formed
+        anew from the held blocks into `out` when given (a block of X's
+        shape and dtype); nothing is cached, so call it once per point."""
+        add_flops(self.x.size * self.violation.shape[1] + self.ax.size)
+        xv = np.matmul(self.x, self.beta * self.violation, out=self._scratch)
+        gr = j_left(xv, out=out)
+        return np.subtract(self.ax, gr, out=gr)
 
     def move(self, sd, ray_model, s, value):
         """Carry this evaluation to X - s D along `ray_model` (the ray of
         :func:`ray` from X along D) without an apply: X - sd for the
         displacement `sd` = s D and A X - s A D, both in place, V + s (s N
-        - K), and `value` = f + Delta(s).  The gradient is cleared.  An
-        A D serves one move: `ray_model.ad` is scaled to s A D in place."""
+        - K), and `value` = f + Delta(s).  An A D serves one move, and
+        `ray_model.ad` is scaled to s A D in place."""
         np.subtract(self.x, sd, out=self.x)
         np.subtract(self.ax, np.multiply(ray_model.ad, s, out=ray_model.ad), out=self.ax)
         self.violation = self.violation + s * (s * ray_model.n - ray_model.k)
         self.value = value
-        self.gradient = None
 
 
 @dataclass
@@ -144,8 +132,7 @@ def evaluate(op, x, beta, ax=None):
     Returns
     -------
     PenaltyEval
-        The value and the cached blocks; the gradient is formed only by
-        :meth:`PenaltyEval.ensure_gradient`.
+        The value and the blocks :meth:`PenaltyEval.ensure_gradient` reads.
     """
     if beta <= 0:
         raise ValueError(f"penalty weight must be positive, got {beta}")
@@ -164,7 +151,7 @@ def evaluate(op, x, beta, ax=None):
     add_flops(v.size)
     feasibility = float(np.linalg.norm(v))
     value = trace_term + 0.25 * beta * feasibility * feasibility
-    return PenaltyEval(float(beta), value, x, ax, v)
+    return PenaltyEval(float(beta), value, x, ax, v, np.empty_like(x))
 
 
 def ray(x, v, d, ad, beta, slope):

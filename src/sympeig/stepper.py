@@ -22,16 +22,16 @@ MAX_BACKTRACKS = 60
 _DEGENERATE = 1e-30
 
 
-def bb_step(s, z, k, alternate=True, sz=None, unit=1.0):
+def bb_step(s, z, k, sz, alternate=True, unit=1.0):
     """Length of inner step `k`: the clamped Barzilai-Borwein step.
 
     Step 0 is `GAMMA0`.  Otherwise `s` = X^(k) - X^(k-1) and `z` =
     G^(k) - G^(k-1) are the iterate and gradient differences, and `sz`
-    is <S,Z> when the caller already holds it.  With `alternate`, even k
-    uses <S,S>/|<S,Z>| (BB1) and odd k uses |<S,Z>|/<Z,Z> (BB2); without
-    it every step is BB2, the L-BFGS scale H0 = gamma I.  A denominator
-    below 1e-30 gives `GAMMA_HI`.  The value is clamped into
-    [GAMMA_LO, GAMMA_HI].
+    is <S,Z>, which the caller has already taken for the curvature test
+    (None at step 0).  With `alternate`, even k uses <S,S>/|<S,Z>| (BB1)
+    and odd k uses |<S,Z>|/<Z,Z> (BB2); without it every step is BB2,
+    the L-BFGS scale H0 = gamma I.  A denominator below 1e-30 gives
+    `GAMMA_HI`.  The value is clamped into [GAMMA_LO, GAMMA_HI].
 
     The constants are in units of `unit`, a power of two: a step length
     scales like 1/A, so with `unit` = 2^-e for an operator scaled by 2^e
@@ -41,8 +41,6 @@ def bb_step(s, z, k, alternate=True, sz=None, unit=1.0):
         return GAMMA0 * unit
     if s is None or z is None:
         raise ValueError("bb_step needs the previous iterate and gradient differences")
-    if sz is None:
-        sz = float(np.vdot(s, z))
     # <S,Z> and <Z,Z> in units where the length is unit-free
     sz = abs(sz) * unit
     if alternate and k % 2 == 0:
@@ -53,26 +51,24 @@ def bb_step(s, z, k, alternate=True, sz=None, unit=1.0):
     return min(max(gamma, GAMMA_LO), GAMMA_HI) * unit
 
 
-def lbfgs_direction(g, pair, gamma, out=None, work=None):
+def lbfgs_direction(g, pair, gamma, out, work):
     """L-BFGS two-loop product d = H g with one curvature pair (Nocedal &
-    Wright, Alg. 7.4), the memoryless BFGS direction.
+    Wright, Alg. 7.4), the memoryless BFGS direction, written into `out`.
 
     `pair` is (s, y, 1/<s, y>) with <s, y> > 0, or None, and H0 = gamma
     I; with no pair d is gamma g.  H is then positive definite, so <g, d>
-    > 0.  `out` receives d and `work` the scaled pair vectors when given,
-    both blocks of g's shape and dtype that overlap neither g nor the
-    pair; `g` is only read.
+    > 0.  `out` receives d and `work` the scaled pair vectors: blocks of
+    g's shape and dtype that overlap neither g nor the pair, held by the
+    caller across steps.  `g` is only read.
     """
-    q = np.empty_like(g) if out is None else out
     if pair is None:
-        return np.multiply(g, gamma, out=q)
-    work = np.empty_like(g) if work is None else work
+        return np.multiply(g, gamma, out=out)
     s, y, rho = pair
     alpha = rho * float(np.vdot(s, g))
-    np.add(np.multiply(y, -alpha, out=q), g, out=q)  # rounds as g - alpha y
-    q *= gamma
-    q += np.multiply(s, alpha - rho * float(np.vdot(y, q)), out=work)
-    return q
+    np.add(np.multiply(y, -alpha, out=out), g, out=out)  # rounds as g - alpha y
+    out *= gamma
+    out += np.multiply(s, alpha - rho * float(np.vdot(y, out)), out=work)
+    return out
 
 
 def exact_step(coeffs):

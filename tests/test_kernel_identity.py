@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import KINDS, make_operator, random_spd
-from sympeig import symplectic_gram
+from sympeig import residue, symplectic_gram
 from sympeig.operators import j_left
 from sympeig.penalty import evaluate, ray, violation
 from sympeig.stepper import DELTA, gll_search
@@ -59,9 +59,23 @@ def test_gradient_matches_expression(kind, p):
     assert np.array_equal(ev.ensure_gradient(), expected)
     # the same blocks, formed again into a caller's buffer
     out = np.empty_like(expected)
-    ev.gradient = None
     assert ev.ensure_gradient(out=out) is out
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("p", PAIRS)
+def test_residue_matches_expression(p):
+    # J_n X J_p^T D with the sign on D against the sign on the column half
+    rng = np.random.default_rng(50 + p)
+    op = make_operator("dense", random_spd(rng, 18))
+    x = _block(rng, 9, p)
+    x[0, 0] = x[1, p] = 0.0
+    x[2, p - 1] = -0.0
+    d = rng.uniform(0.5, 2.0, p)
+    ax = op.apply(x)
+    target = j_left(np.concatenate((x[:, p:], -x[:, :p]), axis=1) * np.concatenate([d, d]))
+    expected = float(np.linalg.norm(ax - target) / np.linalg.norm(ax))
+    assert residue(op, x, d, ax=ax) == expected
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -8,7 +8,7 @@ from scipy.io import mmwrite
 from conftest import KINDS, dense_j, make_operator, random_spd
 from sympeig import SpdOperator, gen_sparse, load_matrix, poisson, store_matrix, symplectic_gram
 from sympeig import operators
-from sympeig.operators import canonical_frame, j_left, j_right, single_precision
+from sympeig.operators import canonical_frame, j_left, single_precision
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -228,23 +228,6 @@ class TestPoissonKernels:
         out = np.full_like(x, np.nan)
         assert j_left(x, out=out) is out
         np.testing.assert_array_equal(out, j_left(x))
-
-    def test_j_right_identity(self):
-        np.testing.assert_array_equal(j_right(np.eye(2)), dense_j(1))
-
-    def test_j_right_square_is_minus_identity(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((6, 4))
-        np.testing.assert_array_equal(j_right(j_right(x)), -x)
-
-    def test_j_right_matches_dense_oracle(self):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((6, 4))
-        np.testing.assert_allclose(j_right(x), x @ dense_j(2), atol=1e-14)
-
-    def test_j_right_odd_cols_rejected(self):
-        with pytest.raises(ValueError):
-            j_right(np.zeros((4, 3)))
 
     def test_poisson_matches_oracle(self):
         np.testing.assert_array_equal(poisson(3), dense_j(3))

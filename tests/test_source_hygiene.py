@@ -141,6 +141,62 @@ def test_every_src_definition_has_a_caller():
     assert not unused, f"defined in src but read only by tests: {unused}"
 
 
+def defaulted_params(fn, method):
+    """Names of `fn`'s parameters that have a default, and its positional
+    parameters as a call passes them (without `self` or `cls` when
+    `fn` is a method called through an instance or its class)."""
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+    if method and not any(getattr(d, "id", None) == "staticmethod"
+                          for d in fn.decorator_list):
+        positional = positional[1:]
+    named = positional[len(positional) - len(fn.args.defaults):] if fn.args.defaults else []
+    named += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+              if d is not None]
+    return set(named), positional
+
+
+def test_every_default_has_a_src_caller():
+    # a default that every package call overrides is a dead fallback:
+    # for each function outside __all__ (a method counts with its class),
+    # some package call must leave each defaulted parameter out; a call
+    # with *args or **kwargs leaves out every one it does not name
+    from sympeig import __all__ as exported
+
+    functions, calls = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef):
+                        methods.add(stmt)
+                        if node.name not in exported:
+                            functions.setdefault(stmt.name, []).append(
+                                (f"{path.name}:{node.name}.{stmt.name}", stmt, True))
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef) and node not in methods
+                    and node.name not in exported):
+                functions.setdefault(node.name, []).append(
+                    (f"{path.name}:{node.name}", node, False))
+    left_out = {}
+    for call in calls:
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        starred = (any(isinstance(a, ast.Starred) for a in call.args)
+                   or any(k.arg is None for k in call.keywords))
+        for label, fn, method in functions.get(name, ()):
+            named, positional = defaulted_params(fn, method)
+            given = set(positional[:len(call.args)]) | {k.arg for k in call.keywords}
+            left_out.setdefault(label, set()).update(named if starred else named - given)
+    dead = sorted(f"{label}({param})" for entries in functions.values()
+                  for label, fn, method in entries
+                  for param in sorted(defaulted_params(fn, method)[0]
+                                      - left_out.get(label, set())))
+    assert not dead, f"defaults that no package call leaves out: {dead}"
+
+
 def test_every_solver_param_is_read():
     # a setting that no solver code path reads is a dead knob; reads in
     # SolverParams' own methods (validate, from_dict) do not count

@@ -14,61 +14,73 @@ def toy_ray(x, d):
     return (-float(np.vdot(x, d)), 0.5 * float(np.vdot(d, d)), 0.0, 0.0)
 
 
+def bb(s, z, k, **kwargs):
+    # bb_step with <S,Z> taken here, as the solvers take it
+    return bb_step(s, z, k, float(np.vdot(s, z)), **kwargs)
+
+
 class TestBbStep:
     @pytest.mark.parametrize("k", [1, 2])
     def test_equal_differences_give_unit_step(self, k):
         s = np.array([[1.0], [2.0]])
-        assert bb_step(s, s.copy(), k) == pytest.approx(1.0)
+        assert bb(s, s.copy(), k) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_scaled_differences(self, k):
         z = np.array([[1.0], [2.0]])
-        assert bb_step(2.0 * z, z, k) == pytest.approx(2.0)
+        assert bb(2.0 * z, z, k) == pytest.approx(2.0)
 
     def test_parity_selects_formula(self):
         s = np.array([[2.0], [0.0]])
         z = np.array([[1.0], [1.0]])
         # even k: <S,S>/|<S,Z>| = 4/2; odd k: |<S,Z>|/<Z,Z> = 2/2
-        assert bb_step(s, z, 2) == pytest.approx(2.0)
-        assert bb_step(s, z, 1) == pytest.approx(1.0)
+        assert bb(s, z, 2) == pytest.approx(2.0)
+        assert bb(s, z, 1) == pytest.approx(1.0)
 
     def test_without_alternation_every_step_is_bb2(self):
         s = np.array([[2.0], [0.0]])
         z = np.array([[1.0], [1.0]])
-        assert [bb_step(s, z, k, alternate=False) for k in (1, 2, 3, 4)] == [1.0] * 4
-        assert bb_step(None, None, 0, alternate=False) == GAMMA0
+        assert [bb(s, z, k, alternate=False) for k in (1, 2, 3, 4)] == [1.0] * 4
+        assert bb_step(None, None, 0, None, alternate=False) == GAMMA0
 
     def test_orthogonal_differences_fall_back(self):
         s = np.array([[1.0], [0.0]])
         z = np.array([[0.0], [1.0]])
-        assert bb_step(s, z, 2) == GAMMA_HI
+        assert bb(s, z, 2) == GAMMA_HI
 
     def test_requires_history(self):
         with pytest.raises(ValueError):
-            bb_step(None, np.ones((2, 1)), 1)
+            bb_step(None, np.ones((2, 1)), 1, 1.0)
         with pytest.raises(ValueError):
-            bb_step(np.ones((2, 1)), None, 2)
+            bb_step(np.ones((2, 1)), None, 2, 1.0)
 
     def test_first_step_is_gamma0(self):
-        assert bb_step(None, None, 0) == GAMMA0
+        assert bb_step(None, None, 0, None) == GAMMA0
 
     def test_within_bounds_unchanged(self):
         # BB value 3 sits inside the clamp and is returned as computed
         z = np.array([[1.0], [2.0]])
-        assert bb_step(3.0 * z, z, 1) == 3.0
+        assert bb(3.0 * z, z, 1) == 3.0
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("alternate", [True, False])
     def test_handed_inner_product_gives_the_same_step(self, k, alternate):
+        # the handed <S,Z> gives the BB1 or BB2 quotient formed from the
+        # three inner products, bit for bit
         rng = np.random.default_rng(k)
         s, z = rng.standard_normal((2, 6, 2))
         sz = float(np.vdot(s, z))
-        assert bb_step(s, z, k, alternate, sz=sz) == bb_step(s, z, k, alternate)
+        if alternate and k % 2 == 0:
+            plain = float(np.vdot(s, s)) / abs(sz)
+        else:
+            plain = abs(sz) / float(np.vdot(z, z))
+        assert GAMMA_LO < plain < GAMMA_HI
+        assert bb_step(s, z, k, sz, alternate) == plain
 
     def test_clamps_high_and_low(self):
         z = np.array([[1.0], [2.0]])
-        assert bb_step(1e9 * z, z, 1) == GAMMA_HI
-        assert bb_step(1e-12 * z, z, 1) == GAMMA_LO
+        assert bb(1e9 * z, z, 1) == GAMMA_HI
+        assert bb(1e-12 * z, z, 1) == GAMMA_LO
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     @pytest.mark.parametrize("c", [1.0, 1e9, 1e-12])
@@ -79,7 +91,7 @@ class TestBbStep:
         z = rng.standard_normal((6, 2))
         s = c * z + rng.standard_normal((6, 2))
         unit = 2.0**-40
-        assert bb_step(s, z / unit, k, unit=unit) == unit * bb_step(s, z, k)
+        assert bb(s, z / unit, k, unit=unit) == unit * bb(s, z, k)
 
 
 def quartic(coeffs, s):
@@ -242,23 +254,28 @@ def quadratic_pair(rng, shape=(6, 2)):
     return a, (s, y, 1.0 / float(np.vdot(s, y)))
 
 
+def direction(g, pair, gamma):
+    # lbfgs_direction into fresh output and work blocks
+    return lbfgs_direction(g, pair, gamma, np.empty_like(g), np.empty_like(g))
+
+
 class TestLbfgsDirection:
     def test_no_pairs_gives_scaled_gradient(self):
         g = np.random.default_rng(8).standard_normal((6, 2))
-        d = lbfgs_direction(g, None, 0.37)
+        d = direction(g, None, 0.37)
         assert np.array_equal(d, 0.37 * g)
 
     def test_newest_pair_satisfies_secant_equation(self):
         _, pair = quadratic_pair(np.random.default_rng(9))
         s, y, _ = pair
-        np.testing.assert_allclose(lbfgs_direction(y, pair, 0.2), s, rtol=1e-12)
+        np.testing.assert_allclose(direction(y, pair, 0.2), s, rtol=1e-12)
 
     def test_direction_is_descent_on_a_quadratic(self):
         rng = np.random.default_rng(10)
         a, pair = quadratic_pair(rng)
         for _ in range(20):
             g = a @ rng.standard_normal((6, 2))
-            assert float(np.vdot(g, lbfgs_direction(g, pair, 0.2))) > 0.0
+            assert float(np.vdot(g, direction(g, pair, 0.2))) > 0.0
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_buffers_match_the_plain_two_loop(self, count):
@@ -286,5 +303,5 @@ class TestLbfgsDirection:
         _, pair = quadratic_pair(rng)
         g = rng.standard_normal((6, 2))
         kept = g.copy()
-        lbfgs_direction(g, pair, 0.2)
+        direction(g, pair, 0.2)
         assert np.array_equal(g, kept)
