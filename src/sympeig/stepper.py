@@ -27,11 +27,11 @@ def bb_step(s, z, k, sz, alternate=True, unit=1.0):
 
     Step 0 is `GAMMA0`.  Otherwise `s` = X^(k) - X^(k-1) and `z` =
     G^(k) - G^(k-1) are the iterate and gradient differences, and `sz`
-    is <S,Z>, which the caller has already taken for the curvature test
-    (None at step 0).  With `alternate`, even k uses <S,S>/|<S,Z>| (BB1)
-    and odd k uses |<S,Z>|/<Z,Z> (BB2); without it every step is BB2,
-    the L-BFGS scale H0 = gamma I.  A denominator below 1e-30 gives
-    `GAMMA_HI`.  The value is clamped into [GAMMA_LO, GAMMA_HI].
+    is <S,Z>, which both solvers take anyway (None at step 0).  With
+    `alternate`, even k uses <S,S>/|<S,Z>| (BB1) and odd k uses
+    |<S,Z>|/<Z,Z> (BB2); without it every step is BB2, the L-BFGS scale
+    H0 = gamma I.  A denominator below 1e-30 gives `GAMMA_HI`.  The value
+    is clamped into [GAMMA_LO, GAMMA_HI].
 
     The constants are in units of `unit`, a power of two: a step length
     scales like 1/A, so with `unit` = 2^-e for an operator scaled by 2^e
