@@ -202,7 +202,8 @@ def _result_payload(result, meta):
 
 def _run_variant(op, p, params, variant, beta_value):
     """Run one solver variant at `beta_value`, else at `params.beta0`,
-    else at `beta_suggest`; an explicit `beta_value` is kept as beta0."""
+    else at the variant's default; an explicit `beta_value` is kept as
+    beta0."""
     if beta_value is not None:
         params.beta0 = beta_value
     return (solve if variant == "enhanced" else solve_basic)(op, p, params)

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NumericalFailure
-from .factor import restart_point, srr
+from .factor import restart_point, srr, williamson_small
 from .metrics import feasibility, residue
 from .operators import canonical_frame, single_precision
 from .penalty import evaluate, ray
@@ -46,7 +46,7 @@ ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
 # iterates in float32.  Over k steps its carried A X drifts by about k eps_32
 # relative: at most 1.3% of eps in the 47-304-step loose stages of the n =
 # 200-800 families.  A tighter stage keeps its iterates in float64 and only
-# applies A in float32; its carried A X drifted by at most 7.9e-3 eps, in the
+# applies A in float32; its carried A X drifted by at most 7.7e-3 eps, in the
 # aimed stage (dense n = 200, slr n = 400).  Both need the mean eigenvalue m =
 # tr(A)/2n in SINGLE_SCALE, which keeps float32 copies of B and C, and the
 # squares of blocks of size m, far inside float32's range.
@@ -64,7 +64,10 @@ class SolveStatus(Enum):
 class SolverParams:
     """Settings of both solver variants.
 
-    `beta0=None` resolves to the trace heuristic :func:`beta_suggest`.
+    `beta0=None` resolves, in `solve`, to the smaller of the trace
+    heuristic :func:`beta_suggest` and `ETA` theta_p, theta_p the p-th
+    Williamson value of A compressed onto the canonical frame, and in
+    `solve_basic` to the trace heuristic.
     `k_max` is the inner step budget, per stage for `solve`.  `eps0` is
     `solve_basic`'s absolute gradient target and `outer_max` `solve`'s
     stage budget; each solver ignores the other's.  `tol` is the relative
@@ -387,6 +390,13 @@ def solve(op, p, params=None):
     exponent of tr(A)/2n, so solve(2^k A) repeats solve(A) bit for bit,
     eigenvalues times 2^k, while both lie on one side of `SINGLE_SCALE`.
 
+    The first stage starts at `params.beta0` when given.  Otherwise it
+    starts at the smaller of :func:`beta_suggest` and `ETA` theta_p,
+    theta_p the p-th Williamson value of E^T A E for the canonical frame
+    E: by interlacing (Bhatia and Jain, J. Math. Phys. 56, 2015) it
+    bounds d_p from above, so the penalty stays exact, and it is read off
+    the frame's rows of the stage's first apply A E, in units of 2^-e.
+
     A stage costs one apply per inner step and one in the Rayleigh-Ritz
     step, whose image A S the residue reuses and the restart scales into
     the next stage's A X; the first stage adds one for its evaluation.
@@ -411,7 +421,6 @@ def solve(op, p, params=None):
     unit = math.ldexp(1.0, -math.frexp(mean)[1])
     trace = SolveTrace()
     x = canonical_frame(n, p)
-    ax = None
     eps = EPS_FIRST
     status = SolveStatus.MAX_ITERATIONS
     message = None
@@ -421,6 +430,12 @@ def solve(op, p, params=None):
     start = time.perf_counter()
     try:
         with single_precision():
+            # stage 0 runs in float32 when `single`, so its first apply does too
+            ax = op.apply(x.astype(np.float32) if single else x)
+            if params.beta0 is None:
+                # E^T A E, whose p-th Williamson value bounds d_p from above
+                compressed = williamson_small(unit * ax[np.r_[0:p, n:n + p]])
+                beta = min(beta, ETA * float(compressed.d[-1] / unit))
             for stage in range(params.outer_max):
                 stage_start = time.perf_counter()
                 stage_beta = beta
@@ -435,8 +450,9 @@ def solve(op, p, params=None):
                     theta_p = float(d_fin[-1])
                     beta = ETA * theta_p
                     # fires on every dense n=200 p=10 instance, on no slr n=400 one:
-                    # dense seeds 0-39 take 23,303 applies with it, 23,551 without
-                    # (29 more, 10 fewer), and 5000-5039 23,292 against 23,336
+                    # without it dense seeds 0-39 take 22,782 applies, not 22,663
+                    # (25 instances take more, 13 fewer), and 5000-5039 22,697, not
+                    # 22,534 (23 more, 15 fewer)
                     if beta < stage_beta / 10.0:
                         beta = BETA_BEST_FACTOR * theta_p
                 x = restart_point(s_fin, d_fin, beta)

@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 from scipy import sparse
 
 from conftest import random_spd
 from sympeig import SpdOperator, count_flops, gen_sparse
+from sympeig import flops
 from sympeig.flops import add_flops
 from sympeig.penalty import evaluate, ray
 
@@ -10,6 +13,29 @@ from sympeig.penalty import evaluate, ray
 class TestCounter:
     def test_inactive_by_default(self):
         add_flops(100)  # no counter active: must not raise or leak
+
+    def test_fresh_thread_has_no_counter(self):
+        # a thread that never ran a counter reads the class-level None
+        # (no AttributeError path), and can still count and nest there
+        seen = {}
+
+        def body():
+            seen["own"] = dict(vars(flops._active))
+            seen["before"] = flops._active.counter
+            add_flops(100)
+            with count_flops() as outer:
+                add_flops(3)
+                with count_flops() as inner:
+                    add_flops(5)
+                add_flops(7)
+            seen["counts"] = (outer.count, inner.count)
+            seen["after"] = flops._active.counter
+
+        worker = threading.Thread(target=body)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert seen == {"own": {}, "before": None, "counts": (10, 5), "after": None}
 
     def test_counts_dense_apply(self):
         n, cols = 5, 4

@@ -3,8 +3,9 @@
 For SPD A, the symplectic eigenvalues d(A) scale with A, d(cA) = c d(A)
 for every c > 0, are invariant under symplectic congruence,
 d(S^T A S) = d(A) for every S in Sp(2n) (Williamson 1936), and are
-monotone, d_j(A) <= d_j(B) whenever A <= B (Bhatia and Jain, J. Math.
-Phys. 56, 2015).  Symplectic singular values scale the same way,
+monotone, d_j(A) <= d_j(B) whenever A <= B, and interlace: compressed
+onto a symplectic frame E, d_j(E^T A E) >= d_j(A) (Bhatia and Jain, J.
+Math. Phys. 56, 2015).  Symplectic singular values scale the same way,
 sigma(cX) = c sigma(X), so no absolute threshold may enter either.  The
 reference is the dense oracle; instances stay at n <= 8 so each example
 costs milliseconds.  The solver's answer must not depend on the order
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 
 from conftest import random_orthosymplectic, random_spd
 from sympeig import SolveStatus, SpdOperator, reference, solve
-from sympeig.factor import ssvd
-from sympeig.operators import j_left
+from sympeig.factor import ssvd, williamson_small
+from sympeig.operators import canonical_frame, j_left
 from sympeig.solver import SINGLE_SCALE
 from test_solver import _CountingOperator
 
@@ -137,6 +138,17 @@ def test_positive_update_is_monotone(n, seed, rank, c):
     f = np.sqrt(c / (2 * n)) * rng.standard_normal((2 * n, rank))
     low, high = _d(a), _d(a + f @ f.T)
     assert np.all(low <= high * (1.0 + 1e-10))
+
+
+@PROPERTY
+@given(n=st.integers(min_value=2, max_value=8), seed=seeds, data=st.data())
+def test_frame_compression_bounds_smallest_from_above(n, seed, data):
+    # `solve` caps its first penalty weight at 1.1 times the p-th of these
+    p = data.draw(st.integers(min_value=1, max_value=n - 1), label="p")
+    a, _ = _instance(n, seed)
+    e = canonical_frame(n, p)
+    compressed = williamson_small(e.T @ SpdOperator.from_dense(a).apply(e)).d
+    assert np.all(compressed >= _d(a)[:p] * (1.0 - 1e-10))
 
 
 @settings(derandomize=True, deadline=None, max_examples=25)

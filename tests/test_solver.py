@@ -1,4 +1,5 @@
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from sympeig import (
     symplectic_gram,
 )
 from sympeig import operators
-from sympeig.factor import restart_point, srr, ssvd
+from sympeig.factor import restart_point, srr, ssvd, williamson_small
 from sympeig.operators import canonical_frame
 from sympeig.penalty import evaluate
 from sympeig.solver import DELTA_EPS, EPS_FIRST, SINGLE_EPS
@@ -244,10 +245,19 @@ class TestSolveEnhanced:
             np.testing.assert_array_equal(res_a.eigenbasis, res_b.eigenbasis)
 
     def test_beta_schedule_follows_update_rule(self):
-        op, _ = gen_prescribed(16, seed=6)
-        res = solve(op, 3)
+        # the first weight is the trace heuristic capped at ETA theta_p, the
+        # p-th Williamson value of A compressed onto the canonical frame,
+        # taken as `solve` takes it: from the frame's rows of the float32
+        # first apply, in units of 2^-e for the exponent e of tr(A)/2n
+        n, p = 16, 3
+        op, _ = gen_prescribed(n, seed=6)
+        res = solve(op, p)
         outer = res.trace.outer
-        assert outer[0].beta == beta_suggest(op, 3)
+        unit = math.ldexp(1.0, -math.frexp(op.trace() / (2 * n))[1])
+        ax = op.apply(canonical_frame(n, p).astype(np.float32))
+        theta_p = williamson_small(unit * ax[np.r_[0:p, n:n + p]]).d[-1] / unit
+        assert outer[0].beta == min(beta_suggest(op, p), 1.1 * theta_p)
+        assert outer[0].beta < beta_suggest(op, p)
         for prev, cur in zip(outer, outer[1:]):
             theta_p = prev.theta[-1]
             plain = 1.1 * theta_p
@@ -522,8 +532,8 @@ class TestPrecision:
         # a tight stage carries A X in float64 along rays whose A D came
         # from a float32 apply; at the stage's end the carried image must
         # stay within 1e-2 eps of a fresh float64 apply (measured: at most
-        # 8.2e-4 eps at eps = 1e-5 and 7.9e-3 eps in the aimed stage on
-        # dense, 2.2e-3 eps on slr, over seeds 0-3)
+        # 8.8e-4 eps at eps = 1e-5 and 7.7e-3 eps in the aimed stage on
+        # dense, 1.8e-3 eps on slr, over seeds 0-3)
         op, _ = GeneratorSpec(family, n, seed=0).make()
         evals, drift = [], []
 
