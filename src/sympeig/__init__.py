@@ -17,24 +17,8 @@ from .factor import reference
 from .flops import count_flops
 from .metrics import feasibility, golub_werman, residue
 from .operators import SpdOperator, load_matrix, poisson, store_matrix, symplectic_gram
-from .solver import (
-    SolverParams,
-    SolveStatus,
-    SolveTrace,
-    SympEigResult,
-    beta_best,
-    beta_suggest,
-    solve,
-    solve_basic,
-)
-from .testgen import (
-    FAMILIES,
-    GeneratorSpec,
-    gen_dense,
-    gen_prescribed,
-    gen_slr,
-    gen_sparse,
-)
+from .solver import SolverParams, SolveStatus, SympEigResult, beta_suggest, solve, solve_basic
+from .testgen import FAMILIES, GeneratorSpec
 
 __version__ = "0.1.0"
 
@@ -43,18 +27,12 @@ __all__ = [
     "GeneratorSpec",
     "NumericalFailure",
     "SolveStatus",
-    "SolveTrace",
     "SolverParams",
     "SpdOperator",
     "SympEigResult",
-    "beta_best",
     "beta_suggest",
     "count_flops",
     "feasibility",
-    "gen_dense",
-    "gen_prescribed",
-    "gen_slr",
-    "gen_sparse",
     "golub_werman",
     "load_matrix",
     "poisson",

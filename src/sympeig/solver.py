@@ -161,7 +161,11 @@ class SympEigResult:
     """Solver output: eigenvalues ascending, eigenbasis columns paired
     as [first halves | second halves], and the full iteration trace.
     `message` is the text of the numerical failure that ended a
-    NUMERICAL_FAILURE solve, None otherwise."""
+    NUMERICAL_FAILURE solve, None otherwise.  Such a solve keeps the
+    eigenvalues, eigenbasis and residue of `solve`'s last completed
+    stage, or None, None and nan when none completed, as always for
+    `solve_basic`; `x_final` is the last iterate and `feasibility` that
+    of the eigenbasis, or of `x_final` when there is none."""
 
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
@@ -312,7 +316,7 @@ def solve_basic(op, p, params=None):
         test stopped the descent short of `tol`), or NUMERICAL_FAILURE
         (non-finite objective in the line search, or a final iterate too
         rank-deficient for the extraction), whose text is kept in
-        `message`.
+        `message`, with eigenvalues and eigenbasis None and residue nan.
 
     Raises
     ------
@@ -408,7 +412,9 @@ def solve(op, p, params=None):
         Float64 arrays throughout.  Status CONVERGED, MAX_ITERATIONS
         (outer budget exhausted), or NUMERICAL_FAILURE (non-finite
         objective, or a stage's iterate too rank-deficient for the
-        Rayleigh-Ritz step), whose text is kept in `message`.
+        Rayleigh-Ritz step), whose text is kept in `message`; that result
+        holds the Ritz values, basis and residue of the last completed
+        stage, or None, None and nan when no stage completed.
     """
     params = (params or SolverParams()).validate()
     n = op.n

@@ -1,15 +1,16 @@
-"""Seeded SPD test-matrix generators.
+"""Seeded SPD test instances.
 
-Four families: dense (random Gram matrix, spectrum affinely rescaled to
-extremes (1, n)), sparse CSR (symmetrized random sparsity, same
-extremes), sparse-plus-low-rank B + C C^T, and dense instances with a
-prescribed symplectic spectrum (exact reference by construction).
-
-All draws come from ``numpy.random.default_rng(seed)`` consumed in a
-fixed order, so every family is bit-reproducible per seed within this
-implementation.
+`GeneratorSpec` is the one constructor of four families: dense and
+sparse CSR with extreme eigenvalues (1, n), sparse-plus-low-rank
+B + C C^T, and dense with a prescribed symplectic spectrum (exact
+reference by construction).  The extremes are exact, from a dense
+`eigvalsh`, except for sparse B with 2n > `DENSE_MAX_DIM`, whose
+extremes ARPACK finds at tol=1e-6.  All draws come from
+``numpy.random.default_rng(seed)`` consumed in a fixed order, so every
+family is bit-reproducible per seed within this implementation.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,25 @@ _FAMILY_FIELDS = {
 
 @dataclass
 class GeneratorSpec:
-    """Declarative description of one generated instance."""
+    """Declarative description of one generated instance.
+
+    - dense: A = c N N^T + s I for N (2n x 2n) with entries uniform on
+      [-1, 1], the affine map chosen from the extreme eigenvalues of N N^T
+      (a dense `eigvalsh`) so that A's are (1, n).
+    - sparse: a random pattern of density sigma/2 with entries uniform on
+      [-1, 1] is symmetrized and mapped affinely onto the extremes (1, n),
+      the identity shift making it positive definite and filling the
+      diagonal; CSR with both triangles stored.  The extremes are exact
+      while 2n <= `DENSE_MAX_DIM`; above it they come from ARPACK at
+      tol=1e-6, so A's extremes are (1, n) to that tolerance.
+    - slr: A = B + C C^T, B drawn as the sparse family, C (2n x m) with
+      entries uniform on [-1, 1] rescaled so the largest eigenvalue of
+      C C^T is exactly n; the operator keeps the factored form.
+    - prescribed: a random symplectic S = exp(J_n H) (H symmetric, scaled
+      so ||J_n H||_2 <= 2) gives A = S^(-T) diag(d, d) S^(-1), returned
+      with its exact reference (d ascending, S with columns permuted to
+      match).
+    """
 
     family: str
     n: int
@@ -44,6 +63,10 @@ class GeneratorSpec:
     def validate(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, pick from {FAMILIES}")
+        for name in ("n", "m", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.density is not None and not 0 < self.density <= 1:
@@ -52,19 +75,34 @@ class GeneratorSpec:
             raise ValueError(f"low-rank width must be >= 1, got {self.m}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.family == "prescribed" and self.spectrum is not None:
+            d = np.asarray(self.spectrum, dtype=float)
+            if d.size != self.n:
+                raise ValueError(f"spectrum needs {self.n} values, got {d.size}")
+            if not np.isfinite(d).all():
+                raise ValueError(f"spectrum must be finite, got {self.spectrum!r}")
+            if d.min() <= 0:
+                raise ValueError("spectrum must be positive")
         return self
 
     def make(self):
-        """Instantiate; returns (op, reference-or-None)."""
+        """Instantiate; returns (op, reference-or-None), the reference a
+        `WilliamsonForm` for the prescribed family."""
         self.validate()
+        n = self.n
+        rng = np.random.default_rng(self.seed)
         if self.family == "dense":
-            return gen_dense(self.n, seed=self.seed), None
+            return _dense(n, rng), None
+        if self.family == "prescribed":
+            d = np.arange(1.0, n + 1.0) if self.spectrum is None else self.spectrum
+            return _prescribed(np.asarray(d, dtype=float), rng)
+        sigma = min(1.0, 10.0 / n) if self.density is None else self.density
+        b = _sparse_core(n, sigma, rng)
         if self.family == "sparse":
-            return gen_sparse(self.n, density=self.density, seed=self.seed), None
-        if self.family == "slr":
-            op = gen_slr(self.n, density=self.density, m=self.m, seed=self.seed)
-            return op, None
-        return gen_prescribed(self.n, spectrum=self.spectrum, seed=self.seed)
+            return SpdOperator.from_csr(b), None
+        c = rng.uniform(-1.0, 1.0, size=(2 * n, self.m))
+        c *= np.sqrt(n) / np.linalg.norm(c, 2)
+        return SpdOperator.from_low_rank(b, c), None
 
     def describe(self):
         """The family, n, seed and the fields that family reads."""
@@ -83,15 +121,7 @@ def _affine_coeffs(wmin, wmax, n):
     return c, 1.0 - c * wmin
 
 
-def gen_dense(n, seed=0):
-    """Random dense SPD instance with extreme eigenvalues exactly (1, n).
-
-    A = c N N^T + s I for N with entries uniform on [-1, 1], the affine
-    map chosen from the exact extreme eigenvalues.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    rng = np.random.default_rng(seed)
+def _dense(n, rng):
     nmat = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
     a = nmat @ nmat.T
     a = 0.5 * (a + a.T)
@@ -102,10 +132,7 @@ def gen_dense(n, seed=0):
     return SpdOperator.from_dense(a)
 
 
-def _sparse_core(n, density, rng):
-    sigma = min(1.0, 10.0 / n) if density is None else density
-    if not 0 < sigma <= 1:
-        raise ValueError(f"density must lie in (0, 1], got {sigma}")
+def _sparse_core(n, sigma, rng):
     raw = sparse.random(
         2 * n, 2 * n, density=sigma / 2.0, format="csr", rng=rng,
         data_rvs=lambda size: rng.uniform(-1.0, 1.0, size),
@@ -113,61 +140,11 @@ def _sparse_core(n, density, rng):
     sym = ((raw + raw.T) * 0.5).tocsr()
     wmin, wmax = SpdOperator.from_csr(sym).extreme_eigvals(rng)
     c, s = _affine_coeffs(wmin, wmax, n)
-    out = (sym * c + sparse.identity(2 * n, format="csr") * s).tocsr()
-    return sparse.csr_array(out)
+    return (sym * c + sparse.identity(2 * n, format="csr") * s).tocsr()
 
 
-def gen_sparse(n, density=None, seed=0):
-    """Random sparse SPD instance (CSR, both triangles stored) with
-    extreme eigenvalues exactly (1, n).
-
-    A random pattern of density sigma/2 (sigma defaults to min(1, 10/n)) is
-    symmetrized and mapped affinely onto the target extremes; the
-    identity shift makes the result positive definite and fills the
-    diagonal.
-    """
-    rng = np.random.default_rng(seed)
-    return SpdOperator.from_csr(_sparse_core(n, density, rng))
-
-
-def gen_slr(n, density=None, m=10, seed=0):
-    """Sparse-plus-low-rank instance A = B + C C^T.
-
-    B follows :func:`gen_sparse`; C has entries uniform on [-1, 1]
-    rescaled so the largest eigenvalue of C C^T is exactly n.  The
-    operator keeps the factored form.
-    """
-    if m < 1:
-        raise ValueError(f"low-rank width must be >= 1, got {m}")
-    rng = np.random.default_rng(seed)
-    b = _sparse_core(n, density, rng)
-    c = rng.uniform(-1.0, 1.0, size=(2 * n, m))
-    c *= np.sqrt(n) / np.linalg.norm(c, 2)
-    return SpdOperator.from_low_rank(b, c)
-
-
-def gen_prescribed(n, spectrum=None, seed=0):
-    """Dense instance with an exactly known symplectic spectrum.
-
-    Draws a random symplectic S = exp(J_n H) (H symmetric, scaled so
-    ||J_n H||_2 <= 2) and returns A = S^(-T) diag(d, d) S^(-1) together
-    with the exact reference (d ascending, S with columns permuted to
-    match).
-
-    Returns
-    -------
-    (SpdOperator, WilliamsonForm)
-    """
-    d = (
-        np.arange(1.0, n + 1.0)
-        if spectrum is None
-        else np.asarray(spectrum, dtype=float)
-    )
-    if d.size != n:
-        raise ValueError(f"spectrum needs {n} values, got {d.size}")
-    if d.min() <= 0:
-        raise ValueError("prescribed eigenvalues must be positive")
-    rng = np.random.default_rng(seed)
+def _prescribed(d, rng):
+    n = d.size
     h = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
     h = 0.5 * (h + h.T)
     jh = j_left(h)

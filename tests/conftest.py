@@ -1,8 +1,8 @@
 """Shared test helpers: independent dense oracles for the Poisson
-kernels, construction of the same matrix in every storage kind, random
-symplectic frames and stationary points of the penalty, its
-second-order form along a direction, and the benchmark's tracing
-module."""
+kernels, generated instances, construction of the same matrix in every
+storage kind, random symplectic frames and stationary points of the
+penalty, its second-order form along a direction, and the benchmark's
+tracing module."""
 
 import importlib.util
 import pathlib
@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 from scipy import sparse
 
-from sympeig import SpdOperator
+from sympeig import GeneratorSpec, SpdOperator
 from sympeig.operators import j_left
 from sympeig.penalty import ray, violation
 
@@ -26,6 +26,11 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def instance(family, n, **fields):
+    """The operator of the instance `GeneratorSpec(family, n, **fields)` builds."""
+    return GeneratorSpec(family, n, **fields).make()[0]
 
 
 def dense_j(k):

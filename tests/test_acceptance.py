@@ -16,20 +16,18 @@ from conftest import (
     KINDS,
     construct_stationary_point,
     hess_quadform,
+    instance,
     make_operator,
     random_orthosymplectic,
     random_spd,
     random_symplectic_frame,
 )
 from sympeig import (
+    GeneratorSpec,
     SolverParams,
     SolveStatus,
     beta_suggest,
     count_flops,
-    gen_dense,
-    gen_prescribed,
-    gen_slr,
-    gen_sparse,
     poisson,
     golub_werman,
     reference,
@@ -60,17 +58,6 @@ def emit(capfd):
     return _go
 
 
-def _instance(family, n, seed):
-    if family == "dense":
-        return gen_dense(n, seed=seed)
-    if family == "sparse":
-        return gen_sparse(n, seed=seed)
-    if family == "slr":
-        return gen_slr(n, seed=seed)
-    op, _ = gen_prescribed(n, seed=seed)
-    return op
-
-
 @pytest.fixture(scope="module")
 def grid():
     """Solver runs over every family x size x block x seed cell, with
@@ -80,7 +67,7 @@ def grid():
     for family in GRID_FAMILIES:
         for n in GRID_N:
             for seed in GRID_SEEDS:
-                op = _instance(family, n, seed)
+                op = instance(family, n, seed=seed)
                 ref = reference(op)
                 for p in GRID_P:
                     if p >= n:
@@ -166,7 +153,7 @@ def test_criterion_04_stationary_point_fixtures(emit):
     p, beta = 3, 20.0
     worst = 0.0
     for seed in range(10):
-        op, ref = gen_prescribed(10, seed=seed)
+        op, ref = GeneratorSpec("prescribed", 10, seed=seed).make()
         bound = 1e-9 * (1.0 + np.linalg.norm(op.densify()))
         rng = np.random.default_rng(seed + 77)
         t = random_orthosymplectic(p, rng)
@@ -219,7 +206,7 @@ def test_criterion_06_beta_sensitivity_u_shape(emit):
     n, p = 200, 10
     counts = {"lo": [], "sug": [], "hi": []}
     for seed in range(5):
-        op = gen_dense(n, seed=seed)
+        op = instance("dense", n, seed=seed)
         d_p = reference(op).d[p - 1]
         b_sug = beta_suggest(op, p)
         for key, beta in (("lo", 1.001 * d_p), ("sug", b_sug),
@@ -290,7 +277,7 @@ def test_criterion_09_trace_minimization_bound(emit):
     n, p = 20, 3
     worst = np.inf
     for i, family in enumerate(GRID_FAMILIES):
-        op = _instance(family, n, seed=0)
+        op = instance(family, n, seed=0)
         floor = 2.0 * float(np.sum(reference(op).d[:p]))
         rng = np.random.default_rng(900 + i)
         for _ in range(100):
@@ -307,7 +294,7 @@ def test_criterion_10_cost_accounting(emit):
     n = 500
     worst_excess = 0.0
     for p in (3, 10):
-        op = gen_sparse(n, seed=1)
+        op = instance("sparse", n, seed=1)
         rng = np.random.default_rng(p)
         x = rng.standard_normal((2 * n, 2 * p))
         with count_flops() as counter:
@@ -318,7 +305,7 @@ def test_criterion_10_cost_accounting(emit):
     nb, pb = 800, 10
     t_basic, t_enh = [], []
     for seed in range(5):
-        op = gen_sparse(nb, seed=seed)
+        op = instance("sparse", nb, seed=seed)
         b_sug = beta_suggest(op, pb)
         t0 = time.perf_counter()
         solve_basic(op, pb, SolverParams(beta0=b_sug, eps0=1e-7, k_max=50000))

@@ -3,9 +3,9 @@ import pytest
 
 from conftest import construct_stationary_point, dense_j, random_orthosymplectic, random_spd
 from sympeig import (
+    GeneratorSpec,
     NumericalFailure,
     SpdOperator,
-    gen_prescribed,
     poisson,
     reference,
     symplectic_gram,
@@ -144,7 +144,7 @@ class TestSrr:
         np.testing.assert_allclose(s_fin.T @ s_fin, target, atol=1e-12)
 
     def test_recovers_eigenvalues_from_minimizer(self):
-        op, ref = gen_prescribed(10, seed=4)
+        op, ref = GeneratorSpec("prescribed", 10, seed=4).make()
         p, beta = 3, 25.0
         shat = ref.frame(p)
         x = construct_stationary_point(shat, ref.d[:p], p, None, beta)
@@ -167,14 +167,14 @@ class TestSrr:
         assert np.array_equal(image_k, np.ldexp(image, k))
 
     def test_image_matches_a_fresh_apply(self):
-        op, _ = gen_prescribed(10, seed=4)
+        op, _ = GeneratorSpec("prescribed", 10, seed=4).make()
         x = np.random.default_rng(8).standard_normal((20, 6))
         s_fin, _, image = srr(op, x)
         fresh = op.apply(s_fin)
         assert np.linalg.norm(image - fresh) <= 1e-12 * np.linalg.norm(fresh)
 
     def test_right_factor_invariance(self):
-        op, ref = gen_prescribed(9, seed=5)
+        op, ref = GeneratorSpec("prescribed", 9, seed=5).make()
         p, beta = 2, 30.0
         shat = ref.frame(p)
         rng = np.random.default_rng(6)
@@ -202,7 +202,7 @@ class TestRestartPoint:
         np.testing.assert_allclose(out, np.sqrt(1e-12) * s)
 
     def test_restart_is_stationary_for_exact_pairs(self):
-        op, ref = gen_prescribed(10, seed=8)
+        op, ref = GeneratorSpec("prescribed", 10, seed=8).make()
         p, beta = 3, 40.0
         s = ref.frame(p)
         x = restart_point(s, ref.d[:p], beta)

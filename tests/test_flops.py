@@ -3,8 +3,8 @@ import threading
 import numpy as np
 from scipy import sparse
 
-from conftest import random_spd
-from sympeig import SpdOperator, count_flops, gen_sparse
+from conftest import instance, random_spd
+from sympeig import SpdOperator, count_flops
 from sympeig import flops
 from sympeig.flops import add_flops
 from sympeig.penalty import evaluate, ray
@@ -46,7 +46,7 @@ class TestCounter:
         assert fc.count == 4 * n * n * cols
 
     def test_counts_csr_apply(self):
-        op = gen_sparse(40, seed=1)
+        op = instance("sparse", 40, seed=1)
         x = np.ones((80, 6))
         with count_flops() as fc:
             op.apply(x)
@@ -76,7 +76,7 @@ class TestCounter:
     def test_gradient_evaluation_total(self):
         # objective + gradient = nnz*2p + 16 n p^2 + 8 n p + 4 p^2
         n, p = 60, 3
-        op = gen_sparse(n, seed=3)
+        op = instance("sparse", n, seed=3)
         x = np.random.default_rng(4).standard_normal((2 * n, 2 * p))
         with count_flops() as fc:
             evaluate(op, x, 5.0).ensure_gradient()
@@ -87,7 +87,7 @@ class TestCounter:
         # the apply of D for the ray, X^T J D (8 n p^2), D^T J D (4 n p^2)
     # and <D, A D>
         n, p = 60, 3
-        op = gen_sparse(n, seed=3)
+        op = instance("sparse", n, seed=3)
         rng = np.random.default_rng(5)
         x, d = rng.standard_normal((2, 2 * n, 2 * p))
         v = evaluate(op, x, 5.0).violation

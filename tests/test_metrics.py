@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sympeig import SpdOperator, feasibility, gen_prescribed, golub_werman, residue
+from sympeig import GeneratorSpec, SpdOperator, feasibility, golub_werman, residue
 
 
 class TestGolubWerman:
@@ -58,7 +58,7 @@ class TestGolubWerman:
 class TestResidue:
     def test_exact_eigenbasis(self):
         # residual and symplecticity violation both vanish
-        op, ref = gen_prescribed(10, seed=5)
+        op, ref = GeneratorSpec("prescribed", 10, seed=5).make()
         p = 3
         assert residue(op, ref.frame(p), ref.d[:p]) <= 1e-10
         assert feasibility(ref.frame(p)) <= 1e-12
@@ -69,7 +69,7 @@ class TestResidue:
         assert residue(op, x, [4.0]) <= 1e-12
 
     def test_first_order_in_perturbation(self):
-        op, ref = gen_prescribed(10, seed=6)
+        op, ref = GeneratorSpec("prescribed", 10, seed=6).make()
         p = 3
         x0 = ref.frame(p)
         rng = np.random.default_rng(7)
@@ -83,7 +83,7 @@ class TestResidue:
         assert values[2] <= 2e-2 * values[1]
 
     def test_paired_permutation_invariance(self):
-        op, ref = gen_prescribed(8, seed=8)
+        op, ref = GeneratorSpec("prescribed", 8, seed=8).make()
         p = 3
         x = ref.frame(p)
         d = ref.d[:p]
@@ -94,7 +94,7 @@ class TestResidue:
         )
 
     def test_given_image_replaces_the_apply(self):
-        op, ref = gen_prescribed(8, seed=9)
+        op, ref = GeneratorSpec("prescribed", 8, seed=9).make()
         x = ref.frame(3) + 1e-3
         d = ref.d[:3]
 

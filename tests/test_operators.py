@@ -5,8 +5,8 @@ import pytest
 from scipy import sparse
 from scipy.io import mmwrite
 
-from conftest import KINDS, dense_j, make_operator, random_spd
-from sympeig import SpdOperator, gen_sparse, load_matrix, poisson, store_matrix, symplectic_gram
+from conftest import KINDS, dense_j, instance, make_operator, random_spd
+from sympeig import SpdOperator, load_matrix, poisson, store_matrix, symplectic_gram
 from sympeig import operators
 from sympeig.operators import canonical_frame, j_left, single_precision
 
@@ -186,7 +186,7 @@ class TestValidation:
 
     def test_is_spd_above_dense_budget(self):
         # 2n = 4002 takes the ARPACK smallest eigenvalue; the spectrum is [1, n]
-        op = gen_sparse(2001, seed=0)
+        op = instance("sparse", 2001, seed=0)
         assert op.is_spd()
         shifted = op._b - 1.01 * sparse.identity(4002, format="csr")
         assert not SpdOperator.from_csr(shifted).is_spd()

@@ -3,7 +3,7 @@ import pytest
 from scipy import sparse
 
 from conftest import dense_j, random_spd, random_symplectic_frame
-from sympeig import SpdOperator, gen_prescribed, poisson, reference, symplectic_gram
+from sympeig import GeneratorSpec, SpdOperator, poisson, reference, symplectic_gram
 
 
 def ladder_operator(n):
@@ -29,7 +29,7 @@ class TestReference:
         np.testing.assert_allclose(ref.d, [4.0], rtol=1e-12)
 
     def test_prescribed_recovery(self):
-        op, exact = gen_prescribed(12, seed=0)
+        op, exact = GeneratorSpec("prescribed", 12, seed=0).make()
         ref = reference(op)
         np.testing.assert_allclose(ref.d, exact.d, rtol=1e-8)
 

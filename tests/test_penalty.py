@@ -9,7 +9,7 @@ from conftest import (
     random_orthosymplectic,
     random_spd,
 )
-from sympeig import SpdOperator, gen_prescribed, symplectic_gram
+from sympeig import GeneratorSpec, SpdOperator, symplectic_gram
 from sympeig.operators import canonical_frame
 from sympeig.penalty import evaluate, ray, violation
 from sympeig.stepper import exact_step
@@ -234,7 +234,7 @@ class TestHessQuadform:
 
 class TestConstructStationaryPoint:
     def setup_method(self):
-        self.op, self.ref = gen_prescribed(8, seed=7)
+        self.op, self.ref = GeneratorSpec("prescribed", 8, seed=7).make()
         self.a_norm = np.linalg.norm(self.op.densify())
 
     def test_full_rank_is_stationary(self):

@@ -44,7 +44,7 @@ def _instance(n, seed):
 
 
 def _expm_symplectic(n, rng):
-    # S = exp(J_n H) for random symmetric H, scaled as gen_prescribed scales it
+    # S = exp(J_n H) for random symmetric H, scaled as the "prescribed" family scales it
     h = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
     h = 0.5 * (h + h.T)
     jh = j_left(h)

@@ -10,17 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import KINDS, make_operator, random_spd
+from conftest import KINDS, instance, make_operator, random_spd
 from sympeig import (
     GeneratorSpec,
     NumericalFailure,
     SolveStatus,
     SolverParams,
     SpdOperator,
-    beta_best,
     beta_suggest,
-    gen_dense,
-    gen_prescribed,
+    feasibility,
     poisson,
     reference,
     residue,
@@ -32,7 +30,7 @@ from sympeig import operators
 from sympeig.factor import restart_point, srr, ssvd, williamson_small
 from sympeig.operators import canonical_frame
 from sympeig.penalty import evaluate
-from sympeig.solver import DELTA_EPS, EPS_FIRST, SINGLE_EPS
+from sympeig.solver import DELTA_EPS, EPS_FIRST, SINGLE_EPS, beta_best
 
 BETA_FLOOR_FACTOR = (3.0 + np.sqrt(5.0)) / 2.0
 
@@ -151,7 +149,7 @@ class TestSolveBasic:
     def test_one_apply_per_step_with_free_backtracks(self):
         # one apply at the start, one per step and one for the extraction;
         # the BB steps backtrack here, and the backtracks cost none
-        op = gen_dense(20, seed=3)
+        op = instance("dense", 20, seed=3)
         counted = _CountingOperator(op)
         res = solve_basic(counted, 3, SolverParams(beta0=beta_suggest(op, 3),
                                                    eps0=1e-6, k_max=3000))
@@ -172,11 +170,15 @@ class TestSolveBasic:
             raise NumericalFailure("injected rank loss")
 
         monkeypatch.setattr("sympeig.solver.srr", failing_srr)
-        op = gen_dense(20, seed=0)
+        op = instance("dense", 20, seed=0)
         res = solve_basic(op, 2, SolverParams(beta0=beta_suggest(op, 2)))
         assert res.status is SolveStatus.NUMERICAL_FAILURE
         assert res.message == "injected rank loss"
         assert res.inner_iterations > 0 and res.x_final.dtype == np.float64
+        # no stage completed: no Ritz pairs, and the feasibility is the iterate's
+        assert res.eigenvalues is None and res.eigenbasis is None
+        assert math.isnan(res.residue) and not res.trace.outer
+        assert res.feasibility == feasibility(res.x_final)
 
     @pytest.mark.parametrize("family, n, p", [("dense", 50, 5), ("prescribed", 30, 3)])
     def test_converges_at_default_params(self, family, n, p):
@@ -213,21 +215,21 @@ class TestSolveEnhanced:
             assert np.linalg.norm(s[~mask][:, [j, p + j]]) <= 1e-8
 
     def test_prescribed_spectrum_matches_oracle(self):
-        op, ref = gen_prescribed(20, seed=2)
+        op, ref = GeneratorSpec("prescribed", 20, seed=2).make()
         res = solve(op, 3)
         assert res.status is SolveStatus.CONVERGED
         rel = np.max(np.abs(res.eigenvalues - ref.d[:3]) / ref.d[:3])
         assert rel <= 1e-6
 
     def test_eigenbasis_is_symplectic(self):
-        op, _ = gen_prescribed(15, seed=3)
+        op, _ = GeneratorSpec("prescribed", 15, seed=3).make()
         res = solve(op, 4)
         gram = symplectic_gram(res.eigenbasis)
         assert np.linalg.norm(gram - poisson(4)) <= 1e-10
         assert res.feasibility <= 1e-10
 
     def test_final_iterate_sits_at_global_value(self):
-        op, ref = gen_prescribed(14, seed=4)
+        op, ref = GeneratorSpec("prescribed", 14, seed=4).make()
         res = solve(op, 3)
         d = ref.d[:3]
         expected = float(np.sum(d - d * d / (2.0 * res.beta_final)))
@@ -238,7 +240,7 @@ class TestSolveEnhanced:
         # no setting seeds the solver: two solves of the instance generated
         # from one seed agree bit for bit
         for seed in (5, 8):
-            op, _ = gen_prescribed(10, seed=seed)
+            op, _ = GeneratorSpec("prescribed", 10, seed=seed).make()
             res_a, res_b = solve(op, 2), solve(op, 2)
             assert res_a.trace.inner == res_b.trace.inner
             np.testing.assert_array_equal(res_a.eigenvalues, res_b.eigenvalues)
@@ -250,7 +252,7 @@ class TestSolveEnhanced:
         # taken as `solve` takes it: from the frame's rows of the float32
         # first apply, in units of 2^-e for the exponent e of tr(A)/2n
         n, p = 16, 3
-        op, _ = gen_prescribed(n, seed=6)
+        op, _ = GeneratorSpec("prescribed", n, seed=6).make()
         res = solve(op, p)
         outer = res.trace.outer
         unit = math.ldexp(1.0, -math.frexp(op.trace() / (2 * n))[1])
@@ -271,7 +273,7 @@ class TestSolveEnhanced:
         # from there on the next stage is aimed at tol / 2 through
         # eps * tol / (2 r)
         tol = 1e-8
-        op, _ = gen_prescribed(16, seed=7)
+        op, _ = GeneratorSpec("prescribed", 16, seed=7).make()
         res = solve(op, 3, SolverParams(tol=tol))
         outer = res.trace.outer
         aimed = 0
@@ -289,7 +291,7 @@ class TestSolveEnhanced:
         # every stage ends with r > tol / (2 DELTA_EPS^2), so no stage is
         # aimed and the run matches one with a still smaller tol step for
         # step
-        op, _ = gen_prescribed(16, seed=7)
+        op, _ = GeneratorSpec("prescribed", 16, seed=7).make()
         runs = [solve(op, 3, SolverParams(tol=tol, outer_max=4))
                 for tol in (1e-12, 1e-13)]
         geometric = [EPS_FIRST]
@@ -319,14 +321,14 @@ class TestSolveEnhanced:
         # inner loop: one apply per step, whatever the backtracks, and one
         # for the first stage's start (a restart scales A S from SRR);
         # SRR: one per stage; the residue adds none
-        op, _ = gen_prescribed(12, seed=15)
+        op, _ = GeneratorSpec("prescribed", 12, seed=15).make()
         counted = _CountingOperator(op)
         res = solve(counted, 3)
         assert res.outer_iterations > 1
         assert counted.applies == res.inner_iterations + res.outer_iterations + 1
 
     def test_window_max_non_increasing_within_stages(self):
-        op, _ = gen_prescribed(12, seed=8)
+        op, _ = GeneratorSpec("prescribed", 12, seed=8).make()
         res = solve(op, 3)
         by_stage = {}
         for row in res.trace.inner:
@@ -349,7 +351,7 @@ class TestSolveEnhanced:
             assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_restart_rank_margins_recorded(self):
-        op, _ = gen_prescribed(12, seed=9)
+        op, _ = GeneratorSpec("prescribed", 12, seed=9).make()
         res = solve(op, 3)
         restarts = res.trace.outer[:-1]
         assert restarts  # at least one restart happened
@@ -358,13 +360,13 @@ class TestSolveEnhanced:
             assert stage.sigma_ratio > 1e-10
 
     def test_explicit_beta0_respected(self):
-        op, ref = gen_prescribed(12, seed=10)
+        op, ref = GeneratorSpec("prescribed", 12, seed=10).make()
         res = solve(op, 2, SolverParams(beta0=30.0))
         assert res.trace.outer[0].beta == 30.0
         assert res.status is SolveStatus.CONVERGED
 
     def test_max_iterations_status(self):
-        op, _ = gen_prescribed(12, seed=11)
+        op, _ = GeneratorSpec("prescribed", 12, seed=11).make()
         res = solve(op, 3, SolverParams(k_max=3, outer_max=2))
         assert res.status is SolveStatus.MAX_ITERATIONS
         assert res.residue > 1e-8
@@ -379,7 +381,7 @@ class TestSolveEnhanced:
         assert res.status is SolveStatus.NUMERICAL_FAILURE
 
     def test_failure_message_is_kept(self, monkeypatch):
-        op = gen_dense(20, seed=0)
+        op = instance("dense", 20, seed=0)
         assert solve(op, 2).message is None
 
         def failing_srr(*args):
@@ -389,6 +391,31 @@ class TestSolveEnhanced:
         res = solve(op, 2)
         assert res.status is SolveStatus.NUMERICAL_FAILURE
         assert res.message == "injected rank loss"
+
+    def test_failure_returns_the_last_completed_stage(self, monkeypatch):
+        # a failure in stage 1's Rayleigh-Ritz step returns stage 0's Ritz
+        # values, basis and residue, as a one-stage solve reports them, and
+        # the failed stage's iterate
+        op = instance("dense", 20, seed=0)
+        one_stage = solve(op, 2, SolverParams(outer_max=1))
+        calls = []
+
+        def failing_srr(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericalFailure("injected rank loss")
+            return srr(*args)
+
+        monkeypatch.setattr("sympeig.solver.srr", failing_srr)
+        res = solve(op, 2)
+        assert res.status is SolveStatus.NUMERICAL_FAILURE
+        assert res.outer_iterations == 1
+        assert res.inner_iterations > one_stage.inner_iterations
+        np.testing.assert_array_equal(res.eigenvalues, one_stage.eigenvalues)
+        np.testing.assert_array_equal(res.eigenbasis, one_stage.eigenbasis)
+        assert res.residue == one_stage.residue
+        assert res.feasibility == one_stage.feasibility
+        assert res.x_final.shape == (40, 4) and res.x_final.dtype == np.float64
 
     def test_srr_failure_ends_the_solve(self, monkeypatch):
         # a rank-deficient Rayleigh-Ritz step is an ordinary numerical
@@ -400,15 +427,19 @@ class TestSolveEnhanced:
             return ssvd(np.zeros((8, 4)))
 
         monkeypatch.setattr("sympeig.solver.srr", deficient_srr)
-        res = solve(gen_dense(20, seed=0), 2)
+        res = solve(instance("dense", 20, seed=0), 2)
         assert len(calls) == 1
         assert res.status is SolveStatus.NUMERICAL_FAILURE
         assert res.message.startswith("basis numerically rank-deficient in 2 ")
         assert res.outer_iterations == 0 and res.inner_iterations > 0
+        # no stage completed: no Ritz pairs, and the feasibility is the iterate's
+        assert res.eigenvalues is None and res.eigenbasis is None
+        assert math.isnan(res.residue)
+        assert res.feasibility == feasibility(res.x_final)
 
     def test_trace_scalars_are_python_floats(self):
         # the beta floor rule (a multiple of BETA_BEST_FACTOR) fires here
-        res = solve(gen_prescribed(20)[0], 3)
+        res = solve(instance("prescribed", 20), 3)
         for row in res.trace.inner:
             assert type(row.f) is float and type(row.beta) is float
         assert all(type(stage.beta) is float for stage in res.trace.outer)
@@ -442,7 +473,7 @@ class TestSolveEnhanced:
 
     def test_restart_image_is_the_scaled_srr_image(self):
         # the next stage starts from restart_point(A S) in place of an apply
-        op, _ = gen_prescribed(10, seed=13)
+        op, _ = GeneratorSpec("prescribed", 10, seed=13).make()
         x = np.random.default_rng(16).standard_normal((20, 4))
         s_fin, d_fin, as_fin = srr(op, x)
         fresh = op.apply(restart_point(s_fin, d_fin, 60.0))
@@ -450,7 +481,7 @@ class TestSolveEnhanced:
         assert np.linalg.norm(image - fresh) <= 1e-12 * np.linalg.norm(fresh)
 
     def test_converged_iterate_is_restart_point(self):
-        op, _ = gen_prescribed(10, seed=13)
+        op, _ = GeneratorSpec("prescribed", 10, seed=13).make()
         res = solve(op, 2)
         expected = restart_point(res.eigenbasis, res.eigenvalues, res.beta_final)
         np.testing.assert_array_equal(res.x_final, expected)
@@ -510,7 +541,7 @@ class TestPrecision:
     def test_eps0_does_not_reach_solve(self, n, p, eps0):
         # `solve` starts every solve at EPS_FIRST: a tight eps0 changes
         # nothing, and the first stage evaluates in float32
-        op = gen_dense(n, seed=0)
+        op = instance("dense", n, seed=0)
         recorder = _DtypeRecorder(op)
         res = solve(recorder, p, SolverParams(eps0=eps0))
         assert res.status is SolveStatus.CONVERGED
@@ -520,7 +551,7 @@ class TestPrecision:
 
     def test_every_apply_is_float64_outside_the_guard(self):
         # tr(A)/2n = 1e12 x 6.45 lies above SINGLE_SCALE
-        a = gen_dense(20, seed=0).densify()
+        a = instance("dense", 20, seed=0).densify()
         recorder = _DtypeRecorder(SpdOperator.from_dense(1e12 * a))
         res = solve(recorder, 3)
         assert res.status is SolveStatus.CONVERGED
@@ -559,14 +590,14 @@ class TestPrecision:
         assert all(rel <= 1e-2 * eps for eps, rel in tight)
 
     def test_solve_basic_applies_only_float64(self):
-        op = gen_dense(20, seed=0)
+        op = instance("dense", 20, seed=0)
         recorder = _DtypeRecorder(op)
         res = solve_basic(recorder, 3, SolverParams(beta0=beta_suggest(op, 3),
                                                     eps0=1e-6, k_max=3000))
         assert recorder.dtypes == [np.dtype(float)] * (res.inner_iterations + 2)
 
     def test_no_float32_copy_outlives_a_solve(self):
-        recorder = _DtypeRecorder(gen_dense(20, seed=0))
+        recorder = _DtypeRecorder(instance("dense", 20, seed=0))
         solve(recorder, 3)
         assert recorder.copies
         gc.collect()
@@ -574,7 +605,7 @@ class TestPrecision:
         assert getattr(operators._scope, "copies", None) is None
 
     def test_results_are_float64(self):
-        op = gen_dense(20, seed=0)
+        op = instance("dense", 20, seed=0)
         for res in (solve(op, 3), solve(op, 3, SolverParams(k_max=2, outer_max=1))):
             assert res.trace.outer[0].eps >= SINGLE_EPS
             for out in (res.eigenvalues, res.eigenbasis, res.x_final):
@@ -589,7 +620,7 @@ class TestPrecision:
         np.testing.assert_array_equal(res.eigenbasis, direct.eigenbasis)
 
     def test_operator_answering_in_float64_is_accepted(self):
-        a = gen_dense(20, seed=0).densify()
+        a = instance("dense", 20, seed=0).densify()
 
         class Float64Operator:
             n = 20
@@ -609,7 +640,7 @@ class TestPrecision:
     def test_scaled_operator_converges(self, c):
         # tr(cA)/2n outside solver.SINGLE_SCALE keeps every stage in float64,
         # where the first ray's quartic terms would overflow float32 (c = 1e20)
-        a = gen_dense(20, seed=0).densify()
+        a = instance("dense", 20, seed=0).densify()
         res = solve(SpdOperator.from_dense(c * a), 3)
         assert res.status is SolveStatus.CONVERGED
         ref = reference(SpdOperator.from_dense(a)).d[:3]

@@ -1,90 +1,81 @@
 import numpy as np
 import pytest
 
-from sympeig import (
-    GeneratorSpec,
-    gen_dense,
-    gen_prescribed,
-    gen_slr,
-    gen_sparse,
-    reference,
-)
+from conftest import instance
+from sympeig import GeneratorSpec, reference
 
 
 class TestGenDense:
     def test_extreme_eigenvalues(self):
         for n in (5, 12):
-            op = gen_dense(n, seed=0)
+            op = instance("dense", n, seed=0)
             w = np.linalg.eigvalsh(op.densify())
             assert w[0] == pytest.approx(1.0, abs=1e-8)
             assert w[-1] == pytest.approx(float(n), abs=1e-8)
 
     def test_deterministic_per_seed(self):
-        np.testing.assert_array_equal(
-            gen_dense(6, seed=3).densify(), gen_dense(6, seed=3).densify()
-        )
-        assert not np.array_equal(
-            gen_dense(6, seed=3).densify(), gen_dense(6, seed=4).densify()
-        )
+        a, b, c = (instance("dense", 6, seed=seed).densify() for seed in (3, 3, 4))
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_spd(self):
-        assert gen_dense(8, seed=1).is_spd()
+        assert instance("dense", 8, seed=1).is_spd()
 
     def test_kind(self):
-        assert gen_dense(4, seed=0).kind == "dense"
+        assert instance("dense", 4, seed=0).kind == "dense"
 
 
 class TestGenSparse:
     def test_extreme_eigenvalues(self):
         # n = 4 takes the default density min(1, 10/n) = 1
         for n in (4, 25):
-            op = gen_sparse(n, seed=0)
+            op = instance("sparse", n, seed=0)
             w = np.linalg.eigvalsh(op.densify())
             assert w[0] == pytest.approx(1.0, abs=1e-8)
             assert w[-1] == pytest.approx(float(n), abs=1e-8)
 
     def test_default_density(self):
         n = 50
-        op = gen_sparse(n, seed=1)
+        op = instance("sparse", n, seed=1)
         # pattern density sigma = 10/n up to symmetrization and the diagonal
         off_diag = op.nnz - 2 * n
         assert off_diag <= 1.2 * (10.0 / n) * (2 * n) ** 2
 
     def test_symmetric_and_spd(self):
-        op = gen_sparse(30, seed=2)
+        op = instance("sparse", 30, seed=2)
         assert op.kind == "csr"
         assert op.is_symmetric()
         assert op.is_spd()
 
     def test_deterministic_per_seed(self):
-        a = gen_sparse(20, seed=5).densify()
-        b = gen_sparse(20, seed=5).densify()
+        a = instance("sparse", 20, seed=5).densify()
+        b = instance("sparse", 20, seed=5).densify()
         np.testing.assert_array_equal(a, b)
 
     def test_deterministic_above_dense_budget(self):
         # 2n = 4002 takes the iterative extreme-eigenvalue path
-        a = gen_sparse(2001, seed=0)
-        b = gen_sparse(2001, seed=0)
+        a = instance("sparse", 2001, seed=0)
+        b = instance("sparse", 2001, seed=0)
         np.testing.assert_array_equal(a._b.data, b._b.data)
 
     def test_density_validated(self):
         with pytest.raises(ValueError):
-            gen_sparse(20, density=1.5, seed=0)
+            instance("sparse", 20, density=1.5, seed=0)
         with pytest.raises(ValueError):
-            gen_sparse(20, density=0.0, seed=0)
+            instance("sparse", 20, density=0.0, seed=0)
 
 
 class TestGenSlr:
     def test_low_rank_scale(self):
         n = 20
-        op = gen_slr(n, seed=0)
+        op = instance("slr", n, seed=0)
         c = op._c
         w = np.linalg.eigvalsh(c @ c.T)
         assert w[-1] == pytest.approx(float(n), abs=1e-8)
         assert c.shape == (2 * n, 10)
 
     def test_spd_and_kind(self):
-        op = gen_slr(15, seed=1)
+        op = instance("slr", 15, seed=1)
         assert op.kind == "slr"
         assert op.is_spd()
         w = np.linalg.eigvalsh(op.densify())
@@ -92,7 +83,7 @@ class TestGenSlr:
 
     def test_factored_apply_matches_densified(self):
         rng = np.random.default_rng(2)
-        op = gen_slr(12, seed=2, m=4)
+        op = instance("slr", 12, seed=2, m=4)
         x = rng.standard_normal((24, 3))
         expected = op.densify() @ x
         err = np.linalg.norm(op.apply(x) - expected)
@@ -100,42 +91,43 @@ class TestGenSlr:
 
     def test_width_validated(self):
         with pytest.raises(ValueError):
-            gen_slr(15, m=0, seed=0)
+            instance("slr", 15, m=0, seed=0)
 
 
 class TestGenPrescribed:
     def test_oracle_recovers_spectrum(self):
-        op, ref = gen_prescribed(10, seed=0)
+        op, ref = GeneratorSpec("prescribed", 10, seed=0).make()
         d = reference(op).d
         np.testing.assert_allclose(d, np.arange(1.0, 11.0), rtol=1e-8)
 
     def test_all_ones_spectrum(self):
-        op, ref = gen_prescribed(6, spectrum=np.ones(6), seed=1)
+        op, ref = GeneratorSpec("prescribed", 6, spectrum=np.ones(6), seed=1).make()
         d = reference(op).d
         np.testing.assert_allclose(d, np.ones(6), rtol=1e-8)
 
     def test_unsorted_spectrum_is_sorted(self):
-        op, ref = gen_prescribed(4, spectrum=[4.0, 1.0, 3.0, 2.0], seed=2)
+        spec = GeneratorSpec("prescribed", 4, spectrum=[4.0, 1.0, 3.0, 2.0], seed=2)
+        op, ref = spec.make()
         np.testing.assert_array_equal(ref.d, [1.0, 2.0, 3.0, 4.0])
         d = reference(op).d
         np.testing.assert_allclose(d, ref.d, rtol=1e-8)
 
     def test_reference_diagonalizes(self):
-        op, ref = gen_prescribed(8, seed=3)
+        op, ref = GeneratorSpec("prescribed", 8, seed=3).make()
         a = op.densify()
         target = np.diag(np.concatenate([ref.d, ref.d]))
         err = np.linalg.norm(ref.s.T @ a @ ref.s - target)
         assert err <= 1e-8 * np.linalg.norm(a)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            gen_prescribed(4, spectrum=[1.0, 2.0], seed=0)
-        with pytest.raises(ValueError):
-            gen_prescribed(3, spectrum=[1.0, -2.0, 3.0], seed=0)
+        with pytest.raises(ValueError, match="spectrum needs 4 values, got 2"):
+            GeneratorSpec("prescribed", 4, spectrum=[1.0, 2.0], seed=0).validate()
+        with pytest.raises(ValueError, match="spectrum must be positive"):
+            GeneratorSpec("prescribed", 3, spectrum=[1.0, -2.0, 3.0], seed=0).validate()
 
     def test_deterministic_per_seed(self):
-        a = gen_prescribed(7, seed=9)[0].densify()
-        b = gen_prescribed(7, seed=9)[0].densify()
+        a = instance("prescribed", 7, seed=9).densify()
+        b = instance("prescribed", 7, seed=9).densify()
         np.testing.assert_array_equal(a, b)
 
 
@@ -159,6 +151,15 @@ class TestGeneratorSpec:
             GeneratorSpec("sparse", 10, density=2.0).validate()
         with pytest.raises(ValueError):
             GeneratorSpec("slr", 10, m=0).validate()
+        # each bad field is named, before numpy or scipy sees it
+        for fields, name in [({"n": 5.5}, "n"), ({"n": True}, "n"), ({"m": 2.0}, "m"),
+                             ({"seed": 1.5}, "seed"), ({"seed": "0"}, "seed")]:
+            spec = GeneratorSpec(**{"family": "slr", "n": 6, **fields})
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                spec.make()
+        for spectrum in ([1.0, np.nan, 2.0], [1.0, np.inf, 2.0]):
+            with pytest.raises(ValueError, match="spectrum must be finite"):
+                GeneratorSpec("prescribed", 3, spectrum=spectrum).make()
 
     def test_negative_seed_named(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
