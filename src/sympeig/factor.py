@@ -167,13 +167,15 @@ def reference(op):
     return williamson_small(op.densify())
 
 
-def srr(op, x, unit=1.0):
-    """Symplectic Rayleigh-Ritz refinement of span(X).
+def srr(x, ax, unit=1.0):
+    """Symplectic Rayleigh-Ritz refinement of span(X) from X and its image
+    A X.
 
-    Runs ssvd to get a symplectic basis S of the span, Williamson-
-    diagonalizes the projected matrix S^T (A S), taken in units of
-    `unit` (a power of two, so that the Ritz values of 2^k A in units of
-    2^-k unit are those of A exactly), and rotates S into the refined
+    Runs ssvd, X = S Sigma T^T, to get a symplectic basis S of the span
+    and its image A S = (A X) T Sigma^-1, so no apply is made;
+    Williamson-diagonalizes the projected matrix S^T (A S), taken in units
+    of `unit` (a power of two, so that the Ritz values of 2^k A in units
+    of 2^-k unit are those of A exactly), and rotates S into the refined
     eigenbasis.
 
     Returns
@@ -181,12 +183,12 @@ def srr(op, x, unit=1.0):
     (s_fin, d_fin, a_s_fin) : ndarray triple
         s_fin in Sp(2p, 2n) with s_fin^T A s_fin = diag(d_fin, d_fin)
         up to round-off; d_fin ascending (the Ritz values); a_s_fin is
-        A s_fin, formed as (A S) W from the product already taken, so
-        the caller needs no further apply for the residual.
+        A s_fin, formed as (A S) W, so the caller needs no further apply
+        for the residual.
     """
     fac = ssvd(x)
     s = fac.s
-    a_s = op.apply(s)
+    a_s = (ax @ fac.t) / fac.sigma
     wf = williamson_small(unit * (s.T @ a_s))
     return s @ wf.s, wf.d / unit, a_s @ wf.s
 

@@ -38,18 +38,19 @@ BETA_BEST_FACTOR = (3.0 + math.sqrt(5.0)) / 2.0
 _EPS_FLOOR = 1e-14
 
 # outer-loop constants; the step and line-search ones live in `stepper`
-EPS_FIRST = 0.1  # inner tolerance of the first stage
+EPS_FIRST = 0.3  # inner tolerance of the first stage
 DELTA_EPS = 0.01  # inner tolerance shrink per outer stage
 ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
 
 # A stage of `solve` with inner tolerance eps >= SINGLE_EPS runs its
 # iterates in float32.  Over k steps its carried A X drifts by about k eps_32
-# relative: at most 1.3% of eps in the 47-304-step loose stages of the n =
+# relative: at most 0.41% of eps in the 20-265-step loose stages of the n =
 # 200-800 families.  A tighter stage keeps its iterates in float64 and only
-# applies A in float32; its carried A X drifted by at most 7.7e-3 eps, in the
-# aimed stage (dense n = 200, slr n = 400).  Both need the mean eigenvalue m =
-# tr(A)/2n in SINGLE_SCALE, which keeps float32 copies of B and C, and the
-# squares of blocks of size m, far inside float32's range.
+# applies A in float32; before its exit test its carried A X had drifted by
+# up to 2.7e-2 eps, in the aimed stage (dense n = 200; slr and sparse up to
+# 9.3e-3 eps), so the exit is decided on a float64 A X.  Both need the mean
+# eigenvalue m = tr(A)/2n in SINGLE_SCALE, which keeps float32 copies of B
+# and C, and the squares of blocks of size m, far inside float32's range.
 SINGLE_EPS = math.sqrt(np.finfo(np.float32).eps)
 SINGLE_SCALE = (1e-8, 1e8)
 
@@ -73,8 +74,8 @@ class SolverParams:
     stage budget; each solver ignores the other's.  `tol` is the relative
     eigen-residual that both solvers must reach to report convergence.
     `solve`'s inner tolerance, relative to ||A X||_F, is no setting: it
-    starts at `EPS_FIRST` and shrinks by `DELTA_EPS` per outer stage (0.1,
-    1e-3, 1e-5, ...), except that a stage ending with residue r <= tol /
+    starts at `EPS_FIRST` and shrinks by `DELTA_EPS` per outer stage (0.3,
+    3e-3, 3e-5, ...), except that a stage ending with residue r <= tol /
     (2 DELTA_EPS^2) (5e3 tol) is followed by eps' = (tol / 2r) eps, aimed
     at half of `tol` (eps still falls strictly).  The step and line-search
     constants are those of `sympeig.stepper`; the outer-loop and precision
@@ -136,8 +137,9 @@ class InnerStep:
 
 @dataclass
 class OuterStage:
-    """One outer stage: the beta/eps used, Ritz values found, and the
-    rank margin sigma_min/sigma_max of the restart it produced."""
+    """One outer stage: the beta/eps used, Ritz values found, the exits
+    that the stage's exact A X refused (`solve`; 0 for `solve_basic`), and
+    the rank margin sigma_min/sigma_max of the restart it produced."""
 
     stage: int
     beta: float
@@ -145,6 +147,7 @@ class OuterStage:
     theta: np.ndarray
     reached: bool
     inner_iters: int
+    refused: int
     residue: float
     sigma_ratio: float
     elapsed: float
@@ -207,9 +210,10 @@ def _initial_beta(op, p, params):
 
 def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     """One stage of `solve`: descent until ||G||_F < eps ||A X||_F or
-    k_max steps; returns (x, reached, iters): the last iterate in float64,
-    whether the gradient test stopped the descent, and the number of
-    steps taken.
+    k_max steps; returns (x, ax, reached, iters, refused): the last
+    iterate and its image A X, both in float64, whether the gradient test
+    stopped the descent, the number of steps taken, and the number of
+    exits that the exact image refused.
 
     Steps follow the memoryless BFGS direction from the last step's
     curvature pair, H0 scaled by the BB2 length, and take the exact
@@ -228,6 +232,12 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     applies A in float32: it rounds D to float32 in place before the
     slope <G, D> is taken, so the step moves along exactly the D that was
     applied, and widens A D into a reused float64 block.
+    A stage ends on one float64 apply A X of its last iterate, the image
+    that the Rayleigh-Ritz step reuses.  A tight stage's carried A X sums
+    float32 applies, so when its gradient test passes the exact image
+    replaces it, the gradient is formed anew and the test is taken again;
+    an exit that the test then refuses costs one apply, and the descent
+    goes on.
     `unit` is the unit of the step lengths (:func:`bb_step`).
     """
     loose = single and eps >= SINGLE_EPS
@@ -242,11 +252,20 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     pair = sz = None
     k_base = len(trace.inner)
     reached = False
-    iters = 0
+    iters = refused = 0
     for k in range(params.k_max):
         if gnorm < eps * float(np.sqrt(np.vdot(ev.ax, ev.ax))):
-            reached = True
-            break
+            x = ev.x.astype(float, copy=False)
+            ax = op.apply(x)
+            if mixed:
+                # the carried A X sums float32 applies: decide on the exact one
+                np.copyto(ev.ax, ax)
+                ev.ensure_gradient(out=g)
+                gnorm = float(np.sqrt(np.vdot(g, g)))
+            if gnorm < eps * float(np.sqrt(np.vdot(ev.ax, ev.ax))):
+                reached = True
+                break
+            refused += 1
         gamma = bb_step(s, z, k, alternate=False, sz=sz, unit=unit)
         d = lbfgs_direction(g, pair, gamma, out=d_buf, work=work)
         if mixed:
@@ -274,7 +293,10 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
                       beta, ev.value, ls.capped)
         )
         iters += 1
-    return ev.x.astype(float, copy=False), reached, iters
+    if not reached:
+        x = ev.x.astype(float, copy=False)
+        ax = op.apply(x)
+    return x, ax, reached, iters, refused
 
 
 def _result(x, s_fin, d_fin, status, trace, beta, resid, start, message=None):
@@ -353,14 +375,14 @@ def solve_basic(op, p, params=None):
             window.append(ev.value)
             trace.inner.append(InnerStep(k, 0, ev.value, gnorm, gamma, ls.t, beta,
                                          max(window), ls.capped))
-        s_fin, d_fin, as_fin = srr(op, x)
+        s_fin, d_fin, as_fin = srr(x, op.apply(x))
         resid = residue(op, s_fin, d_fin, ax=as_fin)
     except NumericalFailure as exc:
         return _result(x, None, None, SolveStatus.NUMERICAL_FAILURE, trace, beta,
                        math.nan, start, str(exc))
     trace.outer.append(
         OuterStage(0, float(beta), params.eps0, d_fin.copy(), reached,
-                   len(trace.inner), resid, None, time.perf_counter() - start)
+                   len(trace.inner), 0, resid, None, time.perf_counter() - start)
     )
     converged = reached and resid <= params.tol
     status = SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS
@@ -387,7 +409,7 @@ def solve(op, p, params=None):
 
     When tr(A)/2n lies in `SINGLE_SCALE`, every inner step applies A in
     float32.  The iterates run in float32 only in the stages with eps >=
-    `SINGLE_EPS` = sqrt(eps_float32) (3.45e-4; the 0.1 and 1e-3 stages
+    `SINGLE_EPS` = sqrt(eps_float32) (3.45e-4; the 0.3 and 3e-3 stages
     at the defaults); everything else runs in float64.  The float32
     copies `SpdOperator.apply` makes live until `solve` returns.  Step
     lengths and the Rayleigh-Ritz step are in units of 2^-e, e the binary
@@ -401,10 +423,13 @@ def solve(op, p, params=None):
     bounds d_p from above, so the penalty stays exact, and it is read off
     the frame's rows of the stage's first apply A E, in units of 2^-e.
 
-    A stage costs one apply per inner step and one in the Rayleigh-Ritz
-    step, whose image A S the residue reuses and the restart scales into
-    the next stage's A X; the first stage adds one for its evaluation.
-    A solve thus takes inner + outer + 1 applies.
+    A stage costs one apply per inner step and one float64 apply A X at
+    its end, which decides a tight stage's exit (an exit it refuses,
+    counted in `OuterStage.refused`, costs one apply more) and from which
+    the Rayleigh-Ritz step forms A S; the residue reuses A S and the
+    restart scales it into the next stage's A X.  The first stage adds one
+    apply for its evaluation, so a solve takes inner + outer + 1 +
+    sum(refused) applies.
 
     Returns
     -------
@@ -445,10 +470,10 @@ def solve(op, p, params=None):
             for stage in range(params.outer_max):
                 stage_start = time.perf_counter()
                 stage_beta = beta
-                x, reached, iters = _run_inner(
+                x, ax, reached, iters, refused = _run_inner(
                     op, x, ax, beta, eps, params, trace, stage, single, unit,
                 )
-                s_fin, d_fin, as_fin = srr(op, x, unit)
+                s_fin, d_fin, as_fin = srr(x, ax, unit)
                 resid = residue(op, s_fin, d_fin, ax=as_fin)
                 elapsed = time.perf_counter() - stage_start
                 converged = resid <= params.tol
@@ -468,7 +493,7 @@ def solve(op, p, params=None):
                     sigma_ratio = float(sv[-1] / sv[0])
                 trace.outer.append(
                     OuterStage(stage, stage_beta, eps, d_fin.copy(), reached, iters,
-                               resid, sigma_ratio, elapsed)
+                               refused, resid, sigma_ratio, elapsed)
                 )
                 if converged:
                     status = SolveStatus.CONVERGED

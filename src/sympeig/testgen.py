@@ -10,6 +10,7 @@ extremes ARPACK finds at tol=1e-6.  All draws come from
 family is bit-reproducible per seed within this implementation.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -51,6 +52,9 @@ class GeneratorSpec:
       so ||J_n H||_2 <= 2) gives A = S^(-T) diag(d, d) S^(-1), returned
       with its exact reference (d ascending, S with columns permuted to
       match).
+
+    `density` and `spectrum` stay None for a family that does not read
+    them (`m` always has its default).
     """
 
     family: str
@@ -67,15 +71,22 @@ class GeneratorSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("density", "spectrum"):
+            if getattr(self, name) is not None and name not in _FAMILY_FIELDS[self.family]:
+                raise ValueError(f"{name} does not apply to the {self.family} family")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
-        if self.density is not None and not 0 < self.density <= 1:
-            raise ValueError(f"density must lie in (0, 1], got {self.density}")
+        if self.density is not None:
+            if (isinstance(self.density, bool) or not isinstance(self.density, numbers.Real)
+                    or not math.isfinite(self.density)):
+                raise ValueError(f"density must be a finite real number, got {self.density!r}")
+            if not 0 < self.density <= 1:
+                raise ValueError(f"density must lie in (0, 1], got {self.density}")
         if self.m < 1:
             raise ValueError(f"low-rank width must be >= 1, got {self.m}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.family == "prescribed" and self.spectrum is not None:
+        if self.spectrum is not None:
             d = np.asarray(self.spectrum, dtype=float)
             if d.size != self.n:
                 raise ValueError(f"spectrum needs {self.n} values, got {d.size}")

@@ -74,6 +74,20 @@ class TestGen:
         for path in sidecar["files"]:
             assert os.path.exists(path)
 
+    @pytest.mark.parametrize("family, flags, name", [
+        ("dense", ["--spectrum", "1,2", "--density", "0.5"], "density"),
+        ("dense", ["--spectrum", "1,2,3"], "spectrum"),
+        ("prescribed", ["--density", "0.5"], "density"),
+        ("sparse", ["--spectrum", "1,2,3"], "spectrum"),
+        ("slr", ["--spectrum", "1,2,3"], "spectrum"),
+    ])
+    def test_flag_the_family_does_not_read_is_usage_error(self, tmp_path, capsys,
+                                                          family, flags, name):
+        out = tmp_path / "o"
+        assert main(["gen", "--family", family, "--n", "3", *flags, "--out", str(out)]) == 2
+        assert f"{name} does not apply to the {family} family" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_prescribed_sidecar_records_spectrum(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         main(["gen", "--family", "prescribed", "--n", "6", "--out", out])

@@ -135,10 +135,35 @@ class TestWilliamsonSmall:
             williamson_small(np.eye(3))
 
 
+def _identity_case():
+    return SpdOperator.from_dense(np.eye(12)), canonical_frame(6, 2), 1.0
+
+
+def _stationary_case():
+    op, ref = GeneratorSpec("prescribed", 10, seed=4).make()
+    return op, construct_stationary_point(ref.frame(3), ref.d[:3], 3, None, 25.0), 1.0
+
+
+def _random_spd_case():
+    a = random_spd(np.random.default_rng(9), 20)
+    return SpdOperator.from_dense(a), np.random.default_rng(8).standard_normal((20, 6)), 0.25
+
+
+def _random_basis_case():
+    op, _ = GeneratorSpec("prescribed", 10, seed=4).make()
+    return op, np.random.default_rng(8).standard_normal((20, 6)), 1.0
+
+
+def _mixed_stationary_case():
+    op, ref = GeneratorSpec("prescribed", 9, seed=5).make()
+    t = random_orthosymplectic(2, np.random.default_rng(6))
+    return op, construct_stationary_point(ref.frame(2), ref.d[:2], 2, t, 30.0), 1.0
+
+
 class TestSrr:
     def test_identity_operator(self):
-        op = SpdOperator.from_dense(np.eye(12))
-        s_fin, d_fin, _ = srr(op, canonical_frame(6, 2))
+        op, x, _ = _identity_case()
+        s_fin, d_fin, _ = srr(x, op.apply(x))
         np.testing.assert_allclose(d_fin, np.ones(2), atol=1e-13)
         target = np.diag(np.concatenate([d_fin, d_fin]))
         np.testing.assert_allclose(s_fin.T @ s_fin, target, atol=1e-12)
@@ -148,11 +173,23 @@ class TestSrr:
         p, beta = 3, 25.0
         shat = ref.frame(p)
         x = construct_stationary_point(shat, ref.d[:p], p, None, beta)
-        s_fin, d_fin, _ = srr(op, x)
+        s_fin, d_fin, _ = srr(x, op.apply(x))
         np.testing.assert_allclose(d_fin, ref.d[:p], rtol=1e-10)
         proj = s_fin.T @ op.apply(s_fin)
         target = np.diag(np.concatenate([d_fin, d_fin]))
         assert np.linalg.norm(proj - target) <= 1e-9 * np.linalg.norm(proj)
+
+    @pytest.mark.parametrize("case", [_identity_case, _stationary_case, _random_spd_case,
+                                      _random_basis_case, _mixed_stationary_case],
+                             ids=lambda case: case.__name__[1:-5])
+    def test_image_of_x_gives_the_ritz_values_of_a_applied_to_s(self, case):
+        # A S = (A X) T Sigma^-1 from the ssvd factors: the Ritz values
+        # match those from an apply of A to the symplectic basis S itself
+        op, x, unit = case()
+        _, d_fin, _ = srr(x, op.apply(x), unit)
+        s = ssvd(x).s
+        applied = williamson_small(unit * (s.T @ op.apply(s))).d / unit
+        np.testing.assert_allclose(d_fin, applied, rtol=1e-12)
 
     @pytest.mark.parametrize("k", [-3, 1, 6])
     def test_ritz_values_in_units_scale_exactly(self, k):
@@ -160,16 +197,16 @@ class TestSrr:
         # form would round A and 2A differently
         a = random_spd(np.random.default_rng(9), 20)
         x = np.random.default_rng(8).standard_normal((20, 6))
-        s_fin, d_fin, image = srr(SpdOperator.from_dense(a), x, 0.25)
-        s_k, d_k, image_k = srr(SpdOperator.from_dense(np.ldexp(a, k)), x, 0.25 * 2.0**-k)
+        s_fin, d_fin, image = srr(x, SpdOperator.from_dense(a).apply(x), 0.25)
+        a_k = SpdOperator.from_dense(np.ldexp(a, k))
+        s_k, d_k, image_k = srr(x, a_k.apply(x), 0.25 * 2.0**-k)
         assert np.array_equal(s_k, s_fin)
         assert np.array_equal(d_k, np.ldexp(d_fin, k))
         assert np.array_equal(image_k, np.ldexp(image, k))
 
     def test_image_matches_a_fresh_apply(self):
-        op, _ = GeneratorSpec("prescribed", 10, seed=4).make()
-        x = np.random.default_rng(8).standard_normal((20, 6))
-        s_fin, _, image = srr(op, x)
+        op, x, _ = _random_basis_case()
+        s_fin, _, image = srr(x, op.apply(x))
         fresh = op.apply(s_fin)
         assert np.linalg.norm(image - fresh) <= 1e-12 * np.linalg.norm(fresh)
 
@@ -179,8 +216,10 @@ class TestSrr:
         shat = ref.frame(p)
         rng = np.random.default_rng(6)
         t = random_orthosymplectic(p, rng)
-        _, d_plain, _ = srr(op, construct_stationary_point(shat, ref.d[:p], p, None, beta))
-        _, d_mixed, _ = srr(op, construct_stationary_point(shat, ref.d[:p], p, t, beta))
+        plain = construct_stationary_point(shat, ref.d[:p], p, None, beta)
+        mixed = construct_stationary_point(shat, ref.d[:p], p, t, beta)
+        _, d_plain, _ = srr(plain, op.apply(plain))
+        _, d_mixed, _ = srr(mixed, op.apply(mixed))
         np.testing.assert_allclose(d_mixed, d_plain, rtol=1e-10)
 
 

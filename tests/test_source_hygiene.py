@@ -97,6 +97,14 @@ def test_no_scipy_blas(path):
     assert not any(name.split(".")[-1] == "get_blas_funcs" for name in used)
 
 
+def test_srr_never_applies_the_operator():
+    # the Rayleigh-Ritz step takes A X from the stage end, the one place
+    # that applies A to a stage's exit iterate
+    tree = ast.parse((SRC / "factor.py").read_text())
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "apply" not in attrs
+
+
 def read_names(node):
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
             if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))

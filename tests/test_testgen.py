@@ -161,6 +161,23 @@ class TestGeneratorSpec:
             with pytest.raises(ValueError, match="spectrum must be finite"):
                 GeneratorSpec("prescribed", 3, spectrum=spectrum).make()
 
+    @pytest.mark.parametrize("density", ["0.5", True, False, 0.5 + 0j, np.nan,
+                                         np.inf, -np.inf, [0.5]])
+    def test_bad_density_named(self, density):
+        with pytest.raises(ValueError, match="^density must be"):
+            GeneratorSpec("sparse", 10, density=density).validate()
+
+    @pytest.mark.parametrize("family, fields, name", [
+        ("dense", {"density": 0.5}, "density"),
+        ("prescribed", {"density": 0.5}, "density"),
+        ("dense", {"spectrum": [1.0, 2.0, 3.0]}, "spectrum"),
+        ("sparse", {"spectrum": [1.0, 2.0, 3.0]}, "spectrum"),
+        ("slr", {"spectrum": [1.0, 2.0, 3.0]}, "spectrum"),
+    ])
+    def test_field_the_family_does_not_read_is_rejected(self, family, fields, name):
+        with pytest.raises(ValueError, match=f"^{name} does not apply to the {family} family"):
+            GeneratorSpec(family, 3, **fields).validate()
+
     def test_negative_seed_named(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             GeneratorSpec("dense", 6, seed=-1).validate()
