@@ -10,7 +10,6 @@ extremes ARPACK finds at tol=1e-6.  All draws come from
 family is bit-reproducible per seed within this implementation.
 """
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -76,12 +75,11 @@ class GeneratorSpec:
                 raise ValueError(f"{name} does not apply to the {self.family} family")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
-        if self.density is not None:
-            if (isinstance(self.density, bool) or not isinstance(self.density, numbers.Real)
-                    or not math.isfinite(self.density)):
-                raise ValueError(f"density must be a finite real number, got {self.density!r}")
-            if not 0 < self.density <= 1:
-                raise ValueError(f"density must lie in (0, 1], got {self.density}")
+        density = self.density
+        if density is not None and (isinstance(density, bool)
+                                    or not isinstance(density, numbers.Real)
+                                    or not 0 < density <= 1):
+            raise ValueError(f"density must be a real number in (0, 1], got {density!r}")
         if self.m < 1:
             raise ValueError(f"low-rank width must be >= 1, got {self.m}")
         if self.seed < 0:
