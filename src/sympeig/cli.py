@@ -165,12 +165,11 @@ def _build_params(args):
 def _resolve_beta(label, op, p, ref):
     """Map a beta spec ('auto', 'sug', '2sug', 'best', '1.001dp', or a
     float literal) to a value; 'auto' returns None (solver heuristic)."""
+    suggested = beta_suggest(op, p)  # checks p, whatever the label
     if label is None or label == "auto":
         return None
-    if label == "sug":
-        return beta_suggest(op, p)
     if label.endswith("sug"):
-        return float(label[:-3]) * beta_suggest(op, p)
+        return float(label[:-3] or 1.0) * suggested
     if label in ("best", "1.001dp"):
         if ref is None:
             raise ValueError(f"beta label {label!r} needs the dense oracle reference")
@@ -226,10 +225,8 @@ def cmd_gen(args):
 def cmd_solve(args):
     out = _out_dir(args)
     op, descriptor, ref = _resolve_source(args)
-    if not 1 <= args.p < op.n:
-        raise ValueError(f"need 1 <= p < n, got p={args.p}, n={op.n}")
-    params = _build_params(args)
     beta_value = _resolve_beta(args.beta, op, args.p, ref)
+    params = _build_params(args)
     result = _run_variant(op, args.p, params, args.variant, beta_value)
     meta = {
         "version": __version__,
@@ -256,9 +253,8 @@ def cmd_solve(args):
 def cmd_oracle(args):
     out = _out_dir(args)
     op, descriptor, _ = _resolve_source(args)
-    if not 1 <= args.p <= op.n:
-        raise ValueError(f"need 1 <= p <= n, got p={args.p}, n={op.n}")
     ref = reference(op)
+    xref = ref.frame(args.p)  # checks 1 <= p <= n before anything is written
     payload = {
         "version": __version__,
         "matrix": descriptor,
@@ -270,7 +266,7 @@ def cmd_oracle(args):
     oracle_path = os.path.join(out, "oracle.json")
     _write_json(oracle_path, payload)
     xref_path = os.path.join(out, "xref.mtx")
-    mmwrite(xref_path, ref.frame(args.p), precision=17)
+    mmwrite(xref_path, xref, precision=17)
     print(oracle_path)
     print(xref_path)
     return EXIT_OK
@@ -331,25 +327,21 @@ def cmd_bench(args):
             raise ValueError(f"--{flag.replace('_', '-')} lists no value")
     out = _out_dir(args)
     SolverParams(tol=args.tol).validate()
-    for family in args.families:
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
     for variant in args.variants:
         if variant not in ("basic", "enhanced"):
             raise ValueError(f"unknown variant {variant!r}")
-    for n, p in itertools.product(args.n_list, args.p_list):
-        if not 1 <= p < n:
-            raise ValueError(f"need 1 <= p < n in the grid, got p={p}, n={n}")
+    specs = [GeneratorSpec(family, n, seed=seed).validate() for family, n, seed
+             in itertools.product(args.families, args.n_list, args.seeds)]
 
     instances = {}
-    for family, n, seed in itertools.product(args.families, args.n_list, args.seeds):
-        op, ref = GeneratorSpec(family, n, seed=seed).make()
-        if ref is None and 2 * n <= DENSE_MAX_DIM and args.with_oracle:
+    for spec in specs:
+        op, ref = spec.make()
+        if ref is None and 2 * spec.n <= DENSE_MAX_DIM and args.with_oracle:
             ref = reference(op)
-        # every beta label resolves and passes the solver's check before any run
+        # every p and beta label passes `beta_suggest` and the solver's check before any run
         for label, p in itertools.product(args.betas, args.p_list):
             SolverParams(beta0=_resolve_beta(label, op, p, ref)).validate()
-        instances[(family, n, seed)] = (op, ref)
+        instances[(spec.family, spec.n, spec.seed)] = (op, ref)
 
     # cells in row order: (family, n, p, seed, beta_label, variant)
     cells = sorted(itertools.product(args.families, args.n_list, args.p_list,

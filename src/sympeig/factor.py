@@ -18,16 +18,6 @@ from .operators import j_left, symplectic_gram
 
 
 @dataclass
-class SsvdFactors:
-    """X = S Sigma T^T with S symplectic, T orthogonal, and Sigma the
-    doubled diagonal (sigma_1..sigma_p, sigma_1..sigma_p)."""
-
-    s: np.ndarray
-    sigma: np.ndarray
-    t: np.ndarray
-
-
-@dataclass
 class WilliamsonForm:
     """S^T M S = diag(d, d) with S symplectic and d ascending."""
 
@@ -86,7 +76,9 @@ def ssvd(x):
 
     Returns
     -------
-    SsvdFactors
+    (s, sigma, t) : ndarray triple
+        X = S Sigma T^T with S symplectic, T orthogonal, and Sigma the
+        doubled diagonal (sigma_1..sigma_p, sigma_1..sigma_p).
 
     Raises
     ------
@@ -110,7 +102,7 @@ def ssvd(x):
         )
     sigma = np.sqrt(np.concatenate([d, d]))
     s = (x @ q) / sigma
-    return SsvdFactors(s=s, sigma=sigma, t=q)
+    return s, sigma, q
 
 
 def williamson_small(m):
@@ -186,9 +178,8 @@ def srr(x, ax, unit=1.0):
         A s_fin, formed as (A S) W, so the caller needs no further apply
         for the residual.
     """
-    fac = ssvd(x)
-    s = fac.s
-    a_s = (ax @ fac.t) / fac.sigma
+    s, sigma, t = ssvd(x)
+    a_s = (ax @ t) / sigma
     wf = williamson_small(unit * (s.T @ a_s))
     return s @ wf.s, wf.d / unit, a_s @ wf.s
 

@@ -44,8 +44,8 @@ def feasibility(x):
 
 def residue(op, x, d, ax=None):
     """Relative eigen-residual ||A X - J_n X J_p^T D||_F / ||A X||_F
-    with D = diag(d, d), both J products formed by permuting and
-    negating blocks.
+    with D = diag(d, d) for positive finite d, both J products formed by
+    permuting and negating blocks.
 
     `ax` is A X when the caller already holds it (as `srr` does); the
     operator is applied otherwise."""
@@ -53,8 +53,8 @@ def residue(op, x, d, ax=None):
     d = np.atleast_1d(np.asarray(d, dtype=float))
     if x.ndim != 2 or x.shape[1] != 2 * d.size:
         raise ValueError(f"basis shape {x.shape} does not match {d.size} eigenvalues")
-    if d.min() <= 0:
-        raise ValueError("eigenvalues must be positive")
+    if not (d > 0).all() or not np.isfinite(d).all():
+        raise ValueError("eigenvalues must be positive and finite")
     if not np.linalg.norm(x):
         raise ValueError("residue of a zero basis is undefined")
     if ax is None:

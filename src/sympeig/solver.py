@@ -15,7 +15,6 @@ neither allocates a block of the iterate's shape per step.
 """
 
 import math
-import numbers
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -23,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, check_number
 from .factor import restart_point, srr, williamson_small
 from .metrics import feasibility, residue
 from .operators import canonical_frame, single_precision
@@ -95,14 +94,8 @@ class SolverParams:
     def validate(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "beta0" and value is None:
-                continue
-            if f.type is int:
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                  or not math.isfinite(value)):
-                raise ValueError(f"{f.name} must be a finite real number, got {value!r}")
+            if value is not None or f.name != "beta0":
+                check_number(f.name, value, integer=f.type is int)
         if self.eps0 <= 0 or self.tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.k_max < 1 or self.outer_max < 1:
@@ -167,8 +160,11 @@ class SympEigResult:
     NUMERICAL_FAILURE solve, None otherwise.  Such a solve keeps the
     eigenvalues, eigenbasis and residue of `solve`'s last completed
     stage, or None, None and nan when none completed, as always for
-    `solve_basic`; `x_final` is the last iterate and `feasibility` that
-    of the eigenbasis, or of `x_final` when there is none."""
+    `solve_basic`.  `x_final` is `solve_basic`'s last iterate; `solve`'s
+    is the restart point of its last completed stage (the canonical frame
+    before one), which a stage whose descent fails leaves as it was, or
+    the iterate of a stage whose Rayleigh-Ritz step fails.  `feasibility`
+    is that of the eigenbasis, or of `x_final` when there is none."""
 
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
@@ -188,9 +184,11 @@ def beta_suggest(op, p):
     """Penalty weight heuristic tr(A)/(n - p + 1).
 
     Always at least twice the p-th symplectic eigenvalue, so the
-    penalty is exact without knowing the spectrum.
+    penalty is exact without knowing the spectrum.  It holds the one
+    check of p, an integer in [1, n), for both solvers and the CLI.
     """
     n = op.n
+    check_number("p", p, integer=True)
     if not 1 <= p < n:
         raise ValueError(f"need 1 <= p < n, got p={p}, n={n}")
     return op.trace() / (n - p + 1)
@@ -233,11 +231,11 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     slope <G, D> is taken, so the step moves along exactly the D that was
     applied, and widens A D into a reused float64 block.
     A stage ends on one float64 apply A X of its last iterate, the image
-    that the Rayleigh-Ritz step reuses.  A tight stage's carried A X sums
-    float32 applies, so when its gradient test passes the exact image
-    replaces it, the gradient is formed anew and the test is taken again;
-    an exit that the test then refuses costs one apply, and the descent
-    goes on.
+    that the Rayleigh-Ritz step reuses, made after the loop.  Only a
+    tight stage with `single` carries an A X summed from float32 applies:
+    when its gradient test passes, the exact image replaces the carried
+    one, the gradient is formed anew and the test is taken again; an exit
+    that the test then refuses costs one apply, and the descent goes on.
     `unit` is the unit of the step lengths (:func:`bb_step`).
     """
     loose = single and eps >= SINGLE_EPS
@@ -255,14 +253,12 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     iters = refused = 0
     for k in range(params.k_max):
         if gnorm < eps * float(np.sqrt(np.vdot(ev.ax, ev.ax))):
-            x = ev.x.astype(float, copy=False)
-            ax = op.apply(x)
             if mixed:
                 # the carried A X sums float32 applies: decide on the exact one
-                np.copyto(ev.ax, ax)
+                np.copyto(ev.ax, op.apply(ev.x))
                 ev.ensure_gradient(out=g)
                 gnorm = float(np.sqrt(np.vdot(g, g)))
-            if gnorm < eps * float(np.sqrt(np.vdot(ev.ax, ev.ax))):
+            if not mixed or gnorm < eps * float(np.sqrt(np.vdot(ev.ax, ev.ax))):
                 reached = True
                 break
             refused += 1
@@ -293,10 +289,8 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
                       beta, ev.value, ls.capped)
         )
         iters += 1
-    if not reached:
-        x = ev.x.astype(float, copy=False)
-        ax = op.apply(x)
-    return x, ax, reached, iters, refused
+    x = ev.x.astype(float, copy=False)
+    return x, ev.ax if mixed and reached else op.apply(x), reached, iters, refused
 
 
 def _result(x, s_fin, d_fin, status, trace, beta, resid, start, message=None):
@@ -343,7 +337,7 @@ def solve_basic(op, p, params=None):
     Raises
     ------
     ValueError
-        If `params` is invalid or p is outside [1, n).
+        If `params` is invalid or p is not an integer in [1, n).
     """
     params = (params or SolverParams()).validate()
     beta = _initial_beta(op, p, params)
@@ -481,9 +475,9 @@ def solve(op, p, params=None):
                     theta_p = float(d_fin[-1])
                     beta = ETA * theta_p
                     # fires on every dense n=200 p=10 instance, on no slr n=400 one:
-                    # without it dense seeds 0-39 take 22,782 applies, not 22,663
-                    # (25 instances take more, 13 fewer), and 5000-5039 22,697, not
-                    # 22,534 (23 more, 15 fewer)
+                    # without it dense seeds 0-39 take 21,532 applies, not 21,356
+                    # (28 instances take more, 10 fewer), and 5000-5039 21,579, not
+                    # 21,630 (25 more, 11 fewer)
                     if beta < stage_beta / 10.0:
                         beta = BETA_BEST_FACTOR * theta_p
                 x = restart_point(s_fin, d_fin, beta)

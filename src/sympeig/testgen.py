@@ -10,13 +10,13 @@ extremes ARPACK finds at tol=1e-6.  All draws come from
 family is bit-reproducible per seed within this implementation.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy import sparse
 
+from .errors import check_number
 from .factor import WilliamsonForm
 from .operators import SpdOperator, j_left
 
@@ -67,27 +67,24 @@ class GeneratorSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, pick from {FAMILIES}")
         for name in ("n", "m", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_number(name, getattr(self, name), integer=True)
         for name in ("density", "spectrum"):
             if getattr(self, name) is not None and name not in _FAMILY_FIELDS[self.family]:
                 raise ValueError(f"{name} does not apply to the {self.family} family")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
-        density = self.density
-        if density is not None and (isinstance(density, bool)
-                                    or not isinstance(density, numbers.Real)
-                                    or not 0 < density <= 1):
-            raise ValueError(f"density must be a real number in (0, 1], got {density!r}")
+        if self.density is not None:
+            check_number("density", self.density)
+            if not 0 < self.density <= 1:
+                raise ValueError(f"density must be in (0, 1], got {self.density!r}")
         if self.m < 1:
             raise ValueError(f"low-rank width must be >= 1, got {self.m}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.spectrum is not None:
             d = np.asarray(self.spectrum, dtype=float)
-            if d.size != self.n:
-                raise ValueError(f"spectrum needs {self.n} values, got {d.size}")
+            if d.shape != (self.n,):
+                raise ValueError(f"spectrum needs {self.n} values, got {d.size} ({d.ndim}-D)")
             if not np.isfinite(d).all():
                 raise ValueError(f"spectrum must be finite, got {self.spectrum!r}")
             if d.min() <= 0:

@@ -177,12 +177,12 @@ def test_criterion_05_factorization_invariants(emit):
         p = int(rng.integers(1, 101))
         n = p + int(rng.integers(5, 40))
         x = rng.standard_normal((2 * n, 2 * p))
-        fac = ssvd(x)
-        rec = (np.linalg.norm((fac.s * fac.sigma) @ fac.t.T - x)
+        s, sigma, t = ssvd(x)
+        rec = (np.linalg.norm((s * sigma) @ t.T - x)
                / np.linalg.norm(x))
-        jts = np.vstack([fac.s[n:], -fac.s[:n]])
-        sym = np.linalg.norm(fac.s.T @ jts - poisson(p))
-        orth = np.linalg.norm(fac.t.T @ fac.t - np.eye(2 * p))
+        jts = np.vstack([s[n:], -s[:n]])
+        sym = np.linalg.norm(s.T @ jts - poisson(p))
+        orth = np.linalg.norm(t.T @ t - np.eye(2 * p))
         worst_ssvd = max(worst_ssvd, rec, sym, orth)
 
         k = int(rng.integers(1, 101))

@@ -23,37 +23,37 @@ from sympeig.penalty import evaluate
 class TestSsvd:
     def test_canonical_frame(self):
         x = canonical_frame(6, 2)
-        fac = ssvd(x)
-        np.testing.assert_allclose(fac.sigma, np.ones(4), atol=1e-14)
+        s, sigma, t = ssvd(x)
+        np.testing.assert_allclose(sigma, np.ones(4), atol=1e-14)
         # T is orthosymplectic: orthogonal and J-preserving
-        np.testing.assert_allclose(fac.t.T @ fac.t, np.eye(4), atol=1e-13)
-        np.testing.assert_allclose(fac.t.T @ poisson(2) @ fac.t, poisson(2), atol=1e-13)
-        np.testing.assert_allclose(fac.s @ np.diag(fac.sigma) @ fac.t.T, x, atol=1e-13)
+        np.testing.assert_allclose(t.T @ t, np.eye(4), atol=1e-13)
+        np.testing.assert_allclose(t.T @ poisson(2) @ t, poisson(2), atol=1e-13)
+        np.testing.assert_allclose(s @ np.diag(sigma) @ t.T, x, atol=1e-13)
 
     def test_scaled_identity_pair(self):
         # n = p = 1, X = 2 I: X^T J X = 4 J so sigma = 2
-        fac = ssvd(2.0 * np.eye(2))
-        np.testing.assert_allclose(fac.sigma, [2.0, 2.0], atol=1e-14)
-        gram = symplectic_gram(fac.s)
+        s, sigma, t = ssvd(2.0 * np.eye(2))
+        np.testing.assert_allclose(sigma, [2.0, 2.0], atol=1e-14)
+        gram = symplectic_gram(s)
         np.testing.assert_allclose(gram, poisson(1), atol=1e-13)
 
     @pytest.mark.parametrize("c", [1e77, 1e150, 1e-150])
     def test_extreme_scales_are_paired(self, c):
         # the Gram entries are c^2; its squared Frobenius norm must not
         # overflow (or underflow) into the pairing threshold
-        np.testing.assert_allclose(ssvd(c * canonical_frame(5, 2)).sigma, c, rtol=1e-12)
+        np.testing.assert_allclose(ssvd(c * canonical_frame(5, 2))[1], c, rtol=1e-12)
 
     def test_random_input_invariants(self):
         rng = np.random.default_rng(0)
         n, p = 50, 5
         x = rng.standard_normal((2 * n, 2 * p))
-        fac = ssvd(x)
-        recon = fac.s @ np.diag(fac.sigma) @ fac.t.T
+        s, sigma, t = ssvd(x)
+        recon = s @ np.diag(sigma) @ t.T
         assert np.linalg.norm(recon - x) <= 1e-10 * np.linalg.norm(x)
-        assert np.linalg.norm(symplectic_gram(fac.s) - poisson(p)) <= 1e-10
-        assert np.linalg.norm(fac.t.T @ fac.t - np.eye(2 * p)) <= 1e-12
-        assert np.all(np.diff(fac.sigma[:p]) >= 0)
-        np.testing.assert_array_equal(fac.sigma[:p], fac.sigma[p:])
+        assert np.linalg.norm(symplectic_gram(s) - poisson(p)) <= 1e-10
+        assert np.linalg.norm(t.T @ t - np.eye(2 * p)) <= 1e-12
+        assert np.all(np.diff(sigma[:p]) >= 0)
+        np.testing.assert_array_equal(sigma[:p], sigma[p:])
 
     def test_rank_deficient_rejected(self):
         x = canonical_frame(5, 2)
@@ -80,13 +80,13 @@ class TestSsvd:
         d_n = reference(op).d[-1]
         for _ in range(5):
             x = rng.standard_normal((2 * n, 2 * p))
-            fac = ssvd(x)
+            s, sigma, t = ssvd(x)
             jp = poisson(p)
-            sig = np.diag(fac.sigma)
-            left = np.diag(fac.sigma**3) @ jp @ fac.t.T
-            right = sig @ fac.t.T @ jp
-            ell = beta * (left - right) @ fac.t @ np.diag(1.0 / fac.sigma)
-            lhs = np.linalg.norm(a @ fac.s - j_left(fac.s @ ell))
+            sig = np.diag(sigma)
+            left = np.diag(sigma**3) @ jp @ t.T
+            right = sig @ t.T @ jp
+            ell = beta * (left - right) @ t @ np.diag(1.0 / sigma)
+            lhs = np.linalg.norm(a @ s - j_left(s @ ell))
             xax = x.T @ (a @ x)
             sigma_min = np.linalg.eigvalsh(0.5 * (xax + xax.T))[0]
             gnorm = np.linalg.norm(evaluate(op, x, beta).ensure_gradient())
@@ -187,7 +187,7 @@ class TestSrr:
         # match those from an apply of A to the symplectic basis S itself
         op, x, unit = case()
         _, d_fin, _ = srr(x, op.apply(x), unit)
-        s = ssvd(x).s
+        s, _, _ = ssvd(x)
         applied = williamson_small(unit * (s.T @ op.apply(s))).d / unit
         np.testing.assert_allclose(d_fin, applied, rtol=1e-12)
 

@@ -118,3 +118,10 @@ class TestResidue:
         with pytest.raises(ValueError):
             residue(op, np.eye(4)[:, :2], [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_eigenvalues_rejected(self, bad):
+        # nan fails no comparison with 0, so it needs its own test
+        op = SpdOperator.from_dense(np.eye(8))
+        with pytest.raises(ValueError, match="eigenvalues must be positive and finite"):
+            residue(op, np.eye(8)[:, :4], [bad, 1.0])
+

@@ -31,6 +31,7 @@ from sympeig.factor import restart_point, srr, ssvd, williamson_small
 from sympeig.operators import canonical_frame
 from sympeig.penalty import evaluate
 from sympeig.solver import DELTA_EPS, EPS_FIRST, SINGLE_EPS, beta_best
+from sympeig.stepper import gll_search
 
 BETA_FLOOR_FACTOR = (3.0 + np.sqrt(5.0)) / 2.0
 
@@ -119,6 +120,15 @@ class TestHeuristics:
         for p in (0, 3, 4):
             with pytest.raises(ValueError):
                 beta_suggest(op, p)
+
+    @pytest.mark.parametrize("fn", [beta_suggest, solve, solve_basic],
+                             ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("p", [True, "1", math.nan, 2.0, 2.5])
+    def test_p_must_be_an_integer(self, fn, p):
+        # `beta_suggest` owns the p rule, and both solvers call it first
+        op = SpdOperator.from_dense(np.eye(10))
+        with pytest.raises(ValueError, match="^p must be an integer, got "):
+            fn(op, p)
 
     def test_beta_best_value(self):
         assert beta_best(2.0) == pytest.approx(3.0 + np.sqrt(5.0), rel=1e-15)
@@ -430,6 +440,32 @@ class TestSolveEnhanced:
         assert res.feasibility == one_stage.feasibility
         assert res.x_final.shape == (40, 4) and res.x_final.dtype == np.float64
 
+    def test_failed_descent_returns_the_stage_start_point(self, monkeypatch):
+        # a failure inside a stage's descent leaves x_final at the point
+        # that stage started from, not at the stage's last iterate
+        from sympeig import solver as solver_module
+        run_inner = solver_module._run_inner
+        starts, searches = [], []
+
+        def recording_run_inner(op, x, *args):
+            starts.append(x.copy())
+            return run_inner(op, x, *args)
+
+        def failing_search(*args):
+            searches.append(None)
+            if len(searches) == 60:
+                raise NumericalFailure("injected line-search failure")
+            return gll_search(*args)
+
+        monkeypatch.setattr(solver_module, "_run_inner", recording_run_inner)
+        monkeypatch.setattr(solver_module, "gll_search", failing_search)
+        res = solve(instance("dense", 20, seed=0), 2)
+        assert res.status is SolveStatus.NUMERICAL_FAILURE
+        assert res.message == "injected line-search failure"
+        assert res.inner_iterations == 59
+        assert len(starts) >= 2 and res.outer_iterations == len(starts) - 1
+        np.testing.assert_array_equal(res.x_final, starts[-1])
+
     def test_srr_failure_ends_the_solve(self, monkeypatch):
         # a rank-deficient Rayleigh-Ritz step is an ordinary numerical
         # failure: no retry, the solve ends with the first SRR call
@@ -467,8 +503,13 @@ class TestSolveEnhanced:
             SolverParams.from_dict({"tol": 1e-8, "bogus": 1})
 
     def test_param_validation(self):
-        with pytest.raises(ValueError, match="beta0"):
-            SolverParams(beta0=-2.0).validate()
+        # every numeric field is named when it is a bool, not a number or
+        # not finite, and an integer field also when it is a fraction
+        cases = [("beta0", -2.0), ("k_max", 2.5), ("outer_max", 2.5)]
+        cases += [(f.name, bad) for f in fields(SolverParams) for bad in (True, "1", math.nan)]
+        for name, value in cases:
+            with pytest.raises(ValueError, match=f"^{name} "):
+                SolverParams(**{name: value}).validate()
 
     def test_seed_is_not_a_param(self):
         with pytest.raises(ValueError, match=r"unknown solver parameter.*'seed'"):

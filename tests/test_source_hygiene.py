@@ -55,6 +55,17 @@ def test_only_operators_reads_matrix_market(path):
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_errors_reads_number_types(path):
+    # every numeric-field check goes through `errors.check_number`, so no
+    # other module tests a value against numbers.Integral or numbers.Real
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert path.name == "errors.py" or not names & {"Integral", "Real"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_operators_runs_arpack(path):
     # extreme eigenvalues above the dense budget come from one routine,
     # `SpdOperator.extreme_eigvals`

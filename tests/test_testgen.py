@@ -124,6 +124,9 @@ class TestGenPrescribed:
             GeneratorSpec("prescribed", 4, spectrum=[1.0, 2.0], seed=0).validate()
         with pytest.raises(ValueError, match="spectrum must be positive"):
             GeneratorSpec("prescribed", 3, spectrum=[1.0, -2.0, 3.0], seed=0).validate()
+        # four values, but not as a flat list: named before numpy's own error
+        with pytest.raises(ValueError, match=r"^spectrum needs 4 values, got 4 \(2-D\)"):
+            GeneratorSpec("prescribed", 4, spectrum=[[1, 2], [3, 4]]).validate()
 
     def test_deterministic_per_seed(self):
         a = instance("prescribed", 7, seed=9).densify()
@@ -151,11 +154,16 @@ class TestGeneratorSpec:
             GeneratorSpec("sparse", 10, density=2.0).validate()
         with pytest.raises(ValueError):
             GeneratorSpec("slr", 10, m=0).validate()
-        # each bad field is named, before numpy or scipy sees it
-        for fields, name in [({"n": 5.5}, "n"), ({"n": True}, "n"), ({"m": 2.0}, "m"),
-                             ({"seed": 1.5}, "seed"), ({"seed": "0"}, "seed")]:
+        # each bad field is named, before numpy or scipy sees it: a bool, a
+        # string or nan in any numeric field, a fraction in an integer one
+        bad = [({name: value}, name) for name in ("n", "m", "seed", "density")
+               for value in (True, "1", np.nan)]
+        bad += [({"n": 5.5}, "n"), ({"m": 2.0}, "m"), ({"m": 2.5}, "m"),
+                ({"seed": 1.5}, "seed"), ({"seed": "0"}, "seed")]
+        for fields, name in bad:
             spec = GeneratorSpec(**{"family": "slr", "n": 6, **fields})
-            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            kind = "a finite real number" if name == "density" else "an integer"
+            with pytest.raises(ValueError, match=f"^{name} must be {kind}, got "):
                 spec.make()
         for spectrum in ([1.0, np.nan, 2.0], [1.0, np.inf, 2.0]):
             with pytest.raises(ValueError, match="spectrum must be finite"):
