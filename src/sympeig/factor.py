@@ -2,10 +2,10 @@
 reference spectrum of an operator, and the symplectic Rayleigh-Ritz
 refinement.
 
-The common engine is the real Schur form of a skew-symmetric matrix K,
-whose 2x2 blocks [[0, d], [-d, 0]] are sign-normalized (d > 0 by
-swapping the block's column pair), stably sorted ascending in d, and
-re-interleaved so that Q^T K Q = [[0, D], [-D, 0]] with D = diag(d).
+The common engine pairs a 2m-by-2m skew-symmetric matrix K by one
+Hermitian eigensolve: iK has the eigenvalues +-d, and the eigenvectors
+Z of its m largest, d ascending, give the orthogonal Q = sqrt(2) [Im Z |
+Re Z] with Q^T K Q = [[0, D], [-D, 0]], D = diag(d).
 """
 
 from dataclasses import dataclass
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericalFailure
-from .operators import j_left, symplectic_gram
+from .errors import NumericalFailure, check_number
+from .operators import symplectic_gram
 
 
 @dataclass
@@ -28,43 +28,33 @@ class WilliamsonForm:
         """Columns of s for the p smallest eigenvalue pairs, in
         [first halves | second halves] layout."""
         n = self.d.size
+        check_number("p", p, integer=True)
         if not 1 <= p <= n:
             raise ValueError(f"need 1 <= p <= {n}, got {p}")
         return self.s[:, np.r_[0:p, n : n + p]]
 
 
-def _skew_schur_pairs(k, dtol):
-    """Normalized, sorted Schur pairing of a skew-symmetric matrix.
+def _skew_pairs(k, dtol):
+    """Paired normal form of a skew-symmetric matrix from one Hermitian
+    eigensolve.
 
     Returns (q, d, deficient): q orthogonal with columns arranged as
     [u_1..u_m, v_1..v_m] so that u_i^T k v_j = d_i delta_ij, d ascending;
-    `deficient` counts pairs missing or at/below `dtol`.
+    `deficient` counts the d at or below max(dtol, eps ||k||_F).  The
+    orthogonality of q holds to round-off times ||k||_2 / d_1, since its
+    real columns part the eigenvectors of d_i from those of -d_j.
     """
-    t, q = scipy.linalg.schur(k)
-    dim = k.shape[0]
-    # relative to ||K||_F only, so the pairing of cK is that of K for any c > 0;
+    m = k.shape[0] // 2
+    # iK is Hermitian with eigenvalues +-d; for d > 0 an eigenvector
+    # (a + i b)/sqrt(2) of +d has K a = d b and K b = -d a
+    d, z = scipy.linalg.eigh(1j * k, lower=False, subset_by_index=[m, 2 * m - 1],
+                             driver="evr")
+    # relative to ||K||_F only, so cK has the deficient pairs of K for any c > 0;
     # the norm is taken of K / max|K|, whose sum of squares cannot overflow
     kmax = float(np.max(np.abs(k), initial=0.0))
-    detect = np.finfo(float).eps * kmax * float(np.linalg.norm(k / (kmax or 1.0), "fro"))
-    pairs = []
-    singles = 0
-    i = 0
-    while i < dim:
-        if i + 1 < dim and abs(t[i + 1, i]) > detect:
-            d = float(t[i, i + 1])
-            if d >= 0.0:
-                pairs.append((d, i, i + 1))
-            else:
-                pairs.append((-d, i + 1, i))
-            i += 2
-        else:
-            singles += 1
-            i += 1
-    pairs.sort(key=lambda item: item[0])
-    d = np.array([item[0] for item in pairs])
-    deficient = singles // 2 + int(np.count_nonzero(d <= dtol))
-    cols = [item[1] for item in pairs] + [item[2] for item in pairs]
-    return q[:, cols], d, deficient
+    floor = np.finfo(float).eps * kmax * float(np.linalg.norm(k / (kmax or 1.0), "fro"))
+    deficient = int(np.count_nonzero(d <= max(dtol, floor)))
+    return np.sqrt(2.0) * np.hstack([z.imag, z.real]), d, deficient
 
 
 def ssvd(x):
@@ -77,8 +67,9 @@ def ssvd(x):
     Returns
     -------
     (s, sigma, t) : ndarray triple
-        X = S Sigma T^T with S symplectic, T orthogonal, and Sigma the
-        doubled diagonal (sigma_1..sigma_p, sigma_1..sigma_p).
+        X = S Sigma T^T with S symplectic, T orthogonal (to round-off
+        times (sigma_p / sigma_1)^2), and Sigma the doubled diagonal
+        (sigma_1..sigma_p, sigma_1..sigma_p), ascending.
 
     Raises
     ------
@@ -90,12 +81,9 @@ def ssvd(x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] % 2:
         raise ValueError(f"basis must be 2n-by-2p, got shape {x.shape}")
-    p = x.shape[1] // 2
     tol = 1e-10 * (np.linalg.norm(x, 2) if x.size else 0.0)
-    gram = symplectic_gram(x)
-    q, d, deficient = _skew_schur_pairs(gram, dtol=tol * tol)
-    if deficient or d.size != p:
-        deficient = max(deficient, p - d.size)
+    q, d, deficient = _skew_pairs(symplectic_gram(x), tol * tol)
+    if deficient:
         raise NumericalFailure(
             f"basis numerically rank-deficient in {deficient} symplectic "
             f"direction(s) at tolerance {tol:g}"
@@ -121,34 +109,25 @@ def williamson_small(m):
 
     Notes
     -----
-    Uses R = M^(1/2) from a symmetric eigendecomposition, the Schur
-    pairing of the skew matrix K = R J_k R, and S = R^(-1) Q diag(d, d)^(1/2).
+    Uses the Cholesky factor M = L L^T, the skew matrix K = L^T J_k L
+    (`symplectic_gram`) paired as Q^T K Q = [[0, D], [-D, 0]] by the
+    Hermitian eigensolve of iK, and S = L^(-T) Q diag(d, d)^(1/2), which
+    is symplectic since L^(-1) J_k L^(-T) = -K^(-1).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
         raise ValueError(f"need a square even-dimensional matrix, got {m.shape}")
-    sym = 0.5 * (m + m.T)
     try:
-        w, u = np.linalg.eigh(sym)
+        low = np.linalg.cholesky(0.5 * (m + m.T))
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
-    if w[0] <= 0.0:
-        raise NumericalFailure(
-            f"matrix is not positive definite (smallest eigenvalue {w[0]:g})"
-        )
-    root_w = np.sqrt(w)
-    r = (u * root_w) @ u.T
-    r_inv = (u / root_w) @ u.T
-    k_skew = r @ j_left(r)
-    k_skew = 0.5 * (k_skew - k_skew.T)
-    dtol = np.finfo(float).eps * float(np.linalg.norm(k_skew, "fro"))
-    q, d, deficient = _skew_schur_pairs(k_skew, dtol=dtol)
-    if deficient or d.size != m.shape[0] // 2:
+        raise NumericalFailure("matrix is not positive definite") from exc
+    q, d, deficient = _skew_pairs(symplectic_gram(low), 0.0)
+    if deficient:
         raise NumericalFailure(
             "symplectic spectrum collapsed; input is numerically singular"
         )
     scale = np.sqrt(np.concatenate([d, d]))
-    s = (r_inv @ q) * scale
+    s = scipy.linalg.solve_triangular(low, q, trans="T", lower=True) * scale
     return WilliamsonForm(s=s, d=d)
 
 

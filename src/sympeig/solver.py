@@ -475,9 +475,9 @@ def solve(op, p, params=None):
                     theta_p = float(d_fin[-1])
                     beta = ETA * theta_p
                     # fires on every dense n=200 p=10 instance, on no slr n=400 one:
-                    # without it dense seeds 0-39 take 21,532 applies, not 21,356
-                    # (28 instances take more, 10 fewer), and 5000-5039 21,579, not
-                    # 21,630 (25 more, 11 fewer)
+                    # without it dense seeds 0-39 take 21,530 applies, not 21,356
+                    # (28 instances take more, 10 fewer), and 5000-5039 21,580, not
+                    # 21,633 (25 more, 11 fewer)
                     if beta < stage_beta / 10.0:
                         beta = BETA_BEST_FACTOR * theta_p
                 x = restart_point(s_fin, d_fin, beta)

@@ -82,12 +82,13 @@ class GeneratorSpec:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.spectrum is not None:
-            d = np.asarray(self.spectrum, dtype=float)
+            # object dtype, so a ragged or non-numeric entry reaches check_number
+            d = np.asarray(self.spectrum, dtype=object)
             if d.shape != (self.n,):
                 raise ValueError(f"spectrum needs {self.n} values, got {d.size} ({d.ndim}-D)")
-            if not np.isfinite(d).all():
-                raise ValueError(f"spectrum must be finite, got {self.spectrum!r}")
-            if d.min() <= 0:
+            for value in d:
+                check_number("spectrum", value)
+            if min(d) <= 0:
                 raise ValueError("spectrum must be positive")
         return self
 

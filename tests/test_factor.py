@@ -11,6 +11,7 @@ from sympeig import (
     symplectic_gram,
 )
 from sympeig.factor import (
+    _skew_pairs,
     restart_point,
     srr,
     ssvd,
@@ -18,6 +19,80 @@ from sympeig.factor import (
 )
 from sympeig.operators import canonical_frame, j_left
 from sympeig.penalty import evaluate
+
+
+EPS = np.finfo(float).eps
+
+
+def _paired(d):
+    """[[0, D], [-D, 0]] for D = diag(d)."""
+    zero = np.zeros((d.size, d.size))
+    return np.block([[zero, np.diag(d)], [-np.diag(d), zero]])
+
+
+def _rotated(d, rng):
+    """O [[0, D], [-D, 0]] O^T, skew to the last bit, for a random orthogonal O."""
+    o, _ = np.linalg.qr(rng.standard_normal((2 * d.size, 2 * d.size)))
+    k = o @ _paired(d) @ o.T
+    return 0.5 * (k - k.T)
+
+
+class TestSkewPairs:
+    # The stated accuracy of LAPACK's zheevr, taken as p(dim) = dim = 2m:
+    # each computed eigenpair of iK has residual <= dim eps ||K||_2, each
+    # eigenvalue error <= dim eps ||K||_2, and Z^H Z is the identity within
+    # dim eps.  Q's real columns also meet the conjugate eigenvectors, of
+    # -d_j, which lie a gap d_i + d_j >= 2 d_1 away, so orthogonality loses
+    # a further ||K||_2 / d_1, and the pairing gains one ||K||_2 from the
+    # residual and one from the orthogonality.  No gap between the d enters,
+    # so the same bounds cover a cluster: its pairs may mix inside Q, but
+    # Q^T K Q stays [[0, D], [-D, 0]].
+    def _assert_paired(self, k, d_exact):
+        q, d, deficient = _skew_pairs(k, 0.0)
+        dim = k.shape[0]
+        norm = np.linalg.norm(k, 2)
+        orth = dim * EPS * (1.0 + norm / d[0])
+        assert deficient == 0
+        assert np.all(np.diff(d) >= 0)
+        assert np.max(np.abs(d - d_exact)) <= dim * EPS * norm
+        assert np.linalg.norm(q.T @ q - np.eye(dim), 2) <= orth
+        assert np.linalg.norm(q.T @ k @ q - _paired(d), 2) <= 2.0 * orth * norm
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 200])
+    def test_poisson_matrix(self, m):
+        # every d = 1: one cluster of width zero
+        self._assert_paired(poisson(m), np.ones(m))
+
+    def test_rotated_cluster(self):
+        # d = 1 + 1e-14 k, k = 1..40: the gaps lie far below the bound
+        d = 1.0 + 1e-14 * np.arange(1, 41)
+        self._assert_paired(_rotated(d, np.random.default_rng(11)), d)
+
+    def test_planted_zero_pairs_are_deficient(self):
+        # a signed permutation keeps the zeros exact
+        d = np.array([2.0, 0.0, 1.0, 0.0, 3.0])
+        perm = np.random.default_rng(14).permutation(10)
+        sign = np.where(np.arange(10) % 3, 1.0, -1.0)
+        k = (sign[:, None] * _paired(d) * sign)[np.ix_(perm, perm)]
+        _, pairs, deficient = _skew_pairs(k, 0.0)
+        assert deficient == 2
+        # dim eps ||K||_2, as above
+        np.testing.assert_allclose(pairs, [0.0, 0.0, 1.0, 2.0, 3.0], atol=10 * EPS * 3.0)
+        # a threshold above a pair counts it too
+        assert _skew_pairs(k, 1.0)[2] == 3
+
+    def test_planted_zero_pairs_refused(self):
+        # columns 1 and 3 span an isotropic plane, so one symplectic pair is lost
+        x = np.zeros((12, 4))
+        x[0, 0] = x[1, 1] = x[6, 2] = x[2, 3] = 1.0
+        with pytest.raises(NumericalFailure, match="rank-deficient in 1 symplectic"):
+            ssvd(x)
+        # a Lagrangian basis: full column rank, every pair zero
+        with pytest.raises(NumericalFailure, match="rank-deficient in 2 symplectic"):
+            ssvd(np.eye(12)[:, :4])
+        # SPD, but one Williamson value 1e-40 lies far below eps ||K||_F
+        with pytest.raises(NumericalFailure, match="collapsed"):
+            williamson_small(np.diag([1e-40, 1.0, 1e-40, 1.0]))
 
 
 class TestSsvd:

@@ -54,6 +54,10 @@ class TestReference:
             ref.frame(5)
         with pytest.raises(ValueError):
             ref.frame(0)
+        # p is an integer, named: not a float that would index, nor a bool
+        for p in (2.0, True, "2"):
+            with pytest.raises(ValueError, match="^p must be an integer, got "):
+                ref.frame(p)
 
 
 class TestRandomSymplecticFrame:

@@ -165,8 +165,12 @@ class TestGeneratorSpec:
             kind = "a finite real number" if name == "density" else "an integer"
             with pytest.raises(ValueError, match=f"^{name} must be {kind}, got "):
                 spec.make()
-        for spectrum in ([1.0, np.nan, 2.0], [1.0, np.inf, 2.0]):
-            with pytest.raises(ValueError, match="spectrum must be finite"):
+        # every spectrum entry is held to the numeric-field rule, before numpy
+        # converts it: non-finite, a bool, a string, a ragged row
+        for spectrum, got in (([1.0, np.nan, 2.0], "nan"), ([1.0, np.inf, 2.0], "inf"),
+                              ([True, True, True], "True"), (["a", "b", "c"], "'a'"),
+                              ([[1.0, 2.0], [3.0], 4.0], r"\[1\.0, 2\.0\]")):
+            with pytest.raises(ValueError, match=f"^spectrum must be a finite real number, got {got}$"):
                 GeneratorSpec("prescribed", 3, spectrum=spectrum).make()
 
     @pytest.mark.parametrize("density", ["0.5", True, False, 0.5 + 0j, np.nan,
