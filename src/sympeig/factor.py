@@ -81,7 +81,8 @@ def ssvd(x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] % 2:
         raise ValueError(f"basis must be 2n-by-2p, got shape {x.shape}")
-    tol = 1e-10 * (np.linalg.norm(x, 2) if x.size else 0.0)
+    # ||X||_2 from the 2p x 2p Gram, not an SVD of X (symplectic_gram squares X too)
+    tol = 1e-10 * (np.sqrt(np.linalg.eigvalsh(x.T @ x)[-1]) if x.size else 0.0)
     q, d, deficient = _skew_pairs(symplectic_gram(x), tol * tol)
     if deficient:
         raise NumericalFailure(

@@ -191,27 +191,24 @@ class SpdOperator:
         symmetric by construction."""
         return bool(abs(self._b - self._b.T).max() <= 1e-12 * abs(self._b).max())
 
-    def extreme_eigvals(self, rng):
-        """(smallest, largest) eigenvalue of A: dense `eigvalsh` when
-        2n <= `DENSE_MAX_DIM`, else ARPACK on `apply` started from `rng`."""
+    def extreme_eigvals(self):
+        """(smallest, largest) eigenvalue of A, to about 1e-15 of the spread,
+        from one ARPACK run on `apply` for both ends (tol 1e-8, start drawn
+        from a fixed ``default_rng(0)``); a 2-by-2 A raises ValueError."""
         dim = 2 * self.n
-        if dim <= DENSE_MAX_DIM:
-            w = np.linalg.eigvalsh(self.densify())
-            return float(w[0]), float(w[-1])
-        # ARPACK draws a random start vector unless given one, so the
-        # start comes from `rng` to keep the answer reproducible
-        v0 = rng.uniform(-1.0, 1.0, dim)
+        if dim < 4:
+            raise ValueError(f"extreme_eigvals needs 2n >= 4, got 2n = {dim}")
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
         a = LinearOperator((dim, dim), matvec=self.apply, dtype=float)
-        lo = eigsh(a, k=1, which="SA", tol=1e-6, v0=v0, return_eigenvectors=False)
-        hi = eigsh(a, k=1, which="LA", tol=1e-6, v0=v0, return_eigenvectors=False)
-        return float(lo[0]), float(hi[0])
+        lo, hi = eigsh(a, k=2, which="BE", tol=1e-8, v0=v0, return_eigenvectors=False)
+        return float(lo), float(hi)
 
     def is_spd(self):
         """Positive definiteness: a Cholesky factorization of the
         symmetric part of A when 2n <= `DENSE_MAX_DIM`, else the sign of
-        the smallest eigenvalue from `extreme_eigvals`."""
+        the smallest eigenvalue from one ARPACK run (`extreme_eigvals`)."""
         if 2 * self.n > DENSE_MAX_DIM:
-            return self.extreme_eigvals(np.random.default_rng(0))[0] > 0.0
+            return self.extreme_eigvals()[0] > 0.0
         a = self.densify()
         try:
             np.linalg.cholesky(0.5 * (a + a.T))

@@ -3,11 +3,11 @@
 `GeneratorSpec` is the one constructor of four families: dense and
 sparse CSR with extreme eigenvalues (1, n), sparse-plus-low-rank
 B + C C^T, and dense with a prescribed symplectic spectrum (exact
-reference by construction).  The extremes are exact, from a dense
-`eigvalsh`, except for sparse B with 2n > `DENSE_MAX_DIM`, whose
-extremes ARPACK finds at tol=1e-6.  All draws come from
-``numpy.random.default_rng(seed)`` consumed in a fixed order, so every
-family is bit-reproducible per seed within this implementation.
+reference by construction).  The dense family's extremes come from a
+dense `eigvalsh`, the sparse ones' from one ARPACK run on B at every size
+(`SpdOperator.extreme_eigvals`, to about 1e-15 of the spread).  All draws
+come from ``numpy.random.default_rng(seed)`` consumed in a fixed order,
+so every family is bit-reproducible per seed within this implementation.
 """
 
 from dataclasses import dataclass
@@ -41,9 +41,9 @@ class GeneratorSpec:
     - sparse: a random pattern of density sigma/2 with entries uniform on
       [-1, 1] is symmetrized and mapped affinely onto the extremes (1, n),
       the identity shift making it positive definite and filling the
-      diagonal; CSR with both triangles stored.  The extremes are exact
-      while 2n <= `DENSE_MAX_DIM`; above it they come from ARPACK at
-      tol=1e-6, so A's extremes are (1, n) to that tolerance.
+      diagonal; CSR with both triangles stored.  The extremes come from
+      one ARPACK run at every size, never densifying, so A's extremes
+      are (1, n) to about 1e-15 of the spread.
     - slr: A = B + C C^T, B drawn as the sparse family, C (2n x m) with
       entries uniform on [-1, 1] rescaled so the largest eigenvalue of
       C C^T is exactly n; the operator keeps the factored form.
@@ -145,7 +145,7 @@ def _sparse_core(n, sigma, rng):
         data_rvs=lambda size: rng.uniform(-1.0, 1.0, size),
     )
     sym = ((raw + raw.T) * 0.5).tocsr()
-    wmin, wmax = SpdOperator.from_csr(sym).extreme_eigvals(rng)
+    wmin, wmax = SpdOperator.from_csr(sym).extreme_eigvals()
     c, s = _affine_coeffs(wmin, wmax, n)
     return (sym * c + sparse.identity(2 * n, format="csr") * s).tocsr()
 

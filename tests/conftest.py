@@ -1,11 +1,14 @@
 """Shared test helpers: independent dense oracles for the Poisson
 kernels, generated instances, construction of the same matrix in every
 storage kind, random symplectic frames and stationary points of the
-penalty, its second-order form along a direction, and the benchmark's
-tracing module."""
+penalty, its second-order form along a direction, the benchmark's
+tracing module, and a Python run in a subprocess with one BLAS thread."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import scipy.linalg
@@ -26,6 +29,20 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def run_one_blas_thread(script):
+    """stdout of `script` run by this interpreter in a subprocess with one
+    BLAS thread (threading changes rounding, so pinned runs use one) and
+    `src/` and `tests/` importable."""
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
+                                         os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=300).stdout
 
 
 def instance(family, n, **fields):

@@ -195,9 +195,16 @@ class TestValidation:
         rng = np.random.default_rng(7)
         a = random_spd(rng, 10, cond=30.0)
         for kind in KINDS:
-            lo, hi = make_operator(kind, a).extreme_eigvals(rng)
+            lo, hi = make_operator(kind, a).extreme_eigvals()
             assert lo == pytest.approx(1.0, rel=1e-10)
             assert hi == pytest.approx(30.0, rel=1e-10)
+
+    def test_extreme_eigvals_refuses_two_by_two(self):
+        # both ends are k = 2 Ritz values, and ARPACK needs k < 2n
+        op = SpdOperator.from_dense(np.diag([1.0, 2.0]))
+        with pytest.raises(ValueError, match=r"^extreme_eigvals needs 2n >= 4, got 2n = 2$"):
+            op.extreme_eigvals()
+        assert op.is_spd()
 
 
 class TestPoissonKernels:

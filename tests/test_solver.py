@@ -1,16 +1,12 @@
 import gc
 import math
-import os
-import subprocess
-import sys
 import weakref
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import KINDS, instance, make_operator, random_spd
+from conftest import KINDS, instance, make_operator, random_spd, run_one_blas_thread
 from sympeig import (
     GeneratorSpec,
     NumericalFailure,
@@ -786,21 +782,9 @@ for res in (solve(op, 5), basic):
 """
 
 
-def _run_one_blas_thread(script):
-    # BLAS threading changes rounding, so pinned runs use one thread
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    tests = str(Path(__file__).resolve().parent)
-    path = os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True,
-                          timeout=300).stdout
-
-
 def test_solve_reproducible_across_processes():
     # one line for `solve`, then one for `solve_basic`
-    outputs = [_run_one_blas_thread(_HASH_ONE_SOLVE) for _ in range(2)]
+    outputs = [run_one_blas_thread(_HASH_ONE_SOLVE) for _ in range(2)]
     assert outputs[0].startswith("converged ")
     assert len(outputs[0].splitlines()) == 2
     assert outputs[0] == outputs[1]
@@ -825,7 +809,7 @@ def test_aimed_stage_cost_on_a_rounding_stall_is_bounded():
     # curvature pair with float32 loose stages 292 as well, and four
     # stages (DELTA_EPS = 0.01) 283.  The bound keeps this known worst
     # case within 40% of the plain one.
-    status, applies = _run_one_blas_thread(_COUNT_STALLED_SOLVE).split()
+    status, applies = run_one_blas_thread(_COUNT_STALLED_SOLVE).split()
     assert status == "converged"
     assert int(applies) <= 1.4 * 553
 
@@ -847,6 +831,6 @@ def test_dense_rounding_stall_instance_converges_cheaply():
     # exact step along the ray 567, with one curvature pair and float32
     # loose stages 548, and in four stages (DELTA_EPS = 0.01) 507 (one
     # BLAS thread).
-    status, applies = _run_one_blas_thread(_COUNT_DENSE_STALL).split()
+    status, applies = run_one_blas_thread(_COUNT_DENSE_STALL).split()
     assert status == "converged"
     assert int(applies) <= 1000

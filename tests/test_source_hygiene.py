@@ -67,8 +67,7 @@ def test_only_errors_reads_number_types(path):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_operators_runs_arpack(path):
-    # extreme eigenvalues above the dense budget come from one routine,
-    # `SpdOperator.extreme_eigvals`
+    # extreme eigenvalues come from one routine, `SpdOperator.extreme_eigvals`
     tree = ast.parse(path.read_text(), filename=str(path))
     modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from conftest import instance
-from sympeig import GeneratorSpec, reference
+from conftest import instance, run_one_blas_thread
+from sympeig import GeneratorSpec, SpdOperator, reference
 
 
 class TestGenDense:
@@ -52,8 +54,29 @@ class TestGenSparse:
         b = instance("sparse", 20, seed=5).densify()
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("family", ["sparse", "slr"])
+    @pytest.mark.parametrize("n", [2, 4, 25, 200])
+    def test_extremes_match_dense_eigvalsh(self, family, n):
+        # n <= 10 takes the default density min(1, 10/n) = 1
+        for seed in range(5):
+            b = instance(family, n, seed=seed)._b
+            w = np.linalg.eigvalsh(b.toarray())
+            lo, hi = SpdOperator.from_csr(b).extreme_eigvals()
+            spread = w[-1] - w[0]
+            assert abs(lo - w[0]) <= 1e-13 * spread
+            assert abs(hi - w[-1]) <= 1e-13 * spread
+            np.testing.assert_allclose([w[0], w[-1]], [1.0, n], rtol=0, atol=1e-13 * (n - 1))
+
+    @pytest.mark.parametrize("family", ["sparse", "slr"])
+    def test_make_never_densifies(self, family, monkeypatch):
+        def refuse(self):
+            raise AssertionError("densify called")
+        monkeypatch.setattr(SpdOperator, "densify", refuse)
+        for n in (2, 25, 200):
+            GeneratorSpec(family, n, seed=0).make()
+
     def test_deterministic_above_dense_budget(self):
-        # 2n = 4002 takes the iterative extreme-eigenvalue path
+        # 2n = 4002, above the dense budget
         a = instance("sparse", 2001, seed=0)
         b = instance("sparse", 2001, seed=0)
         np.testing.assert_array_equal(a._b.data, b._b.data)
@@ -193,3 +216,48 @@ class TestGeneratorSpec:
     def test_negative_seed_named(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             GeneratorSpec("dense", 6, seed=-1).validate()
+
+
+def _sha256(chunks):
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    # taken before the extremes came from ARPACK at every size: the
+    # instance stream, and with it the slr factor C, B's pattern and every
+    # dense instance, stayed as they were
+    def test_slr_factor_and_pattern(self):
+        ops = [instance("slr", n, seed=seed) for n in (20, 400) for seed in range(3)]
+        assert _sha256(op._c.tobytes() for op in ops) == (
+            "7337cfb0059f1030ddd7cb16c0b848cc0b14f6a69ce91f7f7b456b5aba78cef4")
+        assert _sha256(chunk for op in ops
+                       for chunk in (op._b.indices.tobytes(), op._b.indptr.tobytes())) == (
+            "81ef332a20508f09bc96373c83701291d96784222376701ec37c18b78f89e5ef")
+
+    def test_dense(self):
+        assert _sha256(instance("dense", 30, seed=seed)._b.tobytes() for seed in range(3)) == (
+            "ffc2759ce1c91b0affceafcd93d31be8833c3b7456830170e4597eb522f078b7")
+
+
+_HASH_SPARSE_INSTANCES = """
+from test_testgen import _sparse_instances_sha256
+print(_sparse_instances_sha256())
+"""
+
+
+def _sparse_instances_sha256():
+    chunks = []
+    for family in ("sparse", "slr"):
+        for seed in (0, 1):
+            op = instance(family, 400, seed=seed)
+            chunks += [op._b.data.tobytes(), op._b.indices.tobytes(), op._b.indptr.tobytes()]
+            if op._c is not None:
+                chunks.append(op._c.tobytes())
+    return _sha256(chunks)
+
+
+def test_sparse_instances_reproducible_with_one_blas_thread():
+    assert run_one_blas_thread(_HASH_SPARSE_INSTANCES).strip() == _sparse_instances_sha256()
