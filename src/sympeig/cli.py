@@ -47,6 +47,10 @@ EXIT_BY_STATUS = {
 OUT_ENV_VAR = "SYMPEIG_OUT"
 
 TRACE_COLUMNS = ("k", "i", "f", "gnorm", "gamma", "t", "beta", "window_max", "capped")
+STAGE_COLUMNS = (
+    "stage", "beta", "eps", "reached", "inner_iters", "refused", "residue",
+    "sigma_ratio", "elapsed",
+)
 BENCH_COLUMNS = (
     "family", "n", "p", "seed", "beta_label", "beta", "variant", "status",
     "outer_iters", "inner_iters", "time_s", "residue", "gw_err", "feasibility",
@@ -195,6 +199,7 @@ def _result_payload(result, meta):
         "feasibility": result.feasibility,
         "inner_iterations": result.inner_iterations,
         "outer_iterations": result.outer_iterations,
+        "refused_exits": sum(st.refused for st in result.trace.outer),
         "elapsed_s": result.elapsed,
     }
 
@@ -240,6 +245,11 @@ def cmd_solve(args):
     _write_csv(os.path.join(out, "trace.csv"), meta, TRACE_COLUMNS,
                ((r.k, r.stage, r.f, r.gnorm, r.gamma, r.t, r.beta, r.window_max,
                  int(r.capped)) for r in result.trace.inner))
+    # a stage that met tol has no restart, so no rank margin
+    _write_csv(os.path.join(out, "stages.csv"), meta, STAGE_COLUMNS,
+               ((st.stage, st.beta, st.eps, int(st.reached), st.inner_iters, st.refused,
+                 st.residue, "" if st.sigma_ratio is None else st.sigma_ratio, st.elapsed)
+                for st in result.trace.outer))
     if args.save_basis and result.eigenbasis is not None:
         mmwrite(os.path.join(out, "basis.mtx"), result.eigenbasis, precision=17)
     print(result_path)

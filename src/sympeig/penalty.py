@@ -14,9 +14,11 @@ in the step: f(X - s D) - f(X) = c1 s + c2 s^2 + c3 s^3 + c4 s^4
 (:func:`ray`).  One apply A D, made by the caller, gives the
 coefficients, and the point X - s D follows from it with A X and V
 updated in place of a new apply (:meth:`PenaltyEval.move`), so the
-solvers call :func:`evaluate` once per stage and take one apply per
-inner step.  Every block is computed in the precision of X, float32 or
-float64 (`operators.as_float`).
+solvers call :func:`evaluate` once per stage (and `solve` again at each
+exit check of a tight stage) and take one apply per inner step.  Every
+block is computed in the precision of X, float32 or float64
+(`operators.as_float`); :class:`BasedEval` carries a point as a float64
+base plus a correction in a lower precision.
 """
 
 from dataclasses import dataclass, field
@@ -73,6 +75,81 @@ class PenaltyEval:
         np.subtract(self.ax, np.multiply(ray_model.ad, s, out=ray_model.ad), out=self.ax)
         self.violation = self.violation + s * (s * ray_model.n - ray_model.k)
         self.value = value
+
+    def image_norm(self):
+        """||A X||_F of the carried image."""
+        return float(np.sqrt(np.vdot(self.ax, self.ax)))
+
+
+class BasedEval:
+    """f_beta at X = X0 + E for a float64 base X0 and a correction E in
+    `dtype`, the split of iterative refinement: the base holds the
+    cancellation A X0 - beta J X0 V0 of the gradient, and the correction,
+    which starts at 0, takes the steps.
+
+    From the float64 evaluation `base` at X0 and its gradient C0, it
+    carries X and E in `dtype`, H = C0 + A E, V and f along rays, and
+    forms the gradient from the products of X with the small V - V0 and
+    of E with V0:
+
+        G = A X0 + A E - beta J X V = H - J (X (beta (V - V0)) + E (beta V0)) .
+
+    It stands in for a :class:`PenaltyEval` in `solve`'s step: `x` is X
+    for :func:`ray`, `violation` and `value` are float64, and
+    :meth:`move` and :meth:`ensure_gradient` take the same arguments.
+    :meth:`point` is X0 + E in float64.
+    """
+
+    def __init__(self, base, c0, dtype):
+        self.beta = base.beta
+        self.value = base.value
+        self.violation = base.violation
+        self._base = base
+        self._image_norm = base.image_norm()
+        self.x = base.x.astype(dtype)
+        self._e = np.zeros_like(self.x)
+        self._h = c0.astype(dtype)
+        self._beta_v0 = (base.beta * base.violation).astype(dtype)
+        self._beta_dv = np.empty_like(self._beta_v0)
+        self._scratch = np.empty_like(self.x)
+
+    def ensure_gradient(self, out=None):
+        """The gradient H - J (X (beta dV) + E (beta V0)) at the current X,
+        into `out` when given (a block of X's shape and dtype)."""
+        add_flops(2 * self.x.size * self.violation.shape[1] + 2 * self._h.size)
+        # two products rather than one of a stacked [X | E]: E as a strided
+        # half of that block made each move's E - sd cost more than the
+        # second product saves (400 x 20 float32, one Xeon vCPU: 14 against
+        # 2.5 us)
+        if out is None:
+            out = np.empty_like(self._h)
+        beta_dv = np.subtract(self.violation, self._base.violation, out=self._beta_dv)
+        beta_dv *= self.beta
+        m = np.matmul(self.x, beta_dv, out=self._scratch)
+        # `out` holds E (beta V0) until M = X (beta dV) + E (beta V0) is summed
+        m += np.matmul(self._e, self._beta_v0, out=out)
+        # J M = [M_2; -M_1]
+        h = m.shape[0] // 2
+        np.subtract(self._h[:h], m[h:], out=out[:h])
+        np.add(self._h[h:], m[:h], out=out[h:])
+        return out
+
+    def move(self, sd, ray_model, s, value):
+        """:meth:`PenaltyEval.move` for X = X0 + E: X - sd and E - sd, H -
+        s A D in place, V + s (s N - K) and `value`."""
+        np.subtract(self.x, sd, out=self.x)
+        np.subtract(self._e, sd, out=self._e)
+        np.subtract(self._h, np.multiply(ray_model.ad, s, out=ray_model.ad), out=self._h)
+        self.violation = self.violation + s * (s * ray_model.n - ray_model.k)
+        self.value = value
+
+    def image_norm(self):
+        """||A X0||_F of the base, which the gradient test takes for ||A X||_F."""
+        return self._image_norm
+
+    def point(self):
+        """X0 + E in float64."""
+        return self._base.x + self._e
 
 
 @dataclass
@@ -162,7 +239,9 @@ def ray(x, v, d, ad, beta, slope):
     x, d : ndarray, shape (2n, 2p)
         The point and the direction.
     v : ndarray, shape (2p, 2p)
-        The violation X^T J_n X - J_p at X.
+        The violation X^T J_n X - J_p at X.  K and N are formed in its
+        dtype, so a float64 V keeps the quartic's small terms out of
+        float32's underflow whatever the precision of X and D.
     ad : ndarray, shape (2n, 2p)
         A D, in the dtype of `d`; the caller applies the operator and so
         chooses the precision of the apply.
@@ -186,10 +265,10 @@ def ray(x, v, d, ad, beta, slope):
     # J D = [D_2; -D_1] for the row halves D_1, D_2, so the products
     # with J D need no copy of it
     h = rows // 2
-    xjd = x[:h].T @ d[h:]
+    xjd = (x[:h].T @ d[h:]).astype(v.dtype, copy=False)
     xjd -= x[h:].T @ d[:h]
     k = xjd - xjd.T
-    m = d[:h].T @ d[h:]
+    m = (d[:h].T @ d[h:]).astype(v.dtype, copy=False)
     n = m - m.T
     c2 = 0.5 * float(np.vdot(d, ad)) + 0.25 * beta * (
         float(np.vdot(k, k)) + 2.0 * float(np.vdot(v, n)))

@@ -7,8 +7,9 @@ BB scale, accepted by the same search run as a monotone test, refines
 each stage's iterate by symplectic Rayleigh-Ritz, adapts the penalty
 weight from the Ritz values, restarts from the scaled eigenbasis, and
 tightens the inner tolerance geometrically.  `solve` applies the
-operator in float32 at every inner step and runs its iterates in float32
-only in the loose stages.  Both start from the canonical frame and run
+operator in float32 at every inner step; its loose stages run their
+iterates in float32, its tight ones a float32 correction to a float64
+base.  Both start from the canonical frame and run
 the search on the penalty's exact quartic along the step's direction, so
 an inner step costs one operator apply whatever its backtracks, and
 neither allocates a block of the iterate's shape per step.
@@ -26,7 +27,7 @@ from .errors import NumericalFailure, check_number
 from .factor import restart_point, srr, williamson_small
 from .metrics import feasibility, residue
 from .operators import canonical_frame, single_precision
-from .penalty import evaluate, ray
+from .penalty import BasedEval, evaluate, ray
 from .stepper import (
     WINDOW, bb_step, exact_step, gll_search, lbfgs_direction,
 )
@@ -44,10 +45,11 @@ ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
 # A stage of `solve` with inner tolerance eps >= SINGLE_EPS runs its
 # iterates in float32.  Over k steps its carried A X drifts by about k eps_32
 # relative: at most 0.41% of eps in the 20-265-step loose stages of the n =
-# 200-800 families.  A tighter stage keeps its iterates in float64 and only
-# applies A in float32; before its exit test its carried A X had drifted by
-# up to 2.7e-2 eps, in the aimed stage (dense n = 200; slr and sparse up to
-# 9.3e-3 eps), so the exit is decided on a float64 A X.  Both need the mean
+# 200-800 families.  A tighter stage descends on a float32 correction E to a
+# float64 base X0, whose gradient holds the cancellation; at its exit checks
+# the carried gradient lay within 0.20 eps ||A X||_F of the exact one, in the
+# aimed stage (dense n = 200; slr n = 400 up to 0.08, seeds 0-3), and the
+# exit is decided on a float64 apply of X0 + E.  Both need the mean
 # eigenvalue m = tr(A)/2n in SINGLE_SCALE, which keeps float32 copies of B
 # and C, and the squares of blocks of size m, far inside float32's range.
 SINGLE_EPS = math.sqrt(np.finfo(np.float32).eps)
@@ -219,59 +221,59 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     and the step passes the search's test with the window (f,), which
     makes the test monotone; a pair with <S, Z> <= 0, which only
     rounding could give, is dropped.  The descent runs on a copy of `x`.
-    The objective is evaluated once, from `ax` = A X when given; each
-    step takes one apply, A D, for the ray's quartic, and the accepted
-    point's A X, violation and value are carried along the ray.  Apart
-    from A D, a step makes no block of X's shape: the gradient, the
-    direction and the pair's S and Z are reused.
+    The objective is evaluated at the start, from `ax` = A X when given;
+    each step takes one apply, A D, for the ray's quartic, and the
+    accepted point's image, violation and value are carried along the
+    ray.  Apart from A D, a step makes no block of X's shape: the
+    gradient, the direction and the pair's S and Z are reused.
 
     With `single` a stage with eps >= SINGLE_EPS runs wholly in float32.
-    A tighter one keeps X, A X, V and the gradient in float64 and still
-    applies A in float32: it rounds D to float32 in place before the
-    slope <G, D> is taken, so the step moves along exactly the D that was
-    applied, and widens A D into a reused float64 block.
-    A stage ends on one float64 apply A X of its last iterate, the image
-    that the Rayleigh-Ritz step reuses, made after the loop.  Only a
-    tight stage with `single` carries an A X summed from float32 applies:
-    when its gradient test passes, the exact image replaces the carried
-    one, the gradient is formed anew and the test is taken again; an exit
-    that the test then refuses costs one apply, and the descent goes on.
+    A tighter one is based (:class:`BasedEval`): the start's float64
+    evaluation at X0 = `x` and its gradient stay fixed, and the steps
+    move a float32 correction E, X = X0 + E, with float32 directions and
+    applies and a float64 value and violation; its gradient test is taken
+    against ||A X0||_F.  Both paths share the step.  A stage ends on one
+    float64 apply A X of its last iterate, the image that the
+    Rayleigh-Ritz step reuses, made after the loop, except that a based
+    stage makes it, with an evaluation, each time its gradient test
+    passes and decides the exit on the exact gradient at X0 + E.  An exit
+    that test refuses costs one apply, and the descent goes on from that
+    evaluation as its new base.
     `unit` is the unit of the step lengths (:func:`bb_step`).
     """
     loose = single and eps >= SINGLE_EPS
+    based = single and not loose
     ev = evaluate(op, x.astype(np.float32 if loose else float), beta, ax=ax)
     g = ev.ensure_gradient()
+    if based:
+        ev = BasedEval(ev, g, np.float32)
+        g = ev.ensure_gradient()
     g_new, d_buf, work, s, z = (np.empty_like(g) for _ in range(5))
-    mixed = single and not loose
-    if mixed:
-        # the float32 D that is applied, and A D widened to float64
-        d_single, ad_wide = np.empty(g.shape, np.float32), np.empty_like(g)
     gnorm = float(np.sqrt(np.vdot(g, g)))
     pair = sz = None
     k_base = len(trace.inner)
     reached = False
     iters = refused = 0
     for k in range(params.k_max):
-        if gnorm < eps * float(np.sqrt(np.vdot(ev.ax, ev.ax))):
-            if mixed:
-                # the carried A X sums float32 applies: decide on the exact one
-                np.copyto(ev.ax, op.apply(ev.x))
-                ev.ensure_gradient(out=g)
-                gnorm = float(np.sqrt(np.vdot(g, g)))
-            if not mixed or gnorm < eps * float(np.sqrt(np.vdot(ev.ax, ev.ax))):
+        if gnorm < eps * ev.image_norm():
+            if not based:
+                reached = True
+                break
+            # the carried gradient sums float32 steps: decide on the exact one
+            # at X0 + E, and rebase there if it refuses
+            x = ev.point()
+            exact = evaluate(op, x, beta, ax=op.apply(x))
+            c = exact.ensure_gradient()
+            if float(np.sqrt(np.vdot(c, c))) < eps * exact.image_norm():
                 reached = True
                 break
             refused += 1
+            ev = BasedEval(exact, c, np.float32)
+            g = ev.ensure_gradient(out=g)
+            gnorm = float(np.sqrt(np.vdot(g, g)))
         gamma = bb_step(s, z, k, alternate=False, sz=sz, unit=unit)
         d = lbfgs_direction(g, pair, gamma, out=d_buf, work=work)
-        if mixed:
-            np.copyto(d_single, d)
-            np.copyto(d, d_single)
-            ad = ad_wide
-            np.copyto(ad, op.apply(d_single))
-        else:
-            ad = op.apply(d)
-        model = ray(ev.x, ev.violation, d, ad, beta, float(np.vdot(g, d)))
+        model = ray(ev.x, ev.violation, d, op.apply(d), beta, float(np.vdot(g, d)))
         ls = gll_search(ev.value, model.coeffs, exact_step(model.coeffs), (ev.value,))
         # X^(k-1) - X^(k) over D and G^(k-1) - G^(k) over the old
         # gradient, each in place; the buffers of the pair the direction
@@ -289,8 +291,10 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
                       beta, ev.value, ls.capped)
         )
         iters += 1
-    x = ev.x.astype(float, copy=False)
-    return x, ev.ax if mixed and reached else op.apply(x), reached, iters, refused
+    if based and reached:
+        return exact.x, exact.ax, reached, iters, refused
+    x = ev.point() if based else ev.x.astype(float, copy=False)
+    return x, op.apply(x), reached, iters, refused
 
 
 def _result(x, s_fin, d_fin, status, trace, beta, resid, start, message=None):
@@ -402,9 +406,12 @@ def solve(op, p, params=None):
     defaults, four stages.
 
     When tr(A)/2n lies in `SINGLE_SCALE`, every inner step applies A in
-    float32.  The iterates run in float32 only in the stages with eps >=
+    float32.  The iterates run in float32 in the stages with eps >=
     `SINGLE_EPS` = sqrt(eps_float32) (3.45e-4; the 0.3 and 3e-3 stages
-    at the defaults); everything else runs in float64.  The float32
+    at the defaults).  A tighter stage runs its steps on a float32
+    correction E to a float64 base X0, which it fixes at its start and at
+    every refused exit; its value and violation stay float64.  The
+    Rayleigh-Ritz step and the restart run in float64.  The float32
     copies `SpdOperator.apply` makes live until `solve` returns.  Step
     lengths and the Rayleigh-Ritz step are in units of 2^-e, e the binary
     exponent of tr(A)/2n, so solve(2^k A) repeats solve(A) bit for bit,
@@ -418,8 +425,9 @@ def solve(op, p, params=None):
     the frame's rows of the stage's first apply A E, in units of 2^-e.
 
     A stage costs one apply per inner step and one float64 apply A X at
-    its end, which decides a tight stage's exit (an exit it refuses,
-    counted in `OuterStage.refused`, costs one apply more) and from which
+    its end, which decides a tight stage's exit on the exact gradient at
+    X0 + E (an exit it refuses, counted in `OuterStage.refused`, costs one
+    apply more and rebases the stage there) and from which
     the Rayleigh-Ritz step forms A S; the residue reuses A S and the
     restart scales it into the next stage's A X.  The first stage adds one
     apply for its evaluation, so a solve takes inner + outer + 1 +

@@ -7,7 +7,11 @@ reference by construction).  The dense family's extremes come from a
 dense `eigvalsh`, the sparse ones' from one ARPACK run on B at every size
 (`SpdOperator.extreme_eigvals`, to about 1e-15 of the spread).  All draws
 come from ``numpy.random.default_rng(seed)`` consumed in a fixed order,
-so every family is bit-reproducible per seed within this implementation.
+so every family is bit-reproducible per seed at a fixed BLAS thread
+count.  Sparse and slr instances at 2n >= 40000 differ between one and
+two OpenBLAS threads: ARPACK's vector operations run threaded there, so
+the extremes, and through the affine map B's values, move in their last
+bits.  Up to n = 10000 they matched with one and two threads.
 """
 
 from dataclasses import dataclass

@@ -157,6 +157,28 @@ class TestSolve:
         assert float(row["window_max"]) >= float(row["f"])
         assert row["capped"] == "0"
 
+    @pytest.mark.parametrize("variant", ["enhanced", "basic"])
+    def test_stages_csv_matches_result(self, tmp_path, capsys, variant):
+        # one row per outer stage; the rows' sums are the result's counters
+        out = str(tmp_path / "run")
+        assert main(["solve", "--family", "slr", "--n", "40", "--p", "4",
+                     "--variant", variant, "--out", out]) in (0, 1)
+        lines = open(os.path.join(out, "stages.csv")).read().splitlines()
+        assert lines[0] == open(os.path.join(out, "trace.csv")).readline().rstrip("\n")
+        assert lines[1] == ("stage,beta,eps,reached,inner_iters,refused,residue,"
+                            "sigma_ratio,elapsed")
+        rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+        result = json.load(open(os.path.join(out, "result.json")))
+        assert len(rows) == result["outer_iterations"]
+        assert [int(r["stage"]) for r in rows] == list(range(len(rows)))
+        assert sum(int(r["inner_iters"]) for r in rows) == result["inner_iterations"]
+        assert sum(int(r["refused"]) for r in rows) == result["refused_exits"]
+        assert float(rows[-1]["residue"]) == result["residue"]
+        assert {r["reached"] for r in rows} <= {"0", "1"}
+        if variant == "enhanced":
+            assert len(rows) > 2 and rows[-1]["sigma_ratio"] == ""
+            assert all(0.0 < float(r["sigma_ratio"]) <= 1.0 for r in rows[:-1])
+
     def test_generated_instance_seed_is_recorded_once(self, tmp_path, capsys):
         # the seed belongs to the instance; the solver has none
         out = str(tmp_path / "run")

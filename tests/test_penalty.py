@@ -11,7 +11,7 @@ from conftest import (
 )
 from sympeig import GeneratorSpec, SpdOperator, symplectic_gram
 from sympeig.operators import canonical_frame
-from sympeig.penalty import evaluate, ray, violation
+from sympeig.penalty import BasedEval, evaluate, ray, violation
 from sympeig.stepper import exact_step
 
 
@@ -195,6 +195,53 @@ class TestRay:
         y = rng.standard_normal((8, 4))
         model = ray(x, violation(x), y, op.apply(y), 6.0, 0.0)
         assert hess_quadform(op, x, y, 6.0) == 2.0 * model.coeffs[1]
+
+
+class TestBasedEval:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("p", (1, 2, 5))
+    def test_based_step_matches_fresh_evaluate(self, kind, p):
+        # with the correction in float64, three moves from the base leave
+        # the based gradient, value and ray at X0 + E those of a fresh
+        # evaluation there, to 1e-12 relative
+        rng = np.random.default_rng(70 + p)
+        op = make_operator(kind, random_spd(rng, 16))
+        beta = 5.0
+        base = evaluate(op, rng.standard_normal((16, 2 * p)), beta)
+        ev = BasedEval(base, base.ensure_gradient(), np.float64)
+        for step in (0.2, 0.05, 0.3):
+            g = ev.ensure_gradient()
+            d = g + 0.1 * rng.standard_normal(g.shape)
+            model = ray(ev.x, ev.violation, d, op.apply(d), beta, float(np.vdot(g, d)))
+            ev.move(step * d, model, step, ev.value + quartic_delta(model.coeffs, step))
+        x = ev.point()
+        assert np.linalg.norm(x - base.x) > 0.1 * np.linalg.norm(base.x)
+        fresh = evaluate(op, x, beta)
+        g, g_fresh = ev.ensure_gradient(), fresh.ensure_gradient()
+        assert np.linalg.norm(g - g_fresh) <= 1e-12 * np.linalg.norm(g_fresh)
+        assert np.linalg.norm(ev.x - x) <= 1e-14 * np.linalg.norm(x)
+        assert ev.value == pytest.approx(fresh.value, rel=1e-12)
+        assert ev.image_norm() == base.image_norm()
+        d = rng.standard_normal(x.shape)
+        ad = op.apply(d)
+        based = ray(ev.x, ev.violation, d, ad.copy(), beta, float(np.vdot(g, d)))
+        exact = ray(x, fresh.violation, d, ad, beta, float(np.vdot(g_fresh, d)))
+        scale = max(abs(c) for c in exact.coeffs)
+        for got, want in zip(based.coeffs, exact.coeffs):
+            assert abs(got - want) <= 1e-12 * scale
+
+    def test_float32_correction_keeps_the_base_exact(self):
+        # at E = 0 the float32 gradient is the float64 base's rounded once
+        rng = np.random.default_rng(75)
+        op = make_operator("dense", random_spd(rng, 16))
+        base = evaluate(op, rng.standard_normal((16, 4)), 5.0)
+        c0 = base.ensure_gradient()
+        ev = BasedEval(base, c0, np.float32)
+        g = ev.ensure_gradient()
+        assert g.dtype == np.float32 and ev.x.dtype == np.float32
+        assert np.array_equal(g, c0.astype(np.float32))
+        assert ev.point().dtype == np.float64
+        assert np.array_equal(ev.point(), base.x)
 
 
 class TestHessQuadform:

@@ -72,12 +72,20 @@ def test_every_patch_point_records_a_span():
 
 
 def test_one_step_length_and_one_line_search_per_inner_step():
+    # the cross-checks of a `--trace 1` benchmark run, on a loose-only
+    # solve and on one with tight stages, whose exit checks apply A
     tracing = load_tracing()
-    op, _ = sympeig.GeneratorSpec("dense", 20, seed=0).make()
-    tracer = tracing.Tracer()
-    with tracing.installed(tracer):
-        res = sympeig.solve(op, 2)
-    layers = tracer.summarize(0, len(tracer.name_id))
-    assert res.inner_iterations > 0
-    assert layers["stepper.bb_step"]["calls"] == res.inner_iterations
-    assert layers["stepper.gll_search"]["calls"] == res.inner_iterations
+    for family, n, p in (("dense", 20, 2), ("slr", 40, 4)):
+        op, _ = sympeig.GeneratorSpec(family, n, seed=0).make()
+        tracer = tracing.Tracer()
+        proxy = tracing.TracedOperator(op, tracer)
+        with tracing.installed(tracer):
+            res = sympeig.solve(proxy, p)
+        layers = tracer.summarize(0, len(tracer.name_id))
+        assert res.inner_iterations > 0
+        assert layers["stepper.bb_step"]["calls"] == res.inner_iterations
+        assert layers["stepper.gll_search"]["calls"] == res.inner_iterations
+        refused = sum(st.refused for st in res.trace.outer)
+        assert (layers[tracing.APPLY]["calls"] == proxy.applies
+                == res.inner_iterations + res.outer_iterations + 1 + refused)
+    assert any(st.eps < sympeig.solver.SINGLE_EPS for st in res.trace.outer)

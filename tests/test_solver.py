@@ -25,8 +25,8 @@ from sympeig import (
 from sympeig import operators
 from sympeig.factor import restart_point, srr, ssvd, williamson_small
 from sympeig.operators import canonical_frame
-from sympeig.penalty import evaluate
-from sympeig.solver import DELTA_EPS, EPS_FIRST, SINGLE_EPS, beta_best
+from sympeig.penalty import BasedEval, evaluate
+from sympeig.solver import DELTA_EPS, EPS_FIRST, SINGLE_EPS, _run_inner, beta_best
 from sympeig.stepper import gll_search
 
 BETA_FLOOR_FACTOR = (3.0 + np.sqrt(5.0)) / 2.0
@@ -611,12 +611,12 @@ class TestPrecision:
 
     @pytest.mark.parametrize("family, n", [("dense", 200), ("slr", 400)])
     def test_carried_image_drift_in_tight_stages(self, monkeypatch, family, n):
-        # a tight stage carries A X in float64 along rays whose A D came
-        # from a float32 apply; at the stage's end the carried image must
-        # stay within 1e-2 eps of a fresh float64 apply.  The exit test
-        # writes that apply into it, so it matches; before the exit test
-        # it had drifted by up to 7.6e-4 eps at eps = 3e-5 and 2.7e-2 eps
-        # in the aimed stage on dense, 9.2e-3 eps on slr, over seeds 0-3
+        # a tight stage descends on a float32 correction to a float64 base
+        # and decides its exit on a float64 evaluation at X0 + E, whose
+        # image is a fresh apply; that evaluation is the stage's last, and
+        # its image must stay within 1e-2 eps of a fresh float64 apply of
+        # its point at the stage's end (the carried float32 state is
+        # bounded by test_carried_gradient_at_tight_exits)
         op, _ = GeneratorSpec(family, n, seed=0).make()
         evals, drift = [], []
 
@@ -640,6 +640,38 @@ class TestPrecision:
                  if st.eps < SINGLE_EPS]
         assert len(tight) >= 2
         assert all(rel <= 1e-2 * eps for eps, rel in tight)
+
+    @pytest.mark.parametrize("family, n", [("dense", 200), ("slr", 400)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_carried_gradient_at_tight_exits(self, monkeypatch, family, n, seed):
+        # at every exit check of a tight stage the float32 gradient the
+        # based descent carried lies within 0.5 eps ||A X||_F of the exact
+        # float64 one at X0 + E (0.20 on dense and 0.08 on slr, seeds 0-3)
+        op, _ = GeneratorSpec(family, n, seed=seed).make()
+        stage_eps, gaps = [], []
+
+        def recording_run_inner(*args):
+            stage_eps.append(args[4])
+            return _run_inner(*args)
+
+        class RecordingBasedEval(BasedEval):
+            def point(self):
+                # the carried gradient, formed again from the same state
+                carried = self.ensure_gradient()
+                x = super().point()
+                exact = evaluate(op, x, self.beta)
+                err = np.linalg.norm(carried - exact.ensure_gradient())
+                gaps.append(err / (stage_eps[-1] * exact.image_norm()))
+                return x
+
+        monkeypatch.setattr("sympeig.solver._run_inner", recording_run_inner)
+        monkeypatch.setattr("sympeig.solver.BasedEval", RecordingBasedEval)
+        res = solve(op, 10)
+        assert res.status is SolveStatus.CONVERGED
+        tight = [st for st in res.trace.outer if st.eps < SINGLE_EPS]
+        assert len(tight) >= 2 and all(st.reached for st in tight)
+        assert len(gaps) == len(tight) + sum(st.refused for st in tight)
+        assert max(gaps) <= 0.5
 
     @pytest.mark.parametrize("family, n, p", [("dense", 30, 3), ("slr", 40, 4)])
     def test_stage_ends_on_one_float64_apply_that_srr_reuses(self, monkeypatch,
