@@ -17,7 +17,9 @@ updated in place of a new apply (:meth:`PenaltyEval.move`), so the
 solvers call :func:`evaluate` once per stage (and `solve` again at each
 exit check of a tight stage) and take one apply per inner step.  Every
 block is computed in the precision of X, float32 or float64
-(`operators.as_float`); :class:`BasedEval` carries a point as a float64
+(`operators.as_float`).  Every stage reads its evaluation through one
+protocol, `move`, `ensure_gradient`, `image_norm` and `point` (X in
+float64); :class:`BasedEval` is the :class:`PenaltyEval` of a float64
 base plus a correction in a lower precision.
 """
 
@@ -43,7 +45,8 @@ class PenaltyEval:
     x : ndarray
         The point X; :meth:`move` updates it in place.
     ax : ndarray
-        A X; :meth:`move` updates it in place.
+        The carried image term: A X, or H for a :class:`BasedEval`;
+        :meth:`move` updates it in place.
     violation : ndarray
         The skew matrix V = X^T J_n X - J_p.
     """
@@ -68,9 +71,9 @@ class PenaltyEval:
     def move(self, sd, ray_model, s, value):
         """Carry this evaluation to X - s D along `ray_model` (the ray of
         :func:`ray` from X along D) without an apply: X - sd for the
-        displacement `sd` = s D and A X - s A D, both in place, V + s (s N
-        - K), and `value` = f + Delta(s).  An A D serves one move, and
-        `ray_model.ad` is scaled to s A D in place."""
+        displacement `sd` = s D and the image term minus s A D, both in
+        place, V + s (s N - K), and `value` = f + Delta(s).  An A D serves
+        one move, and `ray_model.ad` is scaled to s A D in place."""
         np.subtract(self.x, sd, out=self.x)
         np.subtract(self.ax, np.multiply(ray_model.ad, s, out=ray_model.ad), out=self.ax)
         self.violation = self.violation + s * (s * ray_model.n - ray_model.k)
@@ -80,49 +83,47 @@ class PenaltyEval:
         """||A X||_F of the carried image."""
         return float(np.sqrt(np.vdot(self.ax, self.ax)))
 
+    def point(self):
+        """X in float64 (X itself when it is float64)."""
+        return self.x.astype(float, copy=False)
 
-class BasedEval:
+
+class BasedEval(PenaltyEval):
     """f_beta at X = X0 + E for a float64 base X0 and a correction E in
     `dtype`, the split of iterative refinement: the base holds the
     cancellation A X0 - beta J X0 V0 of the gradient, and the correction,
     which starts at 0, takes the steps.
 
-    From the float64 evaluation `base` at X0 and its gradient C0, it
-    carries X and E in `dtype`, H = C0 + A E, V and f along rays, and
-    forms the gradient from the products of X with the small V - V0 and
-    of E with V0:
+    From the float64 evaluation `base` at X0 and its gradient C0 it
+    carries X in `dtype`, its image term H = C0 + A E in `ax`, and V and
+    f, as a :class:`PenaltyEval` does, and E beside them; the gradient
+    comes from the products of X with the small V - V0 and of E with V0:
 
         G = A X0 + A E - beta J X V = H - J (X (beta (V - V0)) + E (beta V0)) .
 
-    It stands in for a :class:`PenaltyEval` in `solve`'s step: `x` is X
-    for :func:`ray`, `violation` and `value` are float64, and
-    :meth:`move` and :meth:`ensure_gradient` take the same arguments.
-    :meth:`point` is X0 + E in float64.
+    V and f stay float64.
     """
 
     def __init__(self, base, c0, dtype):
-        self.beta = base.beta
-        self.value = base.value
-        self.violation = base.violation
+        x = base.x.astype(dtype)
+        super().__init__(base.beta, base.value, x, c0.astype(dtype), base.violation,
+                         np.empty_like(x))
         self._base = base
         self._image_norm = base.image_norm()
-        self.x = base.x.astype(dtype)
-        self._e = np.zeros_like(self.x)
-        self._h = c0.astype(dtype)
+        self._e = np.zeros_like(x)
         self._beta_v0 = (base.beta * base.violation).astype(dtype)
         self._beta_dv = np.empty_like(self._beta_v0)
-        self._scratch = np.empty_like(self.x)
 
     def ensure_gradient(self, out=None):
         """The gradient H - J (X (beta dV) + E (beta V0)) at the current X,
         into `out` when given (a block of X's shape and dtype)."""
-        add_flops(2 * self.x.size * self.violation.shape[1] + 2 * self._h.size)
+        add_flops(2 * self.x.size * self.violation.shape[1] + 2 * self.ax.size)
         # two products rather than one of a stacked [X | E]: E as a strided
         # half of that block made each move's E - sd cost more than the
         # second product saves (400 x 20 float32, one Xeon vCPU: 14 against
         # 2.5 us)
         if out is None:
-            out = np.empty_like(self._h)
+            out = np.empty_like(self.ax)
         beta_dv = np.subtract(self.violation, self._base.violation, out=self._beta_dv)
         beta_dv *= self.beta
         m = np.matmul(self.x, beta_dv, out=self._scratch)
@@ -130,18 +131,14 @@ class BasedEval:
         m += np.matmul(self._e, self._beta_v0, out=out)
         # J M = [M_2; -M_1]
         h = m.shape[0] // 2
-        np.subtract(self._h[:h], m[h:], out=out[:h])
-        np.add(self._h[h:], m[:h], out=out[h:])
+        np.subtract(self.ax[:h], m[h:], out=out[:h])
+        np.add(self.ax[h:], m[:h], out=out[h:])
         return out
 
     def move(self, sd, ray_model, s, value):
-        """:meth:`PenaltyEval.move` for X = X0 + E: X - sd and E - sd, H -
-        s A D in place, V + s (s N - K) and `value`."""
-        np.subtract(self.x, sd, out=self.x)
+        """:meth:`PenaltyEval.move`, and E - sd in place."""
+        super().move(sd, ray_model, s, value)
         np.subtract(self._e, sd, out=self._e)
-        np.subtract(self._h, np.multiply(ray_model.ad, s, out=ray_model.ad), out=self._h)
-        self.violation = self.violation + s * (s * ray_model.n - ray_model.k)
-        self.value = value
 
     def image_norm(self):
         """||A X0||_F of the base, which the gradient test takes for ||A X||_F."""

@@ -134,7 +134,8 @@ class InnerStep:
 class OuterStage:
     """One outer stage: the beta/eps used, Ritz values found, the exits
     that the stage's exact A X refused (`solve`; 0 for `solve_basic`), and
-    the rank margin sigma_min/sigma_max of the restart it produced."""
+    the rank margin sigma_min/sigma_max of the restart it produced, from
+    its 2p x 2p Gram X^T X, which resolves ratios down to about 1e-8."""
 
     stage: int
     beta: float
@@ -227,18 +228,18 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     ray.  Apart from A D, a step makes no block of X's shape: the
     gradient, the direction and the pair's S and Z are reused.
 
-    With `single` a stage with eps >= SINGLE_EPS runs wholly in float32.
-    A tighter one is based (:class:`BasedEval`): the start's float64
-    evaluation at X0 = `x` and its gradient stay fixed, and the steps
-    move a float32 correction E, X = X0 + E, with float32 directions and
-    applies and a float64 value and violation; its gradient test is taken
-    against ||A X0||_F.  Both paths share the step.  A stage ends on one
-    float64 apply A X of its last iterate, the image that the
-    Rayleigh-Ritz step reuses, made after the loop, except that a based
-    stage makes it, with an evaluation, each time its gradient test
-    passes and decides the exit on the exact gradient at X0 + E.  An exit
-    that test refuses costs one apply, and the descent goes on from that
-    evaluation as its new base.
+    The step reads every evaluation through one protocol (`x` for the
+    ray, `move`, `ensure_gradient`, `image_norm`), and a stage returns
+    `point()`, X in float64, with one float64 apply A X made after the
+    loop: the image that the Rayleigh-Ritz step reuses.  With `single` a
+    stage with eps >= SINGLE_EPS runs wholly in float32, and a tighter
+    one is based: a :class:`BasedEval` on the start's float64 evaluation
+    at X0 = `x` and its gradient moves a float32 correction E, X = X0 + E,
+    with float32 directions and applies and a float64 value and
+    violation, and takes its gradient test against ||A X0||_F.  That test
+    only proposes a based stage's exit: the stage evaluates X0 + E with
+    one float64 apply and leaves with that point and image when the exact
+    gradient passes too; an exit it refuses rebases the descent there.
     `unit` is the unit of the step lengths (:func:`bb_step`).
     """
     loose = single and eps >= SINGLE_EPS
@@ -261,12 +262,10 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
                 break
             # the carried gradient sums float32 steps: decide on the exact one
             # at X0 + E, and rebase there if it refuses
-            x = ev.point()
-            exact = evaluate(op, x, beta, ax=op.apply(x))
+            exact = evaluate(op, ev.point(), beta)
             c = exact.ensure_gradient()
             if float(np.sqrt(np.vdot(c, c))) < eps * exact.image_norm():
-                reached = True
-                break
+                return exact.point(), exact.ax, True, iters, refused
             refused += 1
             ev = BasedEval(exact, c, np.float32)
             g = ev.ensure_gradient(out=g)
@@ -291,9 +290,7 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
                       beta, ev.value, ls.capped)
         )
         iters += 1
-    if based and reached:
-        return exact.x, exact.ax, reached, iters, refused
-    x = ev.point() if based else ev.x.astype(float, copy=False)
+    x = ev.point()
     return x, op.apply(x), reached, iters, refused
 
 
@@ -491,8 +488,8 @@ def solve(op, p, params=None):
                 x = restart_point(s_fin, d_fin, beta)
                 sigma_ratio = None
                 if not converged:
-                    sv = np.linalg.svd(x, compute_uv=False)
-                    sigma_ratio = float(sv[-1] / sv[0])
+                    w = np.linalg.eigvalsh(x.T @ x)
+                    sigma_ratio = math.sqrt(max(w[0], 0.0) / w[-1])
                 trace.outer.append(
                     OuterStage(stage, stage_beta, eps, d_fin.copy(), reached, iters,
                                refused, resid, sigma_ratio, elapsed)

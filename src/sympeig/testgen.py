@@ -134,8 +134,7 @@ def _affine_coeffs(wmin, wmax, n):
 
 def _dense(n, rng):
     nmat = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
-    a = nmat @ nmat.T
-    a = 0.5 * (a + a.T)
+    a = nmat @ nmat.T  # exactly symmetric as numpy forms it
     w = np.linalg.eigvalsh(a)
     c, s = _affine_coeffs(w[0], w[-1], n)
     a *= c

@@ -6,7 +6,9 @@ import pytest
 from scipy import sparse
 from scipy.io import mmread, mmwrite
 
-from sympeig import NumericalFailure, SpdOperator, poisson, store_matrix, symplectic_gram
+from sympeig import (
+    NumericalFailure, SpdOperator, poisson, solve, store_matrix, symplectic_gram,
+)
 from sympeig.cli import main
 from sympeig.operators import canonical_frame
 
@@ -49,6 +51,14 @@ class TestTopLevel:
         mmwrite("hermitian.mtx", h if storage == "array" else sparse.coo_array(h))
         assert main([*command, "--matrix", "hermitian.mtx"]) == 3
         assert "complex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["check"], ["solve", "--p", "2"]],
+                             ids=["check", "solve"])
+    def test_non_square_matrix_is_io_error(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        mmwrite("wide.mtx", np.ones((4, 6)))
+        assert main([*command, "--matrix", "wide.mtx"]) == 3
+        assert "must be square" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["gen", "--family", "dense", "--n", "6"],
@@ -473,6 +483,25 @@ class TestBench:
         row = lines[2].split(",")
         gw = float(row[header.index("gw_err")])
         assert gw <= 1e-4
+
+    def test_failed_cell_is_an_error_row(self, tmp_path, monkeypatch, capsys):
+        # a cell that raises gets status error:<type> and the sweep goes on
+        calls = []
+
+        def first_call_fails(op, p, params):
+            calls.append(p)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("forced")
+            return solve(op, p, params)
+
+        monkeypatch.setattr("sympeig.cli.solve", first_call_fails)
+        out = tmp_path / "b"
+        assert main(["bench", "--n-list", "8", "--p-list", "2", "--seeds", "0,1",
+                     "--out", str(out)]) == 0
+        lines = (out / "bench.csv").read_text().splitlines()
+        column = lines[1].split(",").index("status")
+        assert [line.split(",")[column] for line in lines[2:]] == [
+            "error:LinAlgError", "converged"]
 
     def test_p_not_below_n_rejected(self, capsys):
         assert main(["bench", "--families", "dense", "--n-list", "4",

@@ -55,6 +55,11 @@ class TestGolubWerman:
             golub_werman(x, np.eye(10)[:, :4])
 
 
+    def test_unequal_row_counts_rejected(self):
+        with pytest.raises(ValueError, match="row counts differ: 10 vs 12"):
+            golub_werman(np.eye(10)[:, :4], np.eye(12)[:, :4])
+
+
 class TestResidue:
     def test_exact_eigenbasis(self):
         # residual and symplecticity violation both vanish
@@ -125,3 +130,13 @@ class TestResidue:
         with pytest.raises(ValueError, match="eigenvalues must be positive and finite"):
             residue(op, np.eye(8)[:, :4], [bad, 1.0])
 
+    @pytest.mark.parametrize("x", [np.eye(8)[:, :4], np.ones(8)], ids=["3-pairs", "1-D"])
+    def test_basis_shape_must_match_eigenvalues(self, x):
+        op = SpdOperator.from_dense(np.eye(8))
+        with pytest.raises(ValueError, match="does not match 3 eigenvalues"):
+            residue(op, x, [1.0, 2.0, 3.0])
+
+
+def test_feasibility_of_an_odd_column_basis_rejected():
+    with pytest.raises(ValueError, match="basis must have 2p columns, got 3"):
+        feasibility(np.eye(6)[:, :3])

@@ -335,6 +335,14 @@ class TestStorage:
         with pytest.raises(OSError):
             load_matrix("/no/such/file.mtx")
 
+    @pytest.mark.parametrize("storage", ["array", "coordinate"])
+    def test_non_square_file_is_io_error(self, tmp_path, storage):
+        a = np.ones((4, 6))
+        path = str(tmp_path / "wide.mtx")
+        mmwrite(path, a if storage == "array" else sparse.coo_array(a))
+        with pytest.raises(OSError, match="must be square"):
+            load_matrix(path)
+
     def test_symmetric_storage_mirrored(self, tmp_path):
         path = tmp_path / "upper.mtx"
         path.write_text(

@@ -89,3 +89,23 @@ def test_one_step_length_and_one_line_search_per_inner_step():
         assert (layers[tracing.APPLY]["calls"] == proxy.applies
                 == res.inner_iterations + res.outer_iterations + 1 + refused)
     assert any(st.eps < sympeig.solver.SINGLE_EPS for st in res.trace.outer)
+
+
+def test_apply_counts_off_the_float32_path():
+    # the untraced benchmark count on the paths its workloads do not take:
+    # `solve_basic` applies A at its start, once per step and for its
+    # Rayleigh-Ritz step, and `solve` on an operator whose mean eigenvalue
+    # lies outside SINGLE_SCALE runs in float64 at the count of its docstring
+    tracing = load_tracing()
+    op, _ = sympeig.GeneratorSpec("dense", 20, seed=0).make()
+    proxy = tracing.CountingOperator(op)
+    res = sympeig.solve_basic(proxy, 2)
+    assert res.inner_iterations > 0
+    assert proxy.applies == res.inner_iterations + 2
+    large = sympeig.SpdOperator.from_dense(1e9 * op.densify())
+    assert large.trace() / (2 * large.n) > sympeig.solver.SINGLE_SCALE[1]
+    proxy = tracing.CountingOperator(large)
+    res = sympeig.solve(proxy, 2)
+    assert res.status is sympeig.SolveStatus.CONVERGED
+    refused = sum(st.refused for st in res.trace.outer)
+    assert proxy.applies == res.inner_iterations + res.outer_iterations + 1 + refused

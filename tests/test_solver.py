@@ -378,6 +378,27 @@ class TestSolveEnhanced:
             assert stage.sigma_ratio is not None
             assert stage.sigma_ratio > 1e-10
 
+    @pytest.mark.parametrize("family, n, p", [("dense", 200, 10), ("slr", 400, 10),
+                                              ("prescribed", 40, 5)])
+    def test_rank_margin_matches_the_svd(self, monkeypatch, family, n, p):
+        # the ratio from the restart's 2p x 2p Gram is sigma_min/sigma_max of
+        # its SVD to 1e-12 relative
+        op, _ = GeneratorSpec(family, n, seed=0).make()
+        scaled = []
+
+        def recording_restart_point(*args):
+            scaled.append(restart_point(*args))
+            return scaled[-1]
+
+        monkeypatch.setattr("sympeig.solver.restart_point", recording_restart_point)
+        res = solve(op, p)
+        assert res.status is SolveStatus.CONVERGED
+        # each stage scales S into X, and a stage that restarts also A S
+        assert len(scaled) == 2 * res.outer_iterations - 1
+        for stage, x in zip(res.trace.outer[:-1], scaled[::2]):
+            sv = np.linalg.svd(x, compute_uv=False)
+            assert stage.sigma_ratio == pytest.approx(sv[-1] / sv[0], rel=1e-12)
+
     def test_explicit_beta0_respected(self):
         op, ref = GeneratorSpec("prescribed", 12, seed=10).make()
         res = solve(op, 2, SolverParams(beta0=30.0))
@@ -506,6 +527,11 @@ class TestSolveEnhanced:
         for name, value in cases:
             with pytest.raises(ValueError, match=f"^{name} "):
                 SolverParams(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name", ["k_max", "outer_max"])
+    def test_iteration_limit_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match="iteration limits must be positive"):
+            SolverParams(**{name: 0}).validate()
 
     def test_seed_is_not_a_param(self):
         with pytest.raises(ValueError, match=r"unknown solver parameter.*'seed'"):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import instance, run_one_blas_thread
 from sympeig import GeneratorSpec, SpdOperator, reference
+from sympeig.testgen import _affine_coeffs
 
 
 class TestGenDense:
@@ -22,6 +23,12 @@ class TestGenDense:
 
     def test_spd(self):
         assert instance("dense", 8, seed=1).is_spd()
+
+    @pytest.mark.parametrize("n", [6, 200])
+    def test_exactly_symmetric(self, n):
+        # the generator takes numpy's N N^T as it comes, exactly symmetric
+        b = instance("dense", n, seed=0)._b
+        assert np.array_equal(b, b.T)
 
     def test_kind(self):
         assert instance("dense", 4, seed=0).kind == "dense"
@@ -223,6 +230,14 @@ def _sha256(chunks):
     for chunk in chunks:
         h.update(chunk)
     return h.hexdigest()
+
+
+def test_coinciding_extremes_rejected():
+    # called directly: no GeneratorSpec reaches it, since N N^T and a
+    # non-empty symmetrized pattern have distinct extremes, and ARPACK
+    # stops on an empty pattern before the map is formed
+    with pytest.raises(ValueError, match="degenerate spectrum"):
+        _affine_coeffs(3.0, 3.0, 10)
 
 
 class TestPinnedBytes:
