@@ -15,7 +15,6 @@ import sys
 import time
 
 import numpy as np
-from scipy.io import mmwrite
 
 from . import __version__
 from .errors import NumericalFailure
@@ -251,6 +250,7 @@ def cmd_solve(args):
                  st.residue, "" if st.sigma_ratio is None else st.sigma_ratio, st.elapsed)
                 for st in result.trace.outer))
     if args.save_basis and result.eigenbasis is not None:
+        from scipy.io import mmwrite
         mmwrite(os.path.join(out, "basis.mtx"), result.eigenbasis, precision=17)
     print(result_path)
     note = ""
@@ -276,6 +276,7 @@ def cmd_oracle(args):
     oracle_path = os.path.join(out, "oracle.json")
     _write_json(oracle_path, payload)
     xref_path = os.path.join(out, "xref.mtx")
+    from scipy.io import mmwrite
     mmwrite(xref_path, xref, precision=17)
     print(oracle_path)
     print(xref_path)

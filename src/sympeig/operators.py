@@ -14,6 +14,10 @@ Kernels compute in the precision of their operand: float32 stays
 float32 and anything else becomes float64.  A float32 apply multiplies
 by float32 copies of B and C; inside a :func:`single_precision` block
 they are made once per operator and dropped when the block exits.
+
+A dense operator needs numpy alone.  scipy is imported where it is used:
+by the CSR constructors, ARPACK (`SpdOperator.extreme_eigvals`) and the
+Matrix Market files.
 """
 
 import contextlib
@@ -21,9 +25,6 @@ import os
 import threading
 
 import numpy as np
-from scipy import sparse
-from scipy.io import mmread, mmwrite
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .flops import add_flops
 
@@ -96,12 +97,14 @@ class SpdOperator:
 
     @classmethod
     def from_csr(cls, b):
+        from scipy import sparse
         b = sparse.csr_array(b).astype(float)
         _check_square_even(b.shape)
         return cls(b)
 
     @classmethod
     def from_low_rank(cls, b, c):
+        from scipy import sparse
         b = sparse.csr_array(b).astype(float)
         c = np.asarray(c, dtype=float)
         _check_square_even(b.shape, what="sparse part")
@@ -118,7 +121,7 @@ class SpdOperator:
         """Storage form: "dense", "csr", or "slr" (CSR B plus a factor C)."""
         if self._c is not None:
             return "slr"
-        return "csr" if sparse.issparse(self._b) else "dense"
+        return "dense" if isinstance(self._b, np.ndarray) else "csr"
 
     @property
     def nnz(self):
@@ -181,7 +184,7 @@ class SpdOperator:
             raise ValueError(
                 f"2n = {2 * self.n} exceeds the dense budget {DENSE_MAX_DIM}; reduce n"
             )
-        a = self._b.toarray() if sparse.issparse(self._b) else self._b.copy()
+        a = self._b.copy() if isinstance(self._b, np.ndarray) else self._b.toarray()
         if self._c is not None:
             a = a + self._c @ self._c.T
         return a
@@ -195,6 +198,7 @@ class SpdOperator:
         """(smallest, largest) eigenvalue of A, to about 1e-15 of the spread,
         from one ARPACK run on `apply` for both ends (tol 1e-8, start drawn
         from a fixed ``default_rng(0)``); a 2-by-2 A raises ValueError."""
+        from scipy.sparse.linalg import LinearOperator, eigsh
         dim = 2 * self.n
         if dim < 4:
             raise ValueError(f"extreme_eigvals needs 2n >= 4, got 2n = {dim}")
@@ -275,6 +279,7 @@ def canonical_frame(n, p):
 
 
 def _read_mm(path):
+    from scipy.io import mmread
     try:
         m = mmread(path)
     except OSError:
@@ -291,7 +296,7 @@ def load_dense(path):
     float array; an unreadable file, or one with a complex field, raises
     OSError."""
     m = _read_mm(path)
-    return np.asarray(m.toarray() if sparse.issparse(m) else m, dtype=float)
+    return np.asarray(m if isinstance(m, np.ndarray) else m.toarray(), dtype=float)
 
 
 def load_matrix(path):
@@ -321,9 +326,9 @@ def load_matrix(path):
             raise OSError(f"{path}: {exc}") from exc
     m = _read_mm(path)
     try:
-        if sparse.issparse(m):
-            return SpdOperator.from_csr(m)
-        return SpdOperator.from_dense(np.asarray(m, dtype=float))
+        if isinstance(m, np.ndarray):
+            return SpdOperator.from_dense(m)
+        return SpdOperator.from_csr(m)
     except ValueError as exc:
         raise OSError(f"{path}: {exc}") from exc
 
@@ -336,6 +341,7 @@ def store_matrix(op, path):
     ``<base>.C.mtx`` pair (`path` may be the base name or either
     spelled-out file name).
     """
+    from scipy.io import mmwrite
     path = os.fspath(path)
     if op._c is not None:
         for suffix in (_LOW_RANK_SUFFIX_B, _LOW_RANK_SUFFIX_C, ".mtx"):

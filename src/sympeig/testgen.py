@@ -11,14 +11,14 @@ so every family is bit-reproducible per seed at a fixed BLAS thread
 count.  Sparse and slr instances at 2n >= 40000 differ between one and
 two OpenBLAS threads: ARPACK's vector operations run threaded there, so
 the extremes, and through the affine map B's values, move in their last
-bits.  Up to n = 10000 they matched with one and two threads.
+bits.  Up to n = 10000 they matched with one and two threads.  The
+dense family needs numpy alone; the sparse families import scipy for
+CSR storage and ARPACK, the prescribed one for `expm`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy import sparse
 
 from .errors import check_number
 from .factor import WilliamsonForm
@@ -47,7 +47,8 @@ class GeneratorSpec:
       the identity shift making it positive definite and filling the
       diagonal; CSR with both triangles stored.  The extremes come from
       one ARPACK run at every size, never densifying, so A's extremes
-      are (1, n) to about 1e-15 of the spread.
+      are (1, n) to about 1e-15 of the spread.  A density that draws
+      no entry raises ValueError.
     - slr: A = B + C C^T, B drawn as the sparse family, C (2n x m) with
       entries uniform on [-1, 1] rescaled so the largest eigenvalue of
       C C^T is exactly n; the operator keeps the factored form.
@@ -143,10 +144,13 @@ def _dense(n, rng):
 
 
 def _sparse_core(n, sigma, rng):
+    from scipy import sparse
     raw = sparse.random(
         2 * n, 2 * n, density=sigma / 2.0, format="csr", rng=rng,
         data_rvs=lambda size: rng.uniform(-1.0, 1.0, size),
     )
+    if not raw.nnz:
+        raise ValueError(f"density {sigma!r} draws no entries at n = {n}; raise the density")
     sym = ((raw + raw.T) * 0.5).tocsr()
     wmin, wmax = SpdOperator.from_csr(sym).extreme_eigvals()
     c, s = _affine_coeffs(wmin, wmax, n)
@@ -154,6 +158,7 @@ def _sparse_core(n, sigma, rng):
 
 
 def _prescribed(d, rng):
+    import scipy.linalg
     n = d.size
     h = rng.uniform(-1.0, 1.0, size=(2 * n, 2 * n))
     h = 0.5 * (h + h.T)

@@ -98,6 +98,13 @@ class TestGen:
         assert f"{name} does not apply to the {family} family" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_empty_sparse_pattern_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["gen", "--family", "sparse", "--n", "50", "--density", "1e-9",
+                     "--out", str(out)]) == 2
+        assert "density 1e-09 draws no entries" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_prescribed_sidecar_records_spectrum(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         main(["gen", "--family", "prescribed", "--n", "6", "--out", out])

@@ -11,6 +11,7 @@ from sympeig import (
     symplectic_gram,
 )
 from sympeig.factor import (
+    SCIPY_MIN_DIM,
     _skew_pairs,
     restart_point,
     srr,
@@ -37,11 +38,18 @@ def _rotated(d, rng):
     return 0.5 * (k - k.T)
 
 
+# half-dimensions m on both sides of SCIPY_MIN_DIM = 2m
+SIDES = [SCIPY_MIN_DIM // 2 - 1, SCIPY_MIN_DIM // 2]
+
+
 class TestSkewPairs:
-    # The stated accuracy of LAPACK's zheevr, taken as p(dim) = dim = 2m:
-    # each computed eigenpair of iK has residual <= dim eps ||K||_2, each
-    # eigenvalue error <= dim eps ||K||_2, and Z^H Z is the identity within
-    # dim eps.  Q's real columns also meet the conjugate eigenvectors, of
+    # LAPACK states one accuracy for both Hermitian drivers `_skew_pairs`
+    # runs on iK, zheevd (numpy's full `eigh`, 2m < SCIPY_MIN_DIM) and
+    # zheevr (scipy's subset of the m largest, 2m >= SCIPY_MIN_DIM), with a
+    # modestly growing p(dim), taken here as dim = 2m: each computed
+    # eigenpair has residual <= dim eps ||K||_2, each eigenvalue error
+    # <= dim eps ||K||_2, and Z^H Z is the identity within dim eps.
+    # Q's real columns also meet the conjugate eigenvectors, of
     # -d_j, which lie a gap d_i + d_j >= 2 d_1 away, so orthogonality loses
     # a further ||K||_2 / d_1, and the pairing gains one ||K||_2 from the
     # residual and one from the orthogonality.  No gap between the d enters,
@@ -58,10 +66,16 @@ class TestSkewPairs:
         assert np.linalg.norm(q.T @ q - np.eye(dim), 2) <= orth
         assert np.linalg.norm(q.T @ k @ q - _paired(d), 2) <= 2.0 * orth * norm
 
-    @pytest.mark.parametrize("m", [1, 2, 7, 200])
+    @pytest.mark.parametrize("m", [1, 2, 7, *SIDES])
     def test_poisson_matrix(self, m):
         # every d = 1: one cluster of width zero
         self._assert_paired(poisson(m), np.ones(m))
+
+    @pytest.mark.parametrize("m", [3, *SIDES])
+    def test_rotated_separated(self, m):
+        # d = 1..m: unit gaps
+        d = np.arange(1.0, m + 1.0)
+        self._assert_paired(_rotated(d, np.random.default_rng(m)), d)
 
     def test_rotated_cluster(self):
         # d = 1 + 1e-14 k, k = 1..40: the gaps lie far below the bound

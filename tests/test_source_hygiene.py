@@ -1,5 +1,6 @@
 """Every top-level import of a package module is read by that module or
-re-exported through its ``__all__``, and every top-level definition has
+re-exported through its ``__all__``, every import inside a function is
+read by that function, and every top-level definition has
 a caller outside the tests: a package module or the benchmark (the
 unused-name checks of a linter, done with ``ast``)."""
 
@@ -8,15 +9,15 @@ import pathlib
 
 import pytest
 
-from conftest import load_tracing
+from conftest import load_tracing, run_one_blas_thread
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sympeig"
 PERFBENCH = ROOT / "perfbench"
 
 
-def imported_names(tree):
-    for node in tree.body:
+def imported_names(body):
+    for node in body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 if alias.asname:
@@ -24,6 +25,11 @@ def imported_names(tree):
                 elif alias.name != "*":
                     # `import a.b` binds `a`
                     yield alias.name.split(".")[0]
+
+
+def loaded_names(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 def exported_names(tree):
@@ -37,10 +43,14 @@ def exported_names(tree):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    unused = sorted(set(imported_names(tree)) - read - exported_names(tree))
+    unused = sorted(set(imported_names(tree.body)) - loaded_names(tree) - exported_names(tree))
     assert not unused, f"{path.name} imports {unused} and never reads them"
+    # an import inside a function binds a local name, read in that function
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = [node for node in ast.walk(fn) if node is not fn]
+            unused = sorted(set(imported_names(body)) - loaded_names(fn))
+            assert not unused, f"{path.name}:{fn.name} imports {unused} and never reads them"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -105,6 +115,19 @@ def test_no_scipy_blas(path):
             used.add(ast.unparse(node))
     assert not any(name.startswith("scipy.linalg.blas") for name in used)
     assert not any(name.split(".")[-1] == "get_blas_funcs" for name in used)
+
+
+def test_dense_solve_loads_no_scipy():
+    # a dense instance and its solve need numpy alone; run in a subprocess,
+    # since this test process has scipy loaded already
+    loaded = run_one_blas_thread(
+        "import sys\n"
+        "import sympeig\n"
+        "op, _ = sympeig.GeneratorSpec('dense', 30).make()\n"
+        "assert sympeig.solve(op, 3).status is sympeig.SolveStatus.CONVERGED\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert loaded.strip() == "[]"
 
 
 def test_srr_never_applies_the_operator():

@@ -94,6 +94,13 @@ class TestGenSparse:
         with pytest.raises(ValueError):
             instance("sparse", 20, density=0.0, seed=0)
 
+    @pytest.mark.parametrize("family", ["sparse", "slr"])
+    @pytest.mark.parametrize("n", [2, 50])
+    def test_empty_pattern_names_the_density(self, family, n):
+        # refused before ARPACK, which would stop on a zero matrix
+        with pytest.raises(ValueError, match=r"^density 1e-09 draws no entries at n = "):
+            instance(family, n, density=1e-9, seed=0)
+
 
 class TestGenSlr:
     def test_low_rank_scale(self):
@@ -234,8 +241,8 @@ def _sha256(chunks):
 
 def test_coinciding_extremes_rejected():
     # called directly: no GeneratorSpec reaches it, since N N^T and a
-    # non-empty symmetrized pattern have distinct extremes, and ARPACK
-    # stops on an empty pattern before the map is formed
+    # non-empty symmetrized pattern have distinct extremes, and an empty
+    # pattern is refused before the map is formed
     with pytest.raises(ValueError, match="degenerate spectrum"):
         _affine_coeffs(3.0, 3.0, 10)
 
