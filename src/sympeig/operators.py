@@ -15,9 +15,9 @@ float32 and anything else becomes float64.  A float32 apply multiplies
 by float32 copies of B and C; inside a :func:`single_precision` block
 they are made once per operator and dropped when the block exits.
 
-A dense operator needs numpy alone.  scipy is imported where it is used:
-by the CSR constructors, ARPACK (`SpdOperator.extreme_eigvals`) and the
-Matrix Market files.
+A dense operator needs numpy alone, and so does the Lanczos run of
+`SpdOperator.extreme_eigvals`.  scipy is imported where it is used: by
+the CSR constructors and the Matrix Market files.
 """
 
 import contextlib
@@ -26,10 +26,16 @@ import threading
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .flops import add_flops
 
 # largest dimension 2n that is ever densified or diagonalized densely
 DENSE_MAX_DIM = 4000
+
+# most steps of the Lanczos run in `SpdOperator.extreme_eigvals`, whose
+# dense check of T takes 1.3 s and 0.16 GB at k = 2000 (one Xeon vCPU);
+# a 2-D Laplacian of 2n = 160000, extremes crowded, needs 1184
+LANCZOS_MAX_STEPS = 2000
 
 _LOW_RANK_SUFFIX_B = ".B.mtx"
 _LOW_RANK_SUFFIX_C = ".C.mtx"
@@ -195,24 +201,66 @@ class SpdOperator:
         return bool(abs(self._b - self._b.T).max() <= 1e-12 * abs(self._b).max())
 
     def extreme_eigvals(self):
-        """(smallest, largest) eigenvalue of A, to about 1e-15 of the spread,
-        from one ARPACK run on `apply` for both ends (tol 1e-8, start drawn
-        from a fixed ``default_rng(0)``); a 2-by-2 A raises ValueError."""
-        from scipy.sparse.linalg import LinearOperator, eigsh
+        """(smallest, largest) eigenvalue of A, to about 1e-14 of the spread,
+        from one Lanczos run on `apply`; a 2-by-2 A raises ValueError, a run
+        unconverged after `LANCZOS_MAX_STEPS` steps NumericalFailure.
+
+        The plain three-term recurrence from a fixed ``default_rng(0)``
+        start keeps its extreme Ritz values accurate without
+        reorthogonalization (Paige, Linear Algebra Appl. 34, 1980).  T is
+        diagonalized after 20 steps, then after 20 more or a quarter more,
+        whichever is later, so the checks cost about twice the last one.
+        The run stops at residual bounds beta_k |s_k| <= 1e-8 of T's spread
+        at both ends, at an invariant subspace, or after 2n steps.  Inner
+        products are numpy's pairwise sums, so on the generator's CSR
+        instances (up to n = 20000) the bits did not depend on the BLAS
+        thread count; a dense B's apply is a threaded GEMV.
+        """
         dim = 2 * self.n
         if dim < 4:
             raise ValueError(f"extreme_eigvals needs 2n >= 4, got 2n = {dim}")
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
-        a = LinearOperator((dim, dim), matvec=self.apply, dtype=float)
-        lo, hi = eigsh(a, k=2, which="BE", tol=1e-8, v0=v0, return_eigenvectors=False)
-        return float(lo), float(hi)
+        last = min(dim, LANCZOS_MAX_STEPS)
+        q = np.random.default_rng(0).uniform(-1.0, 1.0, dim)
+        q /= np.sqrt(np.add.reduce(q * q))
+        q_prev = np.zeros(dim)
+        alpha, beta = [], [0.0]
+        lo, hi, check = np.inf, -np.inf, 20
+        while True:
+            r = self.apply(q)
+            alpha.append(float(np.add.reduce(q * r)))
+            lo, hi = min(lo, alpha[-1]), max(hi, alpha[-1])
+            r -= alpha[-1] * q
+            r -= beta[-1] * q_prev
+            beta.append(float(np.sqrt(np.add.reduce(r * r))))
+            k = len(alpha)
+            # beta_k |s_k| <= beta_k, and T's diagonal lies within its
+            # spread: a beta_k below 1e-8 of the diagonal's range, as at an
+            # invariant subspace, meets both bounds
+            if k >= check or k == last or beta[-1] <= 1e-8 * (hi - lo):
+                # eigh reads T's lower triangle alone
+                t = np.zeros((k, k))
+                t.flat[::k + 1] = alpha
+                t.flat[k::k + 1] = beta[1:k]
+                theta, s = np.linalg.eigh(t)
+                bound = beta[-1] * max(abs(s[-1, 0]), abs(s[-1, -1]))
+                if k == dim or bound <= 1e-8 * (theta[-1] - theta[0]):
+                    return float(theta[0]), float(theta[-1])
+                if k == last:
+                    raise NumericalFailure(
+                        f"extreme_eigvals: the Lanczos run did not converge in {k} steps "
+                        f"(2n = {dim}, residual bound {bound:.3g} against T's spread "
+                        f"{theta[-1] - theta[0]:.3g}); A may not be symmetric")
+                check = max(k + 20, -(-5 * k // 4))
+            q_prev, q = q, r / beta[-1]
 
     def is_spd(self):
-        """Positive definiteness: a Cholesky factorization of the
-        symmetric part of A when 2n <= `DENSE_MAX_DIM`, else the sign of
-        the smallest eigenvalue from one ARPACK run (`extreme_eigvals`)."""
+        """Positive definiteness of the symmetric part of A: a Cholesky
+        factorization when 2n <= `DENSE_MAX_DIM`, else the sign of its
+        smallest eigenvalue from one Lanczos run (`extreme_eigvals`)."""
         if 2 * self.n > DENSE_MAX_DIM:
-            return self.extreme_eigvals()[0] > 0.0
+            b = 0.5 * (self._b + self._b.T)
+            b = b if isinstance(b, np.ndarray) else b.tocsr()
+            return SpdOperator(b, self._c).extreme_eigvals()[0] > 0.0
         a = self.densify()
         try:
             np.linalg.cholesky(0.5 * (a + a.T))

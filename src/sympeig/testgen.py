@@ -4,16 +4,14 @@
 sparse CSR with extreme eigenvalues (1, n), sparse-plus-low-rank
 B + C C^T, and dense with a prescribed symplectic spectrum (exact
 reference by construction).  The dense family's extremes come from a
-dense `eigvalsh`, the sparse ones' from one ARPACK run on B at every size
-(`SpdOperator.extreme_eigvals`, to about 1e-15 of the spread).  All draws
-come from ``numpy.random.default_rng(seed)`` consumed in a fixed order,
-so every family is bit-reproducible per seed at a fixed BLAS thread
-count.  Sparse and slr instances at 2n >= 40000 differ between one and
-two OpenBLAS threads: ARPACK's vector operations run threaded there, so
-the extremes, and through the affine map B's values, move in their last
-bits.  Up to n = 10000 they matched with one and two threads.  The
-dense family needs numpy alone; the sparse families import scipy for
-CSR storage and ARPACK, the prescribed one for `expm`.
+dense `eigvalsh`, the sparse ones' from one Lanczos run on B at every
+size (`SpdOperator.extreme_eigvals`, to about 1e-14 of the spread).  All
+draws come from ``numpy.random.default_rng(seed)`` consumed in a fixed
+order, so every family is bit-reproducible per seed at a fixed BLAS
+thread count.  The Lanczos run takes no BLAS reduction, so sparse and
+slr instances came out the same with one and two OpenBLAS threads up to
+n = 20000 as well.  The dense family needs numpy alone; the sparse
+families import scipy for CSR storage, the prescribed one for `expm`.
 """
 
 from dataclasses import dataclass
@@ -46,8 +44,8 @@ class GeneratorSpec:
       [-1, 1] is symmetrized and mapped affinely onto the extremes (1, n),
       the identity shift making it positive definite and filling the
       diagonal; CSR with both triangles stored.  The extremes come from
-      one ARPACK run at every size, never densifying, so A's extremes
-      are (1, n) to about 1e-15 of the spread.  A density that draws
+      one Lanczos run at every size, never densifying, so A's extremes
+      are (1, n) to about 1e-14 of the spread.  A density that draws
       no entry raises ValueError.
     - slr: A = B + C C^T, B drawn as the sparse family, C (2n x m) with
       entries uniform on [-1, 1] rescaled so the largest eigenvalue of

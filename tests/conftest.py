@@ -2,7 +2,8 @@
 kernels, generated instances, construction of the same matrix in every
 storage kind, random symplectic frames and stationary points of the
 penalty, its second-order form along a direction, the benchmark's
-tracing module, and a Python run in a subprocess with one BLAS thread."""
+tracing module, and a Python run in a subprocess with a set BLAS
+thread count."""
 
 import importlib.util
 import os
@@ -31,15 +32,16 @@ def load_tracing():
     return module
 
 
-def run_one_blas_thread(script):
-    """stdout of `script` run by this interpreter in a subprocess with one
-    BLAS thread (threading changes rounding, so pinned runs use one) and
-    `src/` and `tests/` importable."""
+def run_with_blas_threads(script, threads=1):
+    """stdout of `script` run by this interpreter in a subprocess with
+    `threads` BLAS threads (threading changes rounding, so pinned runs
+    use one) and `src/` and `tests/` importable."""
     tests = pathlib.Path(__file__).resolve().parent
     path = os.pathsep.join(filter(None, [str(tests.parent / "src"), str(tests),
                                          os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=path)
+    threads = str(threads)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads, PYTHONPATH=path)
     return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True,
                           timeout=300).stdout

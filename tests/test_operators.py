@@ -6,8 +6,11 @@ from scipy import sparse
 from scipy.io import mmwrite
 
 from conftest import KINDS, dense_j, instance, make_operator, random_spd
-from sympeig import SpdOperator, load_matrix, poisson, store_matrix, symplectic_gram
+from sympeig import (
+    NumericalFailure, SpdOperator, load_matrix, poisson, store_matrix, symplectic_gram,
+)
 from sympeig import operators
+from sympeig.flops import count_flops
 from sympeig.operators import canonical_frame, j_left, single_precision
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -185,7 +188,7 @@ class TestValidation:
         assert not make_operator(kind, np.diag(d)).is_spd()
 
     def test_is_spd_above_dense_budget(self):
-        # 2n = 4002 takes the ARPACK smallest eigenvalue; the spectrum is [1, n]
+        # 2n = 4002 takes the Lanczos smallest eigenvalue; the spectrum is [1, n]
         op = instance("sparse", 2001, seed=0)
         assert op.is_spd()
         shifted = op._b - 1.01 * sparse.identity(4002, format="csr")
@@ -199,8 +202,90 @@ class TestValidation:
             assert lo == pytest.approx(1.0, rel=1e-10)
             assert hi == pytest.approx(30.0, rel=1e-10)
 
+    def test_extreme_eigvals_stop_at_an_invariant_subspace(self):
+        # three distinct eigenvalues, each repeated, make a start's Krylov
+        # space 3-dimensional; on a diagonal B, beta_3 is rounding of the
+        # exact eigenvalues, and the run stops there with T's exact ends
+        d = np.random.default_rng(3).permutation(np.repeat([1.0, 2.5, 7.0], [13, 14, 13]))
+        op = make_operator("csr", np.diag(d))
+        with count_flops() as flops:
+            lo, hi = op.extreme_eigvals()
+        # one apply of B, stored as `nnz` entries, per step
+        assert flops.count == 3 * op.nnz
+        assert lo == pytest.approx(1.0, rel=4e-16)
+        assert hi == pytest.approx(7.0, rel=4e-16)
+
+    def test_extreme_eigvals_stop_near_an_invariant_subspace(self):
+        # the same spectrum in a rotated dense B repeats its eigenvalues only
+        # up to rounding: beta_3 is about 1e-15 of the spread, far below the
+        # 1e-8 stop, yet a few more steps are allowed for a rounding that
+        # leaves it larger
+        rng = np.random.default_rng(3)
+        d = rng.permutation(np.repeat([1.0, 2.5, 7.0], [13, 14, 13]))
+        q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+        a = (q * d) @ q.T
+        op = make_operator("dense", a)
+        with count_flops() as flops:
+            lo, hi = op.extreme_eigvals()
+        assert flops.count <= 20 * op.nnz
+        w = np.linalg.eigvalsh(a)
+        assert abs(lo - w[0]) <= 1e-13 * (w[-1] - w[0])
+        assert abs(hi - w[-1]) <= 1e-13 * (w[-1] - w[0])
+
+    @pytest.mark.parametrize("grid", [(50, 100), (100, 100)])
+    def test_is_spd_on_a_slowly_converging_laplacian(self, grid):
+        # the 2-D Laplacian's extremes crowd (gap 6e-4 of the spread on the
+        # 100 x 100 grid): 309 Lanczos steps, about 0.05 s (one Xeon vCPU)
+        gx, gy = grid
+        lap = [sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(g, g)) for g in grid]
+        b = (sparse.kron(lap[0], sparse.identity(gy)) + sparse.kron(sparse.identity(gx), lap[1]))
+        ends = [[2.0 - 2.0 * np.cos(np.pi * i / (g + 1)) for i in (1, g)] for g in grid]
+        w = np.add.outer(ends[0], ends[1])
+        op = SpdOperator.from_csr(sparse.csr_array(b))
+        with count_flops() as flops:
+            lo, hi = op.extreme_eigvals()
+        assert flops.count <= 400 * op.nnz
+        assert abs(lo - w.min()) <= 1e-13 * (w.max() - w.min())
+        assert abs(hi - w.max()) <= 1e-13 * (w.max() - w.min())
+        assert op.is_spd()
+        shifted = b - 1.01 * w.min() * sparse.identity(gx * gy)
+        assert not SpdOperator.from_csr(sparse.csr_array(shifted)).is_spd()
+
+    def test_is_spd_above_dense_budget_reads_the_symmetric_part(self):
+        # as below the budget: a skew part adds nothing to x^T A x, and the
+        # Lanczos run, which needs a symmetric operator, sees A + A^T over 2
+        lap = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(70, 70))
+        b = sparse.kron(lap, sparse.identity(70)) + sparse.kron(sparse.identity(70), lap)
+        skew = sparse.random(4900, 4900, density=2e-3, rng=np.random.default_rng(1))
+        a = sparse.csr_array(b + 5.0 * (skew - skew.T))
+        assert not SpdOperator.from_csr(a).is_symmetric()
+        assert SpdOperator.from_csr(a).is_spd()
+        shifted = a - 0.01 * sparse.identity(4900)
+        assert not SpdOperator.from_csr(shifted).is_spd()
+
+    def test_extreme_eigvals_refuse_an_unconverged_run(self, monkeypatch):
+        # the 100 x 100 Laplacian needs 309 steps
+        monkeypatch.setattr(operators, "LANCZOS_MAX_STEPS", 100)
+        lap = sparse.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(100, 100))
+        b = sparse.kron(lap, sparse.identity(100)) + sparse.kron(sparse.identity(100), lap)
+        op = SpdOperator.from_csr(sparse.csr_array(b))
+        with pytest.raises(NumericalFailure, match=r"^extreme_eigvals: the Lanczos run did "
+                                                   r"not converge in 100 steps \(2n = 10000,"):
+            op.extreme_eigvals()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_extreme_eigvals_at_the_smallest_size(self, kind):
+        # 2n = 4: the run ends after 2n steps, where T is A in a Krylov basis
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            a = random_spd(rng, 4, cond=float(rng.uniform(2.0, 1e3)))
+            w = np.linalg.eigvalsh(a)
+            lo, hi = make_operator(kind, a).extreme_eigvals()
+            assert abs(lo - w[0]) <= 1e-13 * (w[-1] - w[0])
+            assert abs(hi - w[-1]) <= 1e-13 * (w[-1] - w[0])
+
     def test_extreme_eigvals_refuses_two_by_two(self):
-        # both ends are k = 2 Ritz values, and ARPACK needs k < 2n
+        # the smallest generated instance has 2n = 4
         op = SpdOperator.from_dense(np.diag([1.0, 2.0]))
         with pytest.raises(ValueError, match=r"^extreme_eigvals needs 2n >= 4, got 2n = 2$"):
             op.extreme_eigvals()

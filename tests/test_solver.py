@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from conftest import KINDS, instance, make_operator, random_spd, run_one_blas_thread
+from conftest import KINDS, instance, make_operator, random_spd, run_with_blas_threads
 from sympeig import (
     GeneratorSpec,
     NumericalFailure,
@@ -842,7 +842,7 @@ for res in (solve(op, 5), basic):
 
 def test_solve_reproducible_across_processes():
     # one line for `solve`, then one for `solve_basic`
-    outputs = [run_one_blas_thread(_HASH_ONE_SOLVE) for _ in range(2)]
+    outputs = [run_with_blas_threads(_HASH_ONE_SOLVE) for _ in range(2)]
     assert outputs[0].startswith("converged ")
     assert len(outputs[0].splitlines()) == 2
     assert outputs[0] == outputs[1]
@@ -867,7 +867,7 @@ def test_aimed_stage_cost_on_a_rounding_stall_is_bounded():
     # curvature pair with float32 loose stages 292 as well, and four
     # stages (DELTA_EPS = 0.01) 283.  The bound keeps this known worst
     # case within 40% of the plain one.
-    status, applies = run_one_blas_thread(_COUNT_STALLED_SOLVE).split()
+    status, applies = run_with_blas_threads(_COUNT_STALLED_SOLVE).split()
     assert status == "converged"
     assert int(applies) <= 1.4 * 553
 
@@ -889,6 +889,6 @@ def test_dense_rounding_stall_instance_converges_cheaply():
     # exact step along the ray 567, with one curvature pair and float32
     # loose stages 548, and in four stages (DELTA_EPS = 0.01) 507 (one
     # BLAS thread).
-    status, applies = run_one_blas_thread(_COUNT_DENSE_STALL).split()
+    status, applies = run_with_blas_threads(_COUNT_DENSE_STALL).split()
     assert status == "converged"
     assert int(applies) <= 1000

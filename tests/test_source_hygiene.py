@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from conftest import load_tracing, run_one_blas_thread
+from conftest import load_tracing, run_with_blas_threads
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sympeig"
@@ -77,18 +77,24 @@ def test_only_errors_reads_number_types(path):
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_operators_runs_arpack(path):
-    # extreme eigenvalues come from one routine, `SpdOperator.extreme_eigvals`
+    # the id is older than its check, kept so the test's history stays one
+    # line: no module, operators.py included, imports scipy.sparse.linalg.
+    # Extreme eigenvalues come from one routine, `SpdOperator.extreme_eigvals`,
+    # a Lanczos run of the package's own rather than ARPACK
     tree = ast.parse(path.read_text(), filename=str(path))
     modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names}
-    assert path.name == "operators.py" or "scipy.sparse.linalg" not in modules
+    sparse_linalg = sorted(m for m in modules if m and (
+        m == "scipy.sparse.linalg" or m.startswith("scipy.sparse.linalg.")))
+    assert not sparse_linalg, f"{path.name} imports {sparse_linalg}; no module may"
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_instances_and_arpack_draw(path):
-    # no solver draws a random number: the instance generators and the
-    # ARPACK start vector of `SpdOperator.extreme_eigvals` are the draws
+    # no solver draws a random number: the instance generators and the start
+    # vector of the Lanczos run in `SpdOperator.extreme_eigvals` (ARPACK's,
+    # when the id was given) are the draws
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {ast.unparse(node) for node in ast.walk(tree)
             if isinstance(node, (ast.Attribute, ast.Name))}
@@ -96,7 +102,8 @@ def test_only_instances_and_arpack_draw(path):
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     draws = {name for name in used
              if "random" in name.split(".") or name.endswith("default_rng")}
-    assert path.name in ("testgen.py", "operators.py") or not draws, sorted(draws)
+    assert path.name in ("testgen.py", "operators.py") or not draws, (
+        f"{path.name} draws {sorted(draws)}; only testgen.py and operators.py may")
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -120,7 +127,7 @@ def test_no_scipy_blas(path):
 def test_dense_solve_loads_no_scipy():
     # a dense instance and its solve need numpy alone; run in a subprocess,
     # since this test process has scipy loaded already
-    loaded = run_one_blas_thread(
+    loaded = run_with_blas_threads(
         "import sys\n"
         "import sympeig\n"
         "op, _ = sympeig.GeneratorSpec('dense', 30).make()\n"
@@ -128,6 +135,22 @@ def test_dense_solve_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert loaded.strip() == "[]"
+
+
+def test_slr_solve_loads_no_scipy_linalg():
+    # a sparse-plus-low-rank instance needs scipy.sparse for its CSR part
+    # and nothing of scipy's linear algebra, dense or sparse
+    loaded = run_with_blas_threads(
+        "import sys\n"
+        "import sympeig\n"
+        "op, _ = sympeig.GeneratorSpec('slr', 30).make()\n"
+        "assert sympeig.solve(op, 3).status is sympeig.SolveStatus.CONVERGED\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.')))\n"
+    )
+    modules = ast.literal_eval(loaded.strip())
+    assert "scipy.sparse" in modules
+    linalg = [m for m in modules if m.startswith(("scipy.linalg", "scipy.sparse.linalg"))]
+    assert not linalg, linalg
 
 
 def test_srr_never_applies_the_operator():

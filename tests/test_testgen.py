@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import instance, run_one_blas_thread
+from conftest import instance, run_with_blas_threads
 from sympeig import GeneratorSpec, SpdOperator, reference
 from sympeig.testgen import _affine_coeffs
 
@@ -62,7 +62,7 @@ class TestGenSparse:
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("family", ["sparse", "slr"])
-    @pytest.mark.parametrize("n", [2, 4, 25, 200])
+    @pytest.mark.parametrize("n", [2, 4, 25, 200, 400])
     def test_extremes_match_dense_eigvalsh(self, family, n):
         # n <= 10 takes the default density min(1, 10/n) = 1
         for seed in range(5):
@@ -97,7 +97,7 @@ class TestGenSparse:
     @pytest.mark.parametrize("family", ["sparse", "slr"])
     @pytest.mark.parametrize("n", [2, 50])
     def test_empty_pattern_names_the_density(self, family, n):
-        # refused before ARPACK, which would stop on a zero matrix
+        # refused before the extremes are sought: a zero matrix has no spread
         with pytest.raises(ValueError, match=r"^density 1e-09 draws no entries at n = "):
             instance(family, n, density=1e-9, seed=0)
 
@@ -248,9 +248,9 @@ def test_coinciding_extremes_rejected():
 
 
 class TestPinnedBytes:
-    # taken before the extremes came from ARPACK at every size: the
-    # instance stream, and with it the slr factor C, B's pattern and every
-    # dense instance, stayed as they were
+    # the instance stream, and with it the slr factor C, B's pattern and
+    # every dense instance, does not depend on how a sparse B's extremes
+    # are found; B's values do
     def test_slr_factor_and_pattern(self):
         ops = [instance("slr", n, seed=seed) for n in (20, 400) for seed in range(3)]
         assert _sha256(op._c.tobytes() for op in ops) == (
@@ -270,11 +270,11 @@ print(_sparse_instances_sha256())
 """
 
 
-def _sparse_instances_sha256():
+def _sparse_instances_sha256(n=400, seeds=(0, 1)):
     chunks = []
     for family in ("sparse", "slr"):
-        for seed in (0, 1):
-            op = instance(family, 400, seed=seed)
+        for seed in seeds:
+            op = instance(family, n, seed=seed)
             chunks += [op._b.data.tobytes(), op._b.indices.tobytes(), op._b.indptr.tobytes()]
             if op._c is not None:
                 chunks.append(op._c.tobytes())
@@ -282,4 +282,13 @@ def _sparse_instances_sha256():
 
 
 def test_sparse_instances_reproducible_with_one_blas_thread():
-    assert run_one_blas_thread(_HASH_SPARSE_INSTANCES).strip() == _sparse_instances_sha256()
+    assert run_with_blas_threads(_HASH_SPARSE_INSTANCES).strip() == _sparse_instances_sha256()
+
+
+def test_large_sparse_instances_independent_of_blas_threads():
+    # at 2n = 40000 BLAS reductions go threaded; the extremes take none, so
+    # B's values and pattern and the slr factor C are the same bytes
+    script = ("from test_testgen import _sparse_instances_sha256\n"
+              "print(_sparse_instances_sha256(20000, range(3)))\n")
+    one, two = (run_with_blas_threads(script, threads) for threads in (1, 2))
+    assert one == two
