@@ -48,7 +48,7 @@ OUT_ENV_VAR = "SYMPEIG_OUT"
 TRACE_COLUMNS = ("k", "i", "f", "gnorm", "gamma", "t", "beta", "window_max", "capped")
 STAGE_COLUMNS = (
     "stage", "beta", "eps", "reached", "inner_iters", "refused", "residue",
-    "sigma_ratio", "elapsed",
+    "sigma_ratio", "elapsed", "reason",
 )
 BENCH_COLUMNS = (
     "family", "n", "p", "seed", "beta_label", "beta", "variant", "status",
@@ -247,8 +247,8 @@ def cmd_solve(args):
     # a stage that met tol has no restart, so no rank margin
     _write_csv(os.path.join(out, "stages.csv"), meta, STAGE_COLUMNS,
                ((st.stage, st.beta, st.eps, int(st.reached), st.inner_iters, st.refused,
-                 st.residue, "" if st.sigma_ratio is None else st.sigma_ratio, st.elapsed)
-                for st in result.trace.outer))
+                 st.residue, "" if st.sigma_ratio is None else st.sigma_ratio, st.elapsed,
+                 st.reason) for st in result.trace.outer))
     if args.save_basis and result.eigenbasis is not None:
         from scipy.io import mmwrite
         mmwrite(os.path.join(out, "basis.mtx"), result.eigenbasis, precision=17)

@@ -4,12 +4,11 @@
 the nonmonotone line search.  `solve` takes the exact minimizing step
 along memoryless BFGS directions (L-BFGS with one curvature pair) with a
 BB scale, accepted by the same search run as a monotone test, refines
-each stage's iterate by symplectic Rayleigh-Ritz, adapts the penalty
-weight from the Ritz values, restarts from the scaled eigenbasis, and
-tightens the inner tolerance geometrically.  `solve` applies the
-operator in float32 at every inner step; its loose stages run their
-iterates in float32, its tight ones a float32 correction to a float64
-base.  Both start from the canonical frame and run
+each stage's iterate by symplectic Rayleigh-Ritz, and restarts from the
+scaled eigenbasis at the weight and tolerance that `next_stage` sets.
+`solve` applies the operator in float32 at every inner step; its loose
+stages run their iterates in float32, its tight ones a float32
+correction to a float64 base.  Both start from the canonical frame and run
 the search on the penalty's exact quartic along the step's direction, so
 an inner step costs one operator apply whatever its backtracks, and
 neither allocates a block of the iterate's shape per step.
@@ -32,15 +31,13 @@ from .stepper import (
     WINDOW, bb_step, exact_step, gll_search, lbfgs_direction,
 )
 
-# reference penalty weight as a multiple of the target eigenvalue
-BETA_BEST_FACTOR = (3.0 + math.sqrt(5.0)) / 2.0
-
-_EPS_FLOOR = 1e-14
-
-# outer-loop constants; the step and line-search ones live in `stepper`
+# outer-loop constants, read by `next_stage`; the step and line-search ones
+# live in `stepper`
 EPS_FIRST = 0.3  # inner tolerance of the first stage
 DELTA_EPS = 0.01  # inner tolerance shrink per outer stage
 ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
+BETA_BEST_FACTOR = (3.0 + math.sqrt(5.0)) / 2.0  # beta_best / d_p, floor / theta_p
+_EPS_FLOOR = 1e-14
 
 # A stage of `solve` with inner tolerance eps >= SINGLE_EPS runs its
 # iterates in float32.  Over k steps its carried A X drifts by about k eps_32
@@ -69,22 +66,18 @@ class SolverParams:
     `beta0=None` resolves, in `solve`, to the smaller of the trace
     heuristic :func:`beta_suggest` and `ETA` theta_p, theta_p the p-th
     Williamson value of A compressed onto the canonical frame, and in
-    `solve_basic` to the trace heuristic.
-    `k_max` is the inner step budget, per stage for `solve`.  `eps0` is
-    `solve_basic`'s absolute gradient target and `outer_max` `solve`'s
-    stage budget; each solver ignores the other's.  `tol` is the relative
-    eigen-residual that both solvers must reach to report convergence.
-    `solve`'s inner tolerance, relative to ||A X||_F, is no setting: it
-    starts at `EPS_FIRST` and shrinks by `DELTA_EPS` per outer stage (0.3,
-    3e-3, 3e-5, ...), except that a stage ending with residue r <= tol /
-    (2 DELTA_EPS^2) (5e3 tol) is followed by eps' = (tol / 2r) eps, aimed
-    at half of `tol` (eps still falls strictly).  The step and line-search
-    constants are those of `sympeig.stepper`; the outer-loop and precision
-    ones (`EPS_FIRST`, `DELTA_EPS`, `ETA`, `SINGLE_EPS`, `SINGLE_SCALE`)
-    are module constants here.  No setting switches the search direction
-    or the precision: `solve` always takes L-BFGS steps and `solve_basic`
-    BB steps.  No setting seeds anything either: neither solver draws a
-    random number.
+    `solve_basic` to the trace heuristic.  `k_max` is the inner step
+    budget, per stage for `solve`.  `eps0` is `solve_basic`'s absolute
+    gradient target and `outer_max` `solve`'s stage budget; each solver
+    ignores the other's.  `tol` is the relative eigen-residual that both
+    solvers must reach to report convergence.  `solve`'s inner tolerance,
+    relative to ||A X||_F, is no setting: :func:`next_stage` sets it.  The
+    step and line-search constants are those of `sympeig.stepper`; the
+    outer-loop and precision ones (`EPS_FIRST`, `DELTA_EPS`, `ETA`,
+    `SINGLE_EPS`, `SINGLE_SCALE`) are module constants here.  No setting
+    switches the search direction or the precision: `solve` always takes
+    L-BFGS steps and `solve_basic` BB steps.  No setting seeds anything
+    either: neither solver draws a random number.
     """
 
     beta0: float = None
@@ -133,9 +126,10 @@ class InnerStep:
 @dataclass
 class OuterStage:
     """One outer stage: the beta/eps used, Ritz values found, the exits
-    that the stage's exact A X refused (`solve`; 0 for `solve_basic`), and
-    the rank margin sigma_min/sigma_max of the restart it produced, from
-    its 2p x 2p Gram X^T X, which resolves ratios down to about 1e-8."""
+    that the stage's exact A X refused (`solve`; 0 for `solve_basic`), the
+    rank margin sigma_min/sigma_max of the restart it produced, from its
+    2p x 2p Gram X^T X, which resolves ratios down to about 1e-8, and
+    :func:`next_stage`'s reason for what followed ("" for `solve_basic`)."""
 
     stage: int
     beta: float
@@ -147,6 +141,7 @@ class OuterStage:
     residue: float
     sigma_ratio: float
     elapsed: float
+    reason: str = ""
 
 
 @dataclass
@@ -207,6 +202,36 @@ def _initial_beta(op, p, params):
     """`params.beta0`, else :func:`beta_suggest`, which checks p either way."""
     suggested = beta_suggest(op, p)
     return params.beta0 if params.beta0 is not None else suggested
+
+
+def next_stage(beta, eps, theta_p, residue, tol):
+    """The outer schedule of `solve`: the next stage's (beta, eps, reason)
+    after a stage run at penalty weight `beta` and inner tolerance `eps`
+    (relative to ||A X||_F) whose Rayleigh-Ritz step gave the p-th Ritz
+    value `theta_p` and the relative eigen-residual `residue`.
+
+    - "tol": residue <= tol, the stop.  beta and eps come back unchanged,
+      so the last restart point is taken at the stage's weight.
+    - "shrink": eps <- DELTA_EPS eps, from `EPS_FIRST` (0.3, 3e-3, 3e-5).
+    - "aim": a stage's residue r tracks its eps, so once r <= tol /
+      (2 DELTA_EPS^2) (5e3 tol), eps <- eps tol / (2r), aimed at tol / 2
+      and below eps / 2.  At the defaults a solve typically runs four stages.
+
+    Past the stop, beta <- ETA theta_p and eps stays at or above 1e-14.
+    When ETA theta_p < beta / 10, the weight is floored at
+    `BETA_BEST_FACTOR` theta_p instead and the reason gains "+floor": after
+    stage 0 of every dense n=200 p=10 solve, and of no slr n=400 one.
+    """
+    if residue <= tol:
+        return beta, eps, "tol"
+    target = 0.5 * tol * eps / residue
+    if target >= DELTA_EPS * DELTA_EPS * eps:
+        reason, eps = "aim", max(target, _EPS_FLOOR)
+    else:
+        reason, eps = "shrink", max(eps * DELTA_EPS, _EPS_FLOOR)
+    if ETA * theta_p < beta / 10.0:
+        return BETA_BEST_FACTOR * theta_p, eps, reason + "+floor"
+    return ETA * theta_p, eps, reason
 
 
 def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
@@ -391,16 +416,10 @@ def solve(op, p, params=None):
     curvature pair inside a stage, with H0 the clamped BB2 length, each
     taken with the step that minimizes the penalty's quartic along it,
     which a monotone test accepts; symplectic Rayleigh-Ritz extraction at
-    the end of each stage; penalty update beta <- ETA * theta_p (floored
-    at (3+sqrt(5))/2 * theta_p whenever the update would fall below a
-    tenth of the previous beta); restart from S (I - D/beta)^(1/2); and a
-    geometric inner-tolerance schedule eps <- DELTA_EPS * eps (a
-    hundredfold) from eps = EPS_FIRST.  Stops once the relative
-    eigen-residual of the refined basis drops to `params.tol`.  A stage's
-    residue r tracks its eps, so when a stage misses with r <= tol / (2
-    DELTA_EPS^2) the next one runs at eps * tol / (2r) instead, aimed at
-    half of `tol` rather than a full factor DELTA_EPS below it: at the
-    defaults, four stages.
+    the end of each stage; and a restart from S (I - D/beta)^(1/2) at the
+    penalty weight and inner tolerance that :func:`next_stage` sets from
+    the stage's Ritz values and relative eigen-residual, which also stops
+    the solve once that residue drops to `params.tol`.
 
     When tr(A)/2n lies in `SINGLE_SCALE`, every inner step applies A in
     float32.  The iterates run in float32 in the stages with eps >=
@@ -414,12 +433,11 @@ def solve(op, p, params=None):
     exponent of tr(A)/2n, so solve(2^k A) repeats solve(A) bit for bit,
     eigenvalues times 2^k, while both lie on one side of `SINGLE_SCALE`.
 
-    The first stage starts at `params.beta0` when given.  Otherwise it
-    starts at the smaller of :func:`beta_suggest` and `ETA` theta_p,
-    theta_p the p-th Williamson value of E^T A E for the canonical frame
-    E: by interlacing (Bhatia and Jain, J. Math. Phys. 56, 2015) it
-    bounds d_p from above, so the penalty stays exact, and it is read off
-    the frame's rows of the stage's first apply A E, in units of 2^-e.
+    The first stage's weight is `params.beta0` resolved as in
+    `SolverParams`.  Its theta_p, of E^T A E for the canonical frame E,
+    bounds d_p from above by interlacing (Bhatia and Jain, J. Math. Phys.
+    56, 2015), so the penalty stays exact; it is read off the frame's rows
+    of the first apply A E, in units of 2^-e.
 
     A stage costs one apply per inner step and one float64 apply A X at
     its end, which decides a tight stage's exit on the exact gradient at
@@ -453,9 +471,7 @@ def solve(op, p, params=None):
     x = canonical_frame(n, p)
     eps = EPS_FIRST
     status = SolveStatus.MAX_ITERATIONS
-    message = None
-    s_fin = None
-    d_fin = None
+    message = s_fin = d_fin = None
     resid = float("nan")
     start = time.perf_counter()
     try:
@@ -468,45 +484,29 @@ def solve(op, p, params=None):
                 beta = min(beta, ETA * float(compressed.d[-1] / unit))
             for stage in range(params.outer_max):
                 stage_start = time.perf_counter()
-                stage_beta = beta
                 x, ax, reached, iters, refused = _run_inner(
                     op, x, ax, beta, eps, params, trace, stage, single, unit,
                 )
                 s_fin, d_fin, as_fin = srr(x, ax, unit)
                 resid = residue(op, s_fin, d_fin, ax=as_fin)
                 elapsed = time.perf_counter() - stage_start
-                converged = resid <= params.tol
-                if not converged:
-                    theta_p = float(d_fin[-1])
-                    beta = ETA * theta_p
-                    # fires on every dense n=200 p=10 instance, on no slr n=400 one:
-                    # without it dense seeds 0-39 take 21,530 applies, not 21,356
-                    # (28 instances take more, 10 fewer), and 5000-5039 21,580, not
-                    # 21,633 (25 more, 11 fewer)
-                    if beta < stage_beta / 10.0:
-                        beta = BETA_BEST_FACTOR * theta_p
-                x = restart_point(s_fin, d_fin, beta)
+                next_beta, next_eps, reason = next_stage(
+                    beta, eps, float(d_fin[-1]), resid, params.tol)
+                x = restart_point(s_fin, d_fin, next_beta)
                 sigma_ratio = None
-                if not converged:
+                if reason != "tol":
                     w = np.linalg.eigvalsh(x.T @ x)
                     sigma_ratio = math.sqrt(max(w[0], 0.0) / w[-1])
                 trace.outer.append(
-                    OuterStage(stage, stage_beta, eps, d_fin.copy(), reached, iters,
-                               refused, resid, sigma_ratio, elapsed)
+                    OuterStage(stage, beta, eps, d_fin.copy(), reached, iters,
+                               refused, resid, sigma_ratio, elapsed, reason)
                 )
-                if converged:
+                if reason == "tol":
                     status = SolveStatus.CONVERGED
                     break
+                beta, eps = next_beta, next_eps
                 # restart_point scales columns, so on A S it gives A X
                 ax = restart_point(as_fin, d_fin, beta)
-                # a stage ends with its residue close to its eps, so once tol
-                # is within reach the next stage is aimed at tol / 2 rather
-                # than a full factor DELTA_EPS further down
-                target = 0.5 * params.tol * eps / resid
-                if target >= DELTA_EPS * DELTA_EPS * eps:
-                    eps = max(target, _EPS_FLOOR)
-                else:
-                    eps = max(eps * DELTA_EPS, _EPS_FLOOR)
     except NumericalFailure as exc:
         status = SolveStatus.NUMERICAL_FAILURE
         message = str(exc)

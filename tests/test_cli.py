@@ -183,7 +183,7 @@ class TestSolve:
         lines = open(os.path.join(out, "stages.csv")).read().splitlines()
         assert lines[0] == open(os.path.join(out, "trace.csv")).readline().rstrip("\n")
         assert lines[1] == ("stage,beta,eps,reached,inner_iters,refused,residue,"
-                            "sigma_ratio,elapsed")
+                            "sigma_ratio,elapsed,reason")
         rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
         result = json.load(open(os.path.join(out, "result.json")))
         assert len(rows) == result["outer_iterations"]
@@ -195,6 +195,10 @@ class TestSolve:
         if variant == "enhanced":
             assert len(rows) > 2 and rows[-1]["sigma_ratio"] == ""
             assert all(0.0 < float(r["sigma_ratio"]) <= 1.0 for r in rows[:-1])
+            assert rows[-1]["reason"] == "tol"
+            assert {r["reason"].split("+")[0] for r in rows[:-1]} <= {"shrink", "aim"}
+        else:
+            assert rows[0]["reason"] == ""
 
     def test_generated_instance_seed_is_recorded_once(self, tmp_path, capsys):
         # the seed belongs to the instance; the solver has none

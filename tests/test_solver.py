@@ -26,7 +26,9 @@ from sympeig import operators
 from sympeig.factor import restart_point, srr, ssvd, williamson_small
 from sympeig.operators import canonical_frame
 from sympeig.penalty import BasedEval, evaluate
-from sympeig.solver import DELTA_EPS, EPS_FIRST, SINGLE_EPS, _run_inner, beta_best
+from sympeig.solver import (
+    DELTA_EPS, EPS_FIRST, ETA, SINGLE_EPS, _run_inner, beta_best, next_stage,
+)
 from sympeig.stepper import gll_search
 
 BETA_FLOOR_FACTOR = (3.0 + np.sqrt(5.0)) / 2.0
@@ -214,6 +216,44 @@ class TestSolveBasic:
         assert ks == list(range(len(ks)))
         assert all(row.beta == 20.0 for row in trace.inner)
         assert all(row.t >= 0 for row in trace.inner)
+
+
+class TestNextStage:
+    # `solve`'s outer schedule on hand-made stage ends; no solve runs
+    TOL = 1e-8
+    BOUND = TOL / (2 * DELTA_EPS**2)  # the largest residue that aims
+
+    def test_residue_at_or_below_tol_stops(self):
+        for resid in (self.TOL, 0.5 * self.TOL, 0.0):
+            assert next_stage(2.0, 3e-5, 1.0, resid, self.TOL) == (2.0, 3e-5, "tol")
+
+    def test_residue_above_bound_shrinks_geometrically(self):
+        for eps, resid in ((EPS_FIRST, 0.2), (3e-3, 1.0001 * self.BOUND)):
+            beta, new_eps, reason = next_stage(2.0, eps, 1.0, resid, self.TOL)
+            assert (beta, reason) == (ETA * 1.0, "shrink")
+            assert new_eps == eps * DELTA_EPS
+
+    def test_residue_at_or_below_bound_aims_at_half_tol(self):
+        eps = 3e-5
+        for resid in (self.BOUND, 1e-6, 1.5 * self.TOL):
+            beta, new_eps, reason = next_stage(2.0, eps, 1.0, resid, self.TOL)
+            assert (beta, reason) == (ETA * 1.0, "aim")
+            assert new_eps == pytest.approx(eps * self.TOL / (2 * resid), rel=1e-15)
+            assert new_eps < eps / 2
+
+    def test_weight_below_a_tenth_of_beta_takes_the_floor(self):
+        theta_p = 1.0
+        # ETA theta_p = 1.1 is not below 11 / 10: no floor
+        assert next_stage(11.0, 0.3, theta_p, 0.2, self.TOL)[::2] == (1.1, "shrink")
+        for resid, reason in ((0.2, "shrink+floor"), (1e-6, "aim+floor")):
+            beta, _, got = next_stage(12.0, 3e-3, theta_p, resid, self.TOL)
+            assert (beta, got) == (BETA_FLOOR_FACTOR * theta_p, reason)
+            assert beta == beta_best(theta_p)
+
+    def test_eps_never_falls_below_floor(self):
+        # shrinking 1e-13 and aiming 1e-14 at 2.5e-15 both stop at 1e-14
+        assert next_stage(2.0, 1e-13, 1.0, 0.2, self.TOL)[1:] == (1e-14, "shrink")
+        assert next_stage(2.0, 1e-14, 1.0, 2e-8, self.TOL)[1:] == (1e-14, "aim")
 
 
 class TestSolveEnhanced:

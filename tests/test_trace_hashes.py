@@ -30,8 +30,9 @@ P = 10
 SEED = 0
 BASIC = {"eps0": 1e-5, "k_max": 500}
 
-# the fields hashed per row: all of `InnerStep`'s, and all of `OuterStage`'s
-# but its wall time
+# the fields hashed per row: all of `InnerStep`'s, and `OuterStage`'s but its
+# wall time and `reason`, which the pinned values predate and which the
+# hashed fields determine
 INNER_FIELDS = ("k", "stage", "f", "gnorm", "gamma", "t", "beta", "window_max", "capped")
 OUTER_FIELDS = ("stage", "beta", "eps", "theta", "reached", "inner_iters", "refused",
                 "residue", "sigma_ratio")
@@ -62,7 +63,7 @@ def environment_key():
     for path in sorted(glob.glob(str(libdir / "*openblas*"))):
         fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
         if fn is not None:
-            fn.restype = ctypes.c_char_p
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
             core = fn().decode()
     return (np.__version__, blas.get("version", "unknown"), core)
 
