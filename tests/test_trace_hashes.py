@@ -57,7 +57,10 @@ PINNED = {
 
 def environment_key():
     """(numpy version, OpenBLAS version, OpenBLAS core) of numpy's BLAS."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints its config only
+        blas = {}
     core = "unknown"
     libdir = pathlib.Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(glob.glob(str(libdir / "*openblas*"))):
