@@ -113,17 +113,10 @@ class BasedEval(PenaltyEval):
         self._e = np.zeros_like(x)
         self._beta_v0 = (base.beta * base.violation).astype(dtype)
         self._beta_dv = np.empty_like(self._beta_v0)
-        self._at_base = True
 
     def ensure_gradient(self, out=None):
         """The gradient H - J (X (beta dV) + E (beta V0)) at the current X,
-        into `out` when given (a block of X's shape and dtype).  Before the
-        first move E = 0 and V = V0, so it is H itself, copied."""
-        if self._at_base:
-            if out is None:
-                return self.ax.copy()
-            np.copyto(out, self.ax)
-            return out
+        into `out` when given (a block of X's shape and dtype)."""
         add_flops(2 * self.x.size * self.violation.shape[1] + 2 * self.ax.size)
         # two products rather than one of a stacked [X | E]: E as a strided
         # half of that block made each move's E - sd cost more than the
@@ -146,7 +139,6 @@ class BasedEval(PenaltyEval):
         """:meth:`PenaltyEval.move`, and E - sd in place."""
         super().move(sd, ray_model, s, value)
         np.subtract(self._e, sd, out=self._e)
-        self._at_base = False
 
     def image_norm(self):
         """||A X0||_F of the base, which the gradient test takes for ||A X||_F."""
