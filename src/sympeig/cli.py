@@ -12,7 +12,6 @@ import itertools
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -313,15 +312,13 @@ def _bench_cell(op, ref, cell, tol):
     row.update(family=family, n=n, p=p, seed=seed, beta_label=beta_label, variant=variant)
     try:
         beta_value = _resolve_beta(beta_label, op, p, ref)
-        start = time.perf_counter()
         result = _run_variant(op, p, params, variant, beta_value)
-        elapsed = time.perf_counter() - start
         row.update(
             beta=result.beta_final,
             status=result.status.value,
             outer_iters=result.outer_iterations,
             inner_iters=result.inner_iterations,
-            time_s=elapsed,
+            time_s=result.elapsed,
             residue=result.residue,
             feasibility=result.feasibility,
         )

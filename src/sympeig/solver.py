@@ -36,7 +36,6 @@ from .stepper import (
 EPS_FIRST = 0.3  # inner tolerance of the first stage
 DELTA_EPS = 0.01  # inner tolerance shrink per outer stage
 ETA = 1.1  # penalty update multiplier beta <- ETA * theta_p
-BETA_BEST_FACTOR = (3.0 + math.sqrt(5.0)) / 2.0  # beta_best / d_p, floor / theta_p
 _EPS_FLOOR = 1e-14
 
 # A stage of `solve` with inner tolerance eps >= SINGLE_EPS runs its
@@ -195,7 +194,7 @@ def beta_suggest(op, p):
 def beta_best(d_p):
     """Reference penalty weight (3 + sqrt(5))/2 * d_p; needs the target
     eigenvalue d_p, so it is a diagnostic rather than a default."""
-    return BETA_BEST_FACTOR * float(d_p)
+    return (3.0 + math.sqrt(5.0)) / 2.0 * float(d_p)
 
 
 def _initial_beta(op, p, params):
@@ -217,10 +216,9 @@ def next_stage(beta, eps, theta_p, residue, tol):
       (2 DELTA_EPS^2) (5e3 tol), eps <- eps tol / (2r), aimed at tol / 2
       and below eps / 2.  At the defaults a solve typically runs four stages.
 
-    Past the stop, beta <- ETA theta_p and eps stays at or above 1e-14.
-    When ETA theta_p < beta / 10, the weight is floored at
-    `BETA_BEST_FACTOR` theta_p instead and the reason gains "+floor": after
-    stage 0 of every dense n=200 p=10 solve, and of no slr n=400 one.
+    Past the stop, beta <- ETA theta_p, the one weight update: theta_p
+    bounds d_p from above, so the penalty stays exact.  eps stays at or
+    above 1e-14.
     """
     if residue <= tol:
         return beta, eps, "tol"
@@ -229,8 +227,6 @@ def next_stage(beta, eps, theta_p, residue, tol):
         reason, eps = "aim", max(target, _EPS_FLOOR)
     else:
         reason, eps = "shrink", max(eps * DELTA_EPS, _EPS_FLOOR)
-    if ETA * theta_p < beta / 10.0:
-        return BETA_BEST_FACTOR * theta_p, eps, reason + "+floor"
     return ETA * theta_p, eps, reason
 
 

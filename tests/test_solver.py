@@ -31,8 +31,6 @@ from sympeig.solver import (
 )
 from sympeig.stepper import gll_search
 
-BETA_FLOOR_FACTOR = (3.0 + np.sqrt(5.0)) / 2.0
-
 
 class _CountingOperator:
     def __init__(self, op):
@@ -241,14 +239,11 @@ class TestNextStage:
             assert new_eps == pytest.approx(eps * self.TOL / (2 * resid), rel=1e-15)
             assert new_eps < eps / 2
 
-    def test_weight_below_a_tenth_of_beta_takes_the_floor(self):
-        theta_p = 1.0
-        # ETA theta_p = 1.1 is not below 11 / 10: no floor
-        assert next_stage(11.0, 0.3, theta_p, 0.2, self.TOL)[::2] == (1.1, "shrink")
-        for resid, reason in ((0.2, "shrink+floor"), (1e-6, "aim+floor")):
-            beta, _, got = next_stage(12.0, 3e-3, theta_p, resid, self.TOL)
-            assert (beta, got) == (BETA_FLOOR_FACTOR * theta_p, reason)
-            assert beta == beta_best(theta_p)
+    def test_weight_far_below_beta_is_still_eta_theta_p(self):
+        # ETA theta_p = 1.1 lies below a tenth of beta = 12; it is taken as is
+        assert next_stage(12.0, 3e-3, 1.0, 0.2, self.TOL) == (1.1, 3e-5, "shrink")
+        beta, _, reason = next_stage(12.0, 3e-3, 1.0, 1e-6, self.TOL)
+        assert (beta, reason) == (1.1, "aim")
 
     def test_eps_never_falls_below_floor(self):
         # shrinking 1e-13 and aiming 1e-14 at 2.5e-15 both stop at 1e-14
@@ -318,12 +313,7 @@ class TestSolveEnhanced:
         assert outer[0].beta == min(beta_suggest(op, p), 1.1 * theta_p)
         assert outer[0].beta < beta_suggest(op, p)
         for prev, cur in zip(outer, outer[1:]):
-            theta_p = prev.theta[-1]
-            plain = 1.1 * theta_p
-            if plain < prev.beta / 10.0:
-                assert cur.beta == BETA_FLOOR_FACTOR * theta_p
-            else:
-                assert cur.beta == plain
+            assert cur.beta == 1.1 * prev.theta[-1]
 
     def test_eps_schedule_shrinks_by_delta_eps(self):
         # a factor DELTA_EPS while the residue r exceeds tol / (2 DELTA_EPS^2);
@@ -544,7 +534,7 @@ class TestSolveEnhanced:
         assert res.feasibility == feasibility(res.x_final)
 
     def test_trace_scalars_are_python_floats(self):
-        # the beta floor rule (a multiple of BETA_BEST_FACTOR) fires here
+        # every stage after the first takes its weight from a numpy Ritz value
         res = solve(instance("prescribed", 20), 3)
         for row in res.trace.inner:
             assert type(row.f) is float and type(row.beta) is float

@@ -10,7 +10,8 @@ iterates re-pins them: run this file as a script,
 
     PYTHONPATH=src python tests/test_trace_hashes.py
 
-and paste the printed entry into `PINNED`.
+which names the cells whose hash differs from `PINNED` under the running
+key, and paste the printed entry into `PINNED`.
 """
 
 import ast
@@ -40,7 +41,7 @@ OUTER_FIELDS = ("stage", "beta", "eps", "theta", "reached", "inner_iters", "refu
 PINNED = {
     ("2.4.6", "0.3.31.188.0", "SkylakeX"): {
         "dense-200 solve":
-            "4ae863f655b828d47f773e0f1edd3abff8921f1c6384b52d862d173c7df6689d",
+            "22809603186fa8b5a9f5a09515a4c42eef9f391e05ef47b86d306261471dd52f",
         "dense-200 solve_basic":
             "c0037baaad6eea64a1fcb38d8f0a1f8fb8802b53d63defc45152f5dcb541c417",
         "sparse-800 solve":
@@ -112,18 +113,31 @@ def _hashes_with_one_thread():
     return ast.literal_eval(run_with_blas_threads(_RUN, threads=1))
 
 
+def moved_cells(key, found):
+    """The cells pinned under `key` whose hash in `found` differs."""
+    return [cell for cell, pinned in PINNED[key].items() if found.get(cell) != pinned]
+
+
 def test_pinned_grid_traces_are_unchanged():
     key = environment_key()
     if key not in PINNED:
         pytest.skip(f"no hashes pinned for numpy, OpenBLAS, core = {key}")
-    found = _hashes_with_one_thread()
-    moved = [cell for cell, pinned in PINNED[key].items() if found.get(cell) != pinned]
+    moved = moved_cells(key, _hashes_with_one_thread())
     assert not moved, f"iterates moved in cells {moved} under {key}"
 
 
 if __name__ == "__main__":
-    key = ", ".join(f'"{part}"' for part in environment_key())
-    print(f"    ({key}): {{")
-    for cell, digest in _hashes_with_one_thread().items():
+    key = environment_key()
+    found = _hashes_with_one_thread()
+    print("    ({}): {{".format(", ".join(f'"{part}"' for part in key)))
+    for cell, digest in found.items():
         print(f'        "{cell}":\n            "{digest}",')
     print("    },")
+    if key not in PINNED:
+        print(f"no entry is pinned for {key}")
+    else:
+        moved = moved_cells(key, found)
+        for cell in moved:
+            print(f"moved: {cell}, pinned {PINNED[key][cell]}, now {found.get(cell)}")
+        if not moved:
+            print(f"no cell moved from the entry pinned for {key}")
