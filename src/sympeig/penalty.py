@@ -14,8 +14,8 @@ in the step: f(X - s D) - f(X) = c1 s + c2 s^2 + c3 s^3 + c4 s^4
 (:func:`ray`).  One apply A D, made by the caller, gives the
 coefficients, and the point X - s D follows from it with A X and V
 updated in place of a new apply (:meth:`PenaltyEval.move`), so the
-solvers call :func:`evaluate` once per stage (and `solve` again at each
-exit check of a tight stage) and take one apply per inner step.  Every
+solvers call :func:`evaluate` at a stage's start (and `solve` again at
+each exit it tries) and take one apply per inner step.  Every
 block is computed in the precision of X, float32 or float64
 (`operators.as_float`).  Every stage reads its evaluation through one
 protocol, `move`, `ensure_gradient`, `image_norm` and `point` (X in

@@ -6,9 +6,9 @@ along memoryless BFGS directions (L-BFGS with one curvature pair) with a
 BB scale, accepted by the same search run as a monotone test, refines
 each stage's iterate by symplectic Rayleigh-Ritz, and restarts from the
 scaled eigenbasis at the weight and tolerance that `next_stage` sets.
-`solve` applies the operator in float32 at every inner step; its loose
-stages run their iterates in float32, its tight ones a float32
-correction to a float64 base.  Both start from the canonical frame and run
+`solve` applies the operator in float32 at every inner step and ends
+each stage on one float64 evaluation, by the stage protocol stated in
+its docstring.  Both start from the canonical frame and run
 the search on the penalty's exact quartic along the step's direction, so
 an inner step costs one operator apply whatever its backtracks, and
 neither allocates a block of the iterate's shape per step.
@@ -157,11 +157,10 @@ class SympEigResult:
     NUMERICAL_FAILURE solve, None otherwise.  Such a solve keeps the
     eigenvalues, eigenbasis and residue of `solve`'s last completed
     stage, or None, None and nan when none completed, as always for
-    `solve_basic`.  `x_final` is `solve_basic`'s last iterate; `solve`'s
-    is the restart point of its last completed stage (the canonical frame
-    before one), which a stage whose descent fails leaves as it was, or
-    the iterate of a stage whose Rayleigh-Ritz step fails.  `feasibility`
-    is that of the eigenbasis, or of `x_final` when there is none."""
+    `solve_basic`.  `x_final` is `solve_basic`'s last iterate and
+    `solve`'s last restart point, the canonical frame before the first.
+    `feasibility` is that of the eigenbasis, or of `x_final` when there is
+    none."""
 
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
@@ -230,12 +229,12 @@ def next_stage(beta, eps, theta_p, residue, tol):
     return ETA * theta_p, eps, reason
 
 
-def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
-    """One stage of `solve`: descent until ||G||_F < eps ||A X||_F or
-    k_max steps; returns (x, ax, reached, iters, refused): the last
-    iterate and its image A X, both in float64, whether the gradient test
-    stopped the descent, the number of steps taken, and the number of
-    exits that the exact image refused.
+def _run_inner(op, x, ax, beta, eps, params, trace, single, unit):
+    """One stage of `solve`, by the stage protocol stated there: descent
+    from `x`, whose image A X is `ax`, until ||G||_F < eps ||A X||_F or
+    k_max steps; returns (end, iters, refused): the float64 evaluation at
+    the last iterate, the number of steps taken, and the number of exits
+    that the exact gradient refused.
 
     Steps follow the memoryless BFGS direction from the last step's
     curvature pair, H0 scaled by the BB2 length, and take the exact
@@ -243,29 +242,17 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     and the step passes the search's test with the window (f,), which
     makes the test monotone; a pair with <S, Z> <= 0, which only
     rounding could give, is dropped.  The descent runs on a copy of `x`.
-    The objective is evaluated at the start, from `ax` = A X when given;
-    each step takes one apply, A D, for the ray's quartic, and the
+    Each step takes one apply, A D, for the ray's quartic, and the
     accepted point's image, violation and value are carried along the
     ray.  Apart from A D, a step makes no block of X's shape: the
-    gradient, the direction and the pair's S and Z are reused.
-
-    The step reads every evaluation through one protocol (`x` for the
-    ray, `move`, `ensure_gradient`, `image_norm`), and a stage returns
-    `point()`, X in float64, with one float64 apply A X made after the
-    loop: the image that the Rayleigh-Ritz step reuses.  With `single` a
-    stage with eps >= SINGLE_EPS runs wholly in float32, and a tighter
-    one is based: a :class:`BasedEval` on the start's float64 evaluation
-    at X0 = `x` and its gradient moves a float32 correction E, X = X0 + E,
-    with float32 directions and applies and a float64 value and
-    violation, and takes its gradient test against ||A X0||_F.  That test
-    only proposes a based stage's exit: the stage evaluates X0 + E with
-    one float64 apply and leaves with that point and image when the exact
-    gradient passes too; an exit it refuses rebases the descent there.
-    `unit` is the unit of the step lengths (:func:`bb_step`).
+    gradient, the direction and the pair's S and Z are reused.  The step
+    reads every evaluation through one protocol (`x` for the ray, `move`,
+    `ensure_gradient`, `image_norm`, `point`).  The stage's index is
+    `len(trace.outer)`; `unit` is the unit of the step lengths
+    (:func:`bb_step`).
     """
-    loose = single and eps >= SINGLE_EPS
-    based = single and not loose
-    ev = evaluate(op, x.astype(np.float32 if loose else float), beta, ax=ax)
+    based = single and eps < SINGLE_EPS
+    ev = evaluate(op, x.astype(np.float32 if single and not based else float), beta, ax=ax)
     g = ev.ensure_gradient()
     if based:
         ev = BasedEval(ev, g, np.float32)
@@ -273,25 +260,22 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
     g_new, d_buf, work, s, z = (np.empty_like(g) for _ in range(5))
     gnorm = float(np.sqrt(np.vdot(g, g)))
     pair = sz = None
-    k_base = len(trace.inner)
-    reached = False
+    stage = len(trace.outer)
     iters = refused = 0
-    for k in range(params.k_max):
-        if gnorm < eps * ev.image_norm():
-            if not based:
-                reached = True
-                break
-            # the carried gradient sums float32 steps: decide on the exact one
-            # at X0 + E, and rebase there if it refuses
-            exact = evaluate(op, ev.point(), beta)
-            c = exact.ensure_gradient()
-            if float(np.sqrt(np.vdot(c, c))) < eps * exact.image_norm():
-                return exact.point(), exact.ax, True, iters, refused
+    while True:
+        spent = iters == params.k_max
+        if spent or gnorm < eps * ev.image_norm():
+            end = evaluate(op, ev.point(), beta)
+            # a based stage's carried gradient sums float32 steps: its exit
+            # also needs the exact one, and a refusal rebases the descent
+            c = None if spent or not based else end.ensure_gradient()
+            if c is None or float(np.sqrt(np.vdot(c, c))) < eps * end.image_norm():
+                return end, iters, refused
             refused += 1
-            ev = BasedEval(exact, c, np.float32)
+            ev = BasedEval(end, c, np.float32)
             g = ev.ensure_gradient(out=g)
             gnorm = float(np.sqrt(np.vdot(g, g)))
-        gamma = bb_step(s, z, k, alternate=False, sz=sz, unit=unit)
+        gamma = bb_step(s, z, iters, alternate=False, sz=sz, unit=unit)
         d = lbfgs_direction(g, pair, gamma, out=d_buf, work=work)
         model = ray(ev.x, ev.violation, d, op.apply(d), beta, float(np.vdot(g, d)))
         ls = gll_search(ev.value, model.coeffs, exact_step(model.coeffs), (ev.value,))
@@ -307,12 +291,10 @@ def _run_inner(op, x, ax, beta, eps, params, trace, stage, single, unit):
         pair = (s, z, 1.0 / sz) if sz > 0.0 else None
         gnorm = float(np.sqrt(np.vdot(g, g)))
         trace.inner.append(
-            InnerStep(k_base + iters, stage, ev.value, gnorm, gamma, ls.t,
+            InnerStep(len(trace.inner), stage, ev.value, gnorm, gamma, ls.t,
                       beta, ev.value, ls.capped)
         )
         iters += 1
-    x = ev.point()
-    return x, op.apply(x), reached, iters, refused
 
 
 def _result(x, s_fin, d_fin, status, trace, beta, resid, start, message=None):
@@ -375,10 +357,8 @@ def solve_basic(op, p, params=None):
         gnorm = float(np.linalg.norm(g))
         window = deque([ev.value], maxlen=WINDOW + 1)
         sz = None
-        reached = False
         for k in range(params.k_max):
             if gnorm < params.eps0:
-                reached = True
                 break
             gamma = bb_step(s, z, k, sz=sz)
             model = ray(x, ev.violation, g, op.apply(g), beta, float(np.vdot(g, g)))
@@ -396,11 +376,12 @@ def solve_basic(op, p, params=None):
     except NumericalFailure as exc:
         return _result(x, None, None, SolveStatus.NUMERICAL_FAILURE, trace, beta,
                        math.nan, start, str(exc))
+    iters = len(trace.inner)
     trace.outer.append(
-        OuterStage(0, float(beta), params.eps0, d_fin.copy(), reached,
-                   len(trace.inner), 0, resid, None, time.perf_counter() - start)
+        OuterStage(0, float(beta), params.eps0, d_fin.copy(), iters < params.k_max,
+                   iters, 0, resid, None, time.perf_counter() - start)
     )
-    converged = reached and resid <= params.tol
+    converged = iters < params.k_max and resid <= params.tol
     status = SolveStatus.CONVERGED if converged else SolveStatus.MAX_ITERATIONS
     return _result(x, s_fin, d_fin, status, trace, beta, resid, start)
 
@@ -417,32 +398,33 @@ def solve(op, p, params=None):
     the stage's Ritz values and relative eigen-residual, which also stops
     the solve once that residue drops to `params.tol`.
 
-    When tr(A)/2n lies in `SINGLE_SCALE`, every inner step applies A in
-    float32.  The iterates run in float32 in the stages with eps >=
-    `SINGLE_EPS` = sqrt(eps_float32) (3.45e-4; the 0.3 and 3e-3 stages
-    at the defaults).  A tighter stage runs its steps on a float32
-    correction E to a float64 base X0, which it fixes at its start and at
-    every refused exit; its value and violation stay float64.  The
-    Rayleigh-Ritz step and the restart run in float64.  The float32
-    copies `SpdOperator.apply` makes live until `solve` returns.  Step
-    lengths and the Rayleigh-Ritz step are in units of 2^-e, e the binary
-    exponent of tr(A)/2n, so solve(2^k A) repeats solve(A) bit for bit,
-    eigenvalues times 2^k, while both lie on one side of `SINGLE_SCALE`.
+    The stage protocol.  When tr(A)/2n lies in `SINGLE_SCALE`, every
+    inner step applies A in float32: a loose stage, with eps >=
+    `SINGLE_EPS` = sqrt(eps_float32) (3.45e-4; the 0.3 and 3e-3 stages at
+    the defaults), runs its iterates in float32, and a tight one is based,
+    running its steps on a float32 correction E to a float64 base X0 with
+    its value and violation in float64.  Otherwise every stage runs in
+    float64.  Every stage ends on one float64 evaluation at its last
+    iterate X, with one apply A X.  A stage leaves there once its carried
+    gradient test passes, a based stage only once the exact gradient at X
+    passes too, and any stage once it has taken k_max steps; an exit that
+    a based stage refuses, counted in `OuterStage.refused`, rebases its
+    descent at X.  The Rayleigh-Ritz step forms A S from X and A X, the
+    residue reuses A S, and the restart scales it into the next stage's
+    A X.  So a stage costs one apply per inner step, one at its end and
+    one per refused exit, and with the first stage's evaluation a solve
+    takes inner + outer + 1 + sum(refused) applies.  The Rayleigh-Ritz
+    step and the restart run in float64; the float32 copies
+    `SpdOperator.apply` makes live until `solve` returns.
 
-    The first stage's weight is `params.beta0` resolved as in
-    `SolverParams`.  Its theta_p, of E^T A E for the canonical frame E,
-    bounds d_p from above by interlacing (Bhatia and Jain, J. Math. Phys.
-    56, 2015), so the penalty stays exact; it is read off the frame's rows
-    of the first apply A E, in units of 2^-e.
-
-    A stage costs one apply per inner step and one float64 apply A X at
-    its end, which decides a tight stage's exit on the exact gradient at
-    X0 + E (an exit it refuses, counted in `OuterStage.refused`, costs one
-    apply more and rebases the stage there) and from which
-    the Rayleigh-Ritz step forms A S; the residue reuses A S and the
-    restart scales it into the next stage's A X.  The first stage adds one
-    apply for its evaluation, so a solve takes inner + outer + 1 +
-    sum(refused) applies.
+    Step lengths and the Rayleigh-Ritz step are in units of 2^-e, e the
+    binary exponent of tr(A)/2n, so solve(2^k A) repeats solve(A) bit for
+    bit, eigenvalues times 2^k, while both lie on one side of
+    `SINGLE_SCALE`.  The first stage's weight is `params.beta0` resolved
+    as in `SolverParams`.  Its theta_p, of E^T A E for the canonical frame
+    E, bounds d_p from above by interlacing (Bhatia and Jain, J. Math.
+    Phys. 56, 2015), so the penalty stays exact; it is read off the
+    frame's rows of the first apply A E, in units of 2^-e.
 
     Returns
     -------
@@ -452,7 +434,9 @@ def solve(op, p, params=None):
         objective, or a stage's iterate too rank-deficient for the
         Rayleigh-Ritz step), whose text is kept in `message`; that result
         holds the Ritz values, basis and residue of the last completed
-        stage, or None, None and nan when no stage completed.
+        stage, or None, None and nan when no stage completed.  `x_final`
+        is the last restart point, the canonical frame before the first,
+        whatever ended the solve.
     """
     params = (params or SolverParams()).validate()
     n = op.n
@@ -480,10 +464,10 @@ def solve(op, p, params=None):
                 beta = min(beta, ETA * float(compressed.d[-1] / unit))
             for stage in range(params.outer_max):
                 stage_start = time.perf_counter()
-                x, ax, reached, iters, refused = _run_inner(
-                    op, x, ax, beta, eps, params, trace, stage, single, unit,
+                end, iters, refused = _run_inner(
+                    op, x, ax, beta, eps, params, trace, single, unit,
                 )
-                s_fin, d_fin, as_fin = srr(x, ax, unit)
+                s_fin, d_fin, as_fin = srr(end.x, end.ax, unit)
                 resid = residue(op, s_fin, d_fin, ax=as_fin)
                 elapsed = time.perf_counter() - stage_start
                 next_beta, next_eps, reason = next_stage(
@@ -494,8 +478,8 @@ def solve(op, p, params=None):
                     w = np.linalg.eigvalsh(x.T @ x)
                     sigma_ratio = math.sqrt(max(w[0], 0.0) / w[-1])
                 trace.outer.append(
-                    OuterStage(stage, beta, eps, d_fin.copy(), reached, iters,
-                               refused, resid, sigma_ratio, elapsed, reason)
+                    OuterStage(stage, beta, eps, d_fin.copy(), iters < params.k_max,
+                               iters, refused, resid, sigma_ratio, elapsed, reason)
                 )
                 if reason == "tol":
                     status = SolveStatus.CONVERGED

@@ -465,10 +465,16 @@ class TestSolveEnhanced:
     def test_failure_returns_the_last_completed_stage(self, monkeypatch):
         # a failure in stage 1's Rayleigh-Ritz step returns stage 0's Ritz
         # values, basis and residue, as a one-stage solve reports them, and
-        # the failed stage's iterate
+        # the point stage 1 started from, stage 0's restart point
+        from sympeig import solver as solver_module
+        run_inner = solver_module._run_inner
         op = instance("dense", 20, seed=0)
         one_stage = solve(op, 2, SolverParams(outer_max=1))
-        calls = []
+        calls, starts = [], []
+
+        def recording_run_inner(op, x, *args):
+            starts.append(x.copy())
+            return run_inner(op, x, *args)
 
         def failing_srr(*args):
             calls.append(None)
@@ -476,16 +482,18 @@ class TestSolveEnhanced:
                 raise NumericalFailure("injected rank loss")
             return srr(*args)
 
+        monkeypatch.setattr(solver_module, "_run_inner", recording_run_inner)
         monkeypatch.setattr("sympeig.solver.srr", failing_srr)
         res = solve(op, 2)
         assert res.status is SolveStatus.NUMERICAL_FAILURE
-        assert res.outer_iterations == 1
+        assert res.outer_iterations == 1 and len(starts) == 2
         assert res.inner_iterations > one_stage.inner_iterations
         np.testing.assert_array_equal(res.eigenvalues, one_stage.eigenvalues)
         np.testing.assert_array_equal(res.eigenbasis, one_stage.eigenbasis)
         assert res.residue == one_stage.residue
         assert res.feasibility == one_stage.feasibility
-        assert res.x_final.shape == (40, 4) and res.x_final.dtype == np.float64
+        assert res.x_final.dtype == np.float64
+        np.testing.assert_array_equal(res.x_final, starts[-1])
 
     def test_failed_descent_returns_the_stage_start_point(self, monkeypatch):
         # a failure inside a stage's descent leaves x_final at the point
@@ -515,7 +523,8 @@ class TestSolveEnhanced:
 
     def test_srr_failure_ends_the_solve(self, monkeypatch):
         # a rank-deficient Rayleigh-Ritz step is an ordinary numerical
-        # failure: no retry, the solve ends with the first SRR call
+        # failure: no retry, the solve ends with the first SRR call, at the
+        # canonical frame it started from
         calls = []
 
         def deficient_srr(*args):
@@ -528,10 +537,11 @@ class TestSolveEnhanced:
         assert res.status is SolveStatus.NUMERICAL_FAILURE
         assert res.message.startswith("basis numerically rank-deficient in 2 ")
         assert res.outer_iterations == 0 and res.inner_iterations > 0
-        # no stage completed: no Ritz pairs, and the feasibility is the iterate's
+        # no stage completed: no Ritz pairs, and the feasibility is the frame's
         assert res.eigenvalues is None and res.eigenbasis is None
         assert math.isnan(res.residue)
-        assert res.feasibility == feasibility(res.x_final)
+        np.testing.assert_array_equal(res.x_final, canonical_frame(20, 2))
+        assert res.feasibility == feasibility(res.x_final) == 0.0
 
     def test_trace_scalars_are_python_floats(self):
         # every stage after the first takes its weight from a numpy Ritz value
@@ -775,7 +785,9 @@ class TestPrecision:
 
         def perturbing_evaluate(op_, x, beta, ax=None):
             ev = evaluate(op_, x, beta, ax=ax)
-            if x.dtype == np.float64 and not perturbed:
+            # the first float64 evaluation handed an image is the first
+            # tight stage's start
+            if x.dtype == np.float64 and ax is not None and not perturbed:
                 e = rng.standard_normal(ev.ax.shape)
                 ev.ax += 2.0 * tight_eps * np.linalg.norm(ev.ax) / np.linalg.norm(e) * e
                 perturbed.append(ev)
