@@ -121,7 +121,7 @@ def _add_source_args(sp, need_matrix=True):
                     help="half-dimension of a generated instance")
     sp.add_argument("--density", type=float,
                     help="sparsity of sparse/slr (default min(1, 10/n))")
-    sp.add_argument("--rank-width", type=int, default=10, help="low-rank width m of slr")
+    sp.add_argument("--rank-width", type=int, help="low-rank width m of slr (default 10)")
     sp.add_argument("--spectrum", type=_list_of(float),
                     help="comma-separated prescribed eigenvalues (default 1..n)")
     sp.add_argument("--seed", type=int, help="generator seed (default 0)")
@@ -130,8 +130,11 @@ def _add_source_args(sp, need_matrix=True):
 def _generate(args):
     """Build the instance the generator flags describe; returns
     (op, descriptor, exact_reference_or_None)."""
+    if args.rank_width is not None and args.family != "slr":
+        raise ValueError(f"rank-width does not apply to the {args.family} family")
     spec = GeneratorSpec(
-        family=args.family, n=args.n, density=args.density, m=args.rank_width,
+        family=args.family, n=args.n, density=args.density,
+        m=GeneratorSpec.m if args.rank_width is None else args.rank_width,
         seed=0 if args.seed is None else args.seed, spectrum=args.spectrum,
     )
     op, ref = spec.make()
@@ -141,8 +144,10 @@ def _generate(args):
 def _resolve_source(args):
     """Returns (op, descriptor, exact_reference_or_None)."""
     if args.matrix:
-        if args.seed is not None:
-            raise ValueError("--seed selects a generated instance and cannot go with --matrix")
+        for name in ("family", "n", "density", "rank_width", "spectrum", "seed"):
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} selects a generated instance and cannot go with --matrix")
         return load_matrix(args.matrix), {"source": "file", "path": args.matrix}, None
     if not args.family or not args.n:
         raise ValueError("pass either --matrix or --family with --n")

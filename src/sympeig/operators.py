@@ -384,10 +384,10 @@ def load_matrix(path):
 def store_matrix(op, path):
     """Write an operator to Matrix Market files; returns the written paths.
 
-    Dense operators use array format, CSR uses coordinate format, and
-    "slr" operators are written as the ``<base>.B.mtx`` /
-    ``<base>.C.mtx`` pair (`path` may be the base name or either
-    spelled-out file name).
+    Dense operators use array format and CSR coordinate format, in
+    `path` with ``.mtx`` appended when it lacks it; "slr" operators are
+    written as the ``<base>.B.mtx`` / ``<base>.C.mtx`` pair (`path` may be
+    the base name or either spelled-out file name).
     """
     from scipy.io import mmwrite
     path = os.fspath(path)
@@ -401,5 +401,7 @@ def store_matrix(op, path):
         mmwrite(bpath, op._b, precision=17)
         mmwrite(cpath, op._c, precision=17)
         return (bpath, cpath)
+    if not path.endswith(".mtx"):
+        path += ".mtx"
     mmwrite(path, op._b, precision=17)
     return (path,)

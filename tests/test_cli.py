@@ -90,6 +90,7 @@ class TestGen:
         ("prescribed", ["--density", "0.5"], "density"),
         ("sparse", ["--spectrum", "1,2,3"], "spectrum"),
         ("slr", ["--spectrum", "1,2,3"], "spectrum"),
+        ("dense", ["--rank-width", "5"], "rank-width"),
     ])
     def test_flag_the_family_does_not_read_is_usage_error(self, tmp_path, capsys,
                                                           family, flags, name):
@@ -211,11 +212,16 @@ class TestSolve:
         assert "seed" not in result["params"]
 
     @pytest.mark.parametrize("verb", ["solve", "oracle"])
-    def test_seed_with_matrix_is_usage_error(self, tmp_path, capsys, verb):
+    @pytest.mark.parametrize("flag, value", [
+        ("--family", "sparse"), ("--n", "5"), ("--density", "0.3"),
+        ("--rank-width", "3"), ("--spectrum", "1,2,3,4,5"), ("--seed", "7"),
+    ])
+    def test_generator_flag_with_matrix_is_usage_error(self, tmp_path, capsys, verb,
+                                                       flag, value):
         path = ladder_path(tmp_path, 5)
-        assert main([verb, "--matrix", path, "--p", "2", "--seed", "7",
+        assert main([verb, "--matrix", path, "--p", "2", flag, value,
                      "--out", str(tmp_path / "run")]) == 2
-        assert "--seed selects a generated instance" in capsys.readouterr().err
+        assert f"{flag} selects a generated instance" in capsys.readouterr().err
 
     def test_trace_cells_are_plain_numbers(self, tmp_path, capsys):
         out = str(tmp_path / "run")

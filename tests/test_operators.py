@@ -385,6 +385,18 @@ class TestStorage:
         assert back.kind == "csr"
         np.testing.assert_array_equal(back.densify(), a)
 
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_path_without_suffix_returns_the_written_file(self, tmp_path, kind):
+        # mmwrite appends .mtx to such a path, and the returned path says so
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        op = (SpdOperator.from_dense(a) if kind == "dense"
+              else SpdOperator.from_csr(sparse.csr_array(a)))
+        (path,) = store_matrix(op, str(tmp_path / "base"))
+        assert path == str(tmp_path / "base.mtx")
+        back = load_matrix(path)
+        assert back.kind == kind
+        np.testing.assert_array_equal(back.densify(), a)
+
     def test_low_rank_pair_round_trip(self, tmp_path):
         rng = np.random.default_rng(16)
         b = sparse.csr_array(np.diag(rng.uniform(1.0, 2.0, 8)))
