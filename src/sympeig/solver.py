@@ -2,16 +2,17 @@
 
 `solve_basic` is the paper's fixed-penalty BB gradient iteration with
 the nonmonotone line search.  `solve` takes the exact minimizing step
-along memoryless BFGS directions (L-BFGS with one curvature pair) with a
-BB scale, accepted by the same search run as a monotone test, refines
-each stage's iterate by symplectic Rayleigh-Ritz, and restarts from the
-scaled eigenbasis at the weight and tolerance that `next_stage` sets.
-`solve` applies the operator in float32 at every inner step and ends
-each stage on one float64 evaluation, by the stage protocol stated in
-its docstring.  Both start from the canonical frame and run
-the search on the penalty's exact quartic along the step's direction, so
-an inner step costs one operator apply whatever its backtracks, and
-neither allocates a block of the iterate's shape per step.
+along memoryless BFGS directions (L-BFGS with one curvature pair), so it
+needs no step length, accepted by the same search run as a monotone
+test, refines each stage's iterate by symplectic Rayleigh-Ritz, and
+restarts from the scaled eigenbasis at the weight and tolerance that
+`next_stage` sets.  `solve` applies the operator in float32 at every
+inner step and ends each stage on one float64 evaluation, by the stage
+protocol stated in its docstring.  Both start from the canonical frame
+and run the search on the penalty's exact quartic along the step's
+direction, so an inner step costs one operator apply whatever its
+backtracks, and neither allocates a block of the iterate's shape per
+step.
 """
 
 import math
@@ -27,9 +28,7 @@ from .factor import restart_point, srr, williamson_small
 from .metrics import feasibility, residue
 from .operators import canonical_frame, single_precision
 from .penalty import BasedEval, evaluate, ray
-from .stepper import (
-    WINDOW, bb_step, exact_step, gll_search, lbfgs_direction,
-)
+from .stepper import WINDOW, bb_step, exact_step, gll_search, lbfgs_direction
 
 # outer-loop constants, read by `next_stage`; the step and line-search ones
 # live in `stepper`
@@ -115,7 +114,7 @@ class InnerStep:
     stage: int
     f: float
     gnorm: float
-    gamma: float  # BB length (basic) or L-BFGS H0 scale (enhanced)
+    gamma: float  # trial step: BB length (basic) or exact minimizer (enhanced)
     t: int
     beta: float
     window_max: float  # GLL window maximum (basic) or f (enhanced)
@@ -237,19 +236,20 @@ def _run_inner(op, x, ax, beta, eps, params, trace, single, unit):
     that the exact gradient refused.
 
     Steps follow the memoryless BFGS direction from the last step's
-    curvature pair, H0 scaled by the BB2 length, and take the exact
-    minimizer along it.  There <G_new, D> = 0, so <S, Z> = s <G, D> > 0
-    and the step passes the search's test with the window (f,), which
-    makes the test monotone; a pair with <S, Z> <= 0, which only
-    rounding could give, is dropped.  The descent runs on a copy of `x`.
+    curvature pair, H0 = `unit` I, and take the exact minimizer along it,
+    which divides out the scale of H0; `unit` = 2^-e (see `solve`) only
+    keeps solve(2^k A) bit for bit, and the BB lengths are `solve_basic`'s.
+    There <G_new, D> = 0, so <S, Z> = s <G, D> > 0 and the step passes
+    the search's test with the window (f,), which makes the test
+    monotone; a pair with <S, Z> <= 0, which only rounding could give, is
+    dropped.  The descent runs on a copy of `x`.
     Each step takes one apply, A D, for the ray's quartic, and the
     accepted point's image, violation and value are carried along the
     ray.  Apart from A D, a step makes no block of X's shape: the
     gradient, the direction and the pair's S and Z are reused.  The step
     reads every evaluation through one protocol (`x` for the ray, `move`,
     `ensure_gradient`, `image_norm`, `point`).  The stage's index is
-    `len(trace.outer)`; `unit` is the unit of the step lengths
-    (:func:`bb_step`).
+    `len(trace.outer)`.
     """
     based = single and eps < SINGLE_EPS
     ev = evaluate(op, x.astype(np.float32 if single and not based else float), beta, ax=ax)
@@ -259,7 +259,7 @@ def _run_inner(op, x, ax, beta, eps, params, trace, single, unit):
         g = ev.ensure_gradient()
     g_new, d_buf, work, s, z = (np.empty_like(g) for _ in range(5))
     gnorm = float(np.sqrt(np.vdot(g, g)))
-    pair = sz = None
+    pair = None
     stage = len(trace.outer)
     iters = refused = 0
     while True:
@@ -275,14 +275,14 @@ def _run_inner(op, x, ax, beta, eps, params, trace, single, unit):
             ev = BasedEval(end, c, np.float32)
             g = ev.ensure_gradient(out=g)
             gnorm = float(np.sqrt(np.vdot(g, g)))
-        gamma = bb_step(s, z, iters, alternate=False, sz=sz, unit=unit)
-        d = lbfgs_direction(g, pair, gamma, out=d_buf, work=work)
+        d = lbfgs_direction(g, pair, unit, out=d_buf, work=work)
         model = ray(ev.x, ev.violation, d, op.apply(d), beta, float(np.vdot(g, d)))
-        ls = gll_search(ev.value, model.coeffs, exact_step(model.coeffs), (ev.value,))
+        trial = exact_step(model.coeffs)
+        ls = gll_search(ev.value, model.coeffs, trial, (ev.value,))
         # X^(k-1) - X^(k) over D and G^(k-1) - G^(k) over the old
         # gradient, each in place; the buffers of the pair the direction
         # has read take the next D and gradient.  Negating both differences
-        # leaves <S,Z>, the BB length and the two-loop unchanged
+        # leaves <S,Z> and the two-loop unchanged
         s, d_buf = np.multiply(d, ls.step, out=d), s
         ev.move(s, model, ls.step, ls.f)
         ev.ensure_gradient(out=g_new)
@@ -291,7 +291,7 @@ def _run_inner(op, x, ax, beta, eps, params, trace, single, unit):
         pair = (s, z, 1.0 / sz) if sz > 0.0 else None
         gnorm = float(np.sqrt(np.vdot(g, g)))
         trace.inner.append(
-            InnerStep(len(trace.inner), stage, ev.value, gnorm, gamma, ls.t,
+            InnerStep(len(trace.inner), stage, ev.value, gnorm, trial, ls.t,
                       beta, ev.value, ls.capped)
         )
         iters += 1
@@ -390,9 +390,10 @@ def solve(op, p, params=None):
     """Compute the p smallest symplectic eigenvalues and eigenbasis of A.
 
     Enhanced variant: memoryless BFGS directions from the last step's
-    curvature pair inside a stage, with H0 the clamped BB2 length, each
-    taken with the step that minimizes the penalty's quartic along it,
-    which a monotone test accepts; symplectic Rayleigh-Ritz extraction at
+    curvature pair inside a stage, with H0 = 2^-e I, each taken with the
+    step that minimizes the penalty's quartic along it, which a monotone
+    test accepts, so no step-length policy enters (the BB lengths and
+    their constants are `solve_basic`'s); symplectic Rayleigh-Ritz extraction at
     the end of each stage; and a restart from S (I - D/beta)^(1/2) at the
     penalty weight and inner tolerance that :func:`next_stage` sets from
     the stage's Ritz values and relative eigen-residual, which also stops
@@ -417,8 +418,8 @@ def solve(op, p, params=None):
     step and the restart run in float64; the float32 copies
     `SpdOperator.apply` makes live until `solve` returns.
 
-    Step lengths and the Rayleigh-Ritz step are in units of 2^-e, e the
-    binary exponent of tr(A)/2n, so solve(2^k A) repeats solve(A) bit for
+    H0 and the Rayleigh-Ritz step are in units of 2^-e, e the binary
+    exponent of tr(A)/2n, so solve(2^k A) repeats solve(A) bit for
     bit, eigenvalues times 2^k, while both lie on one side of
     `SINGLE_SCALE`.  The first stage's weight is `params.beta0` resolved
     as in `SolverParams`.  Its theta_p, of E^T A E for the canonical frame
@@ -443,7 +444,7 @@ def solve(op, p, params=None):
     beta = _initial_beta(op, p, params)
     mean = op.trace() / (2 * n)
     single = SINGLE_SCALE[0] <= mean <= SINGLE_SCALE[1]
-    # step lengths and Ritz values in units of 2^-e for the binary exponent
+    # H0 and Ritz values in units of 2^-e for the binary exponent
     # e of the mean eigenvalue, so that solve(2^k A) repeats solve(A) bit
     # for bit
     unit = math.ldexp(1.0, -math.frexp(mean)[1])

@@ -1,9 +1,10 @@
-"""The inner step of both solver variants: the clamped BB step length,
-the memoryless BFGS direction (Shanno, Math. Oper. Res. 3, 1978) that
-the enhanced variant scales by it, the exact minimizing step along a ray
-of the quartic penalty, and the nonmonotone (GLL) backtracking line
-search that accepts the step.  The search runs on the ray's quartic
-(`sympeig.penalty.ray`), so a backtrack costs no apply."""
+"""The inner step of both solver variants: the clamped BB step length
+(`solve_basic`'s alone), the memoryless BFGS direction (Shanno, Math.
+Oper. Res. 3, 1978), the exact minimizing step along a ray of the
+quartic penalty, which divides out the direction's scale, and the
+nonmonotone (GLL) backtracking line search that accepts the step.  The
+search runs on the ray's quartic (`sympeig.penalty.ray`), so a backtrack
+costs no apply."""
 
 import math
 from dataclasses import dataclass
@@ -27,11 +28,11 @@ def bb_step(s, z, k, sz, alternate=True, unit=1.0):
 
     Step 0 is `GAMMA0`.  Otherwise `s` = X^(k) - X^(k-1) and `z` =
     G^(k) - G^(k-1) are the iterate and gradient differences, and `sz`
-    is <S,Z>, which both solvers take anyway (None at step 0).  With
+    is <S,Z>, which the caller takes anyway (None at step 0).  With
     `alternate`, even k uses <S,S>/|<S,Z>| (BB1) and odd k uses
-    |<S,Z>|/<Z,Z> (BB2); without it every step is BB2, the L-BFGS scale
-    H0 = gamma I.  A denominator below 1e-30 gives `GAMMA_HI`.  The value
-    is clamped into [GAMMA_LO, GAMMA_HI].
+    |<S,Z>|/<Z,Z> (BB2); without it every step is BB2.  A denominator
+    below 1e-30 gives `GAMMA_HI`.  The value is clamped into [GAMMA_LO,
+    GAMMA_HI].  `solve_basic` is the one caller, with the defaults.
 
     The constants are in units of `unit`, a power of two: a step length
     scales like 1/A, so with `unit` = 2^-e for an operator scaled by 2^e

@@ -65,15 +65,26 @@ def test_every_patch_point_records_a_span():
         res = sympeig.solve(proxy, 2)
     assert res.status is sympeig.SolveStatus.CONVERGED
     layers = tracer.summarize(0, len(tracer.name_id))
+    # `solve`'s exact step needs no BB length; `solve_basic` takes one per step
     for (owner, attr, name), original in zip(tracing.PATCH_POINTS, originals):
-        assert layers[name]["calls"] >= 1, name
+        if name == "stepper.bb_step":
+            assert layers[name]["calls"] == 0, name
+        else:
+            assert layers[name]["calls"] >= 1, name
         assert owner.__dict__[attr] is original, name
     assert layers[tracing.APPLY]["calls"] == proxy.applies
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        res = sympeig.solve_basic(op, 2)
+    assert res.inner_iterations > 0
+    layers = tracer.summarize(0, len(tracer.name_id))
+    assert layers["stepper.bb_step"]["calls"] == res.inner_iterations
 
 
 def test_one_step_length_and_one_line_search_per_inner_step():
     # the cross-checks of a `--trace 1` benchmark run, on a loose-only
-    # solve and on one with tight stages, whose exit checks apply A
+    # solve and on one with tight stages, whose exit checks apply A; the
+    # one step length is the exact step's, so `bb_step` is never called
     tracing = load_tracing()
     for family, n, p in (("dense", 20, 2), ("slr", 40, 4)):
         op, _ = sympeig.GeneratorSpec(family, n, seed=0).make()
@@ -83,7 +94,7 @@ def test_one_step_length_and_one_line_search_per_inner_step():
             res = sympeig.solve(proxy, p)
         layers = tracer.summarize(0, len(tracer.name_id))
         assert res.inner_iterations > 0
-        assert layers["stepper.bb_step"]["calls"] == res.inner_iterations
+        assert layers["stepper.bb_step"]["calls"] == 0
         assert layers["stepper.gll_search"]["calls"] == res.inner_iterations
         refused = sum(st.refused for st in res.trace.outer)
         assert (layers[tracing.APPLY]["calls"] == proxy.applies

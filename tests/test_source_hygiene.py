@@ -302,3 +302,6 @@ def test_solve_basic_shares_no_code_with_solve_steps():
     assert SOLVE_ONLY <= names_read_from(functions, "solve")
     leaked = sorted(SOLVE_ONLY & names_read_from(functions, "solve_basic"))
     assert not leaked, f"solve_basic reaches {leaked}"
+    # and conversely: `solve`'s exact step takes no BB length or GLL window
+    leaked = sorted({"bb_step", "WINDOW"} & names_read_from(functions, "solve"))
+    assert not leaked, f"solve reaches {leaked}"

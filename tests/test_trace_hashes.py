@@ -41,15 +41,15 @@ OUTER_FIELDS = ("stage", "beta", "eps", "theta", "reached", "inner_iters", "refu
 PINNED = {
     ("2.4.6", "0.3.31.188.0", "SkylakeX"): {
         "dense-200 solve":
-            "22809603186fa8b5a9f5a09515a4c42eef9f391e05ef47b86d306261471dd52f",
+            "290e50aa2d3a10c684cb45ff06977c86cc0a21edc8a4e811260d57946bbeb656",
         "dense-200 solve_basic":
             "c0037baaad6eea64a1fcb38d8f0a1f8fb8802b53d63defc45152f5dcb541c417",
         "sparse-800 solve":
-            "98e827846b0e04a0d5dd876597e3458f296de1919c897ccfee9363cfaa35c9ae",
+            "ea2b165bdf9ac1d3644aa7f952baf3a9c431e3349aac1677ab205216b0264734",
         "sparse-800 solve_basic":
             "d7403eb2eed90617e72b9111380ddb96cc7e7bb391a832835766ba975f7c876d",
         "slr-800 solve":
-            "325229edd63bc9854390db89c37c659eb82b42999e2e84c831f50794a9c7bd44",
+            "7a81db0a8287f1a7e58b4828889a46487c9e6427bc2f56d32175ddaafcd51a9e",
         "slr-800 solve_basic":
             "54bea088543170d4a8998e726e8c2afa6ab725325e248d2220e1bcdea77c7fe5",
     },
