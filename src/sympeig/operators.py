@@ -384,24 +384,19 @@ def load_matrix(path):
 def store_matrix(op, path):
     """Write an operator to Matrix Market files; returns the written paths.
 
-    Dense operators use array format and CSR coordinate format, in
-    `path` with ``.mtx`` appended when it lacks it; "slr" operators are
-    written as the ``<base>.B.mtx`` / ``<base>.C.mtx`` pair (`path` may be
-    the base name or either spelled-out file name).
+    `path` is a base name, from which a trailing ``.B.mtx``, ``.C.mtx``
+    or ``.mtx`` is stripped whatever the operator.  Dense operators are
+    written to ``<base>.mtx`` in array format and CSR ones in coordinate
+    format; "slr" operators as the ``<base>.B.mtx`` / ``<base>.C.mtx`` pair.
     """
     from scipy.io import mmwrite
     path = os.fspath(path)
-    if op._c is not None:
-        for suffix in (_LOW_RANK_SUFFIX_B, _LOW_RANK_SUFFIX_C, ".mtx"):
-            if path.endswith(suffix):
-                path = path[: -len(suffix)]
-                break
-        bpath = path + _LOW_RANK_SUFFIX_B
-        cpath = path + _LOW_RANK_SUFFIX_C
-        mmwrite(bpath, op._b, precision=17)
-        mmwrite(cpath, op._c, precision=17)
-        return (bpath, cpath)
-    if not path.endswith(".mtx"):
-        path += ".mtx"
-    mmwrite(path, op._b, precision=17)
-    return (path,)
+    for suffix in (_LOW_RANK_SUFFIX_B, _LOW_RANK_SUFFIX_C, ".mtx"):
+        if path.endswith(suffix):
+            path = path[: -len(suffix)]
+            break
+    parts = [(".mtx", op._b)] if op._c is None else [
+        (_LOW_RANK_SUFFIX_B, op._b), (_LOW_RANK_SUFFIX_C, op._c)]
+    for suffix, block in parts:
+        mmwrite(path + suffix, block, precision=17)
+    return tuple(path + suffix for suffix, _ in parts)

@@ -397,6 +397,20 @@ class TestStorage:
         assert back.kind == kind
         np.testing.assert_array_equal(back.densify(), a)
 
+    @pytest.mark.parametrize("suffix", [".B.mtx", ".C.mtx"])
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_pair_suffix_on_a_single_matrix_writes_base_mtx(self, tmp_path, kind, suffix):
+        # a pair suffix names the base, as for an slr operator, so the file
+        # written is not read back as half of a low-rank pair
+        a = np.diag([1.0, 2.0, 3.0, 4.0])
+        op = (SpdOperator.from_dense(a) if kind == "dense"
+              else SpdOperator.from_csr(sparse.csr_array(a)))
+        (path,) = store_matrix(op, str(tmp_path / ("m" + suffix)))
+        assert path == str(tmp_path / "m.mtx")
+        back = load_matrix(path)
+        assert back.kind == kind
+        np.testing.assert_array_equal(back.densify(), a)
+
     def test_low_rank_pair_round_trip(self, tmp_path):
         rng = np.random.default_rng(16)
         b = sparse.csr_array(np.diag(rng.uniform(1.0, 2.0, 8)))
@@ -414,7 +428,7 @@ class TestStorage:
 
     def test_low_rank_missing_factor(self, tmp_path):
         b = sparse.identity(4, format="csr")
-        store_matrix(SpdOperator.from_csr(b), str(tmp_path / "lone.B.mtx"))
+        mmwrite(str(tmp_path / "lone.B.mtx"), b)
         with pytest.raises(OSError, match="missing dense factor"):
             load_matrix(str(tmp_path / "lone.B.mtx"))
 
