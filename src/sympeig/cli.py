@@ -149,7 +149,7 @@ def _resolve_source(args):
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"{flag} selects a generated instance and cannot go with --matrix")
         return load_matrix(args.matrix), {"source": "file", "path": args.matrix}, None
-    if not args.family or not args.n:
+    if args.family is None or args.n is None:
         raise ValueError("pass either --matrix or --family with --n")
     return _generate(args)
 

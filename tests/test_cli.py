@@ -34,6 +34,13 @@ class TestTopLevel:
     def test_missing_source_is_usage_error(self, capsys):
         assert main(["solve", "--family", "dense", "--p", "2"]) == 2
 
+    @pytest.mark.parametrize("verb", ["solve", "oracle"])
+    def test_n_zero_names_the_size(self, tmp_path, capsys, verb):
+        # --n 0 is given, so the error is the generator's, as for `gen`
+        assert main([verb, "--family", "dense", "--n", "0", "--p", "1",
+                     "--out", str(tmp_path)]) == 2
+        assert "need n >= 2, got 0" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, capsys):
         assert main(["solve", "--matrix", "/no/such.mtx", "--p", "2"]) == 3
 
