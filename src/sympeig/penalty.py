@@ -56,14 +56,16 @@ class PenaltyEval:
     x: np.ndarray = field(repr=False)
     ax: np.ndarray = field(repr=False)
     violation: np.ndarray = field(repr=False)
-    # a block of X's shape for X (beta V), handed in by `evaluate`
-    _scratch: np.ndarray = field(repr=False, compare=False)
+    # a block of X's shape for X (beta V), made by the first gradient
+    _scratch: np.ndarray = field(default=None, repr=False, compare=False)
 
     def ensure_gradient(self, out=None):
         """The gradient A X - J_n (X (beta V)) at the current X, formed
         anew from the held blocks into `out` when given (a block of X's
         shape and dtype); nothing is cached, so call it once per point."""
         add_flops(self.x.size * self.violation.shape[1] + self.ax.size)
+        if self._scratch is None:
+            self._scratch = np.empty_like(self.x)
         xv = np.matmul(self.x, self.beta * self.violation, out=self._scratch)
         gr = j_left(xv, out=out)
         return np.subtract(self.ax, gr, out=gr)
@@ -225,7 +227,7 @@ def evaluate(op, x, beta, ax=None):
     add_flops(v.size)
     feasibility = float(np.linalg.norm(v))
     value = trace_term + 0.25 * beta * feasibility * feasibility
-    return PenaltyEval(float(beta), value, x, ax, v, np.empty_like(x))
+    return PenaltyEval(float(beta), value, x, ax, v)
 
 
 def ray(x, v, d, ad, beta, slope):

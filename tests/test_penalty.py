@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,20 @@ class TestEvaluateInputs:
         op = SpdOperator.from_dense(np.eye(8))
         with pytest.raises(ValueError, match="image shape"):
             evaluate(op, np.ones((8, 2)), 1.0, ax=np.ones((8, 4)))
+
+    def test_evaluation_holds_no_block_until_a_gradient(self):
+        # a stage end that forms no gradient keeps no scratch block alive
+        op, _ = GeneratorSpec("dense", 200, seed=0).make()
+        x = canonical_frame(200, 10)
+        ax = op.apply(x)
+        tracemalloc.start()
+        try:
+            ev = evaluate(op, x, 1.0, ax=ax)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < x.nbytes
+        np.testing.assert_array_equal(ev.ensure_gradient(), evaluate(op, x, 1.0).ensure_gradient())
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_float32_point_is_evaluated_in_float32(self, kind):
