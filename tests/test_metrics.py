@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from sympeig import GeneratorSpec, SpdOperator, feasibility, golub_werman, residue
+from sympeig import (
+    GeneratorSpec, SpdOperator, feasibility, golub_werman, poisson, residue, solve,
+    solve_basic, symplectic_gram,
+)
 
 
 class TestGolubWerman:
@@ -140,3 +143,18 @@ class TestResidue:
 def test_feasibility_of_an_odd_column_basis_rejected():
     with pytest.raises(ValueError, match="basis must have 2p columns, got 3"):
         feasibility(np.eye(6)[:, :3])
+
+
+@pytest.mark.parametrize("family, n", [("dense", 200), ("slr", 400), ("sparse", 800),
+                                       ("prescribed", 50)])
+def test_feasibility_is_the_benchmark_gates_figure(family, n):
+    # perfbench/run.py gates a solve on ||S^T J S - J_p||_F formed from the
+    # public Gram and Poisson matrix; feasibility must give it bit for bit
+    p = 5
+    for seed in range(4):
+        op, _ = GeneratorSpec(family, n, seed=seed).make()
+        for solver in (solve, solve_basic):
+            res = solver(op, p)
+            for basis in (res.eigenbasis, res.x_final):
+                gate = float(np.linalg.norm(symplectic_gram(basis) - poisson(p)))
+                assert feasibility(basis) == gate, (seed, solver.__name__)
