@@ -393,8 +393,8 @@ def solve(op, p, params=None):
     curvature pair inside a stage, with H0 = 2^-e I, each taken with the
     step that minimizes the penalty's quartic along it, which a monotone
     test accepts, so no step-length policy enters (the BB lengths and
-    their constants are `solve_basic`'s); symplectic Rayleigh-Ritz extraction at
-    the end of each stage; and a restart from S (I - D/beta)^(1/2) at the
+    their constants are `solve_basic`'s); symplectic Rayleigh-Ritz
+    extraction at the end of each stage; and a restart from S (I - D/beta)^(1/2) at the
     penalty weight and inner tolerance that :func:`next_stage` sets from
     the stage's Ritz values and relative eigen-residual, which also stops
     the solve once that residue drops to `params.tol`.
