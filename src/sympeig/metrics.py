@@ -45,7 +45,7 @@ def feasibility(x):
 def residue(op, x, d, ax=None):
     """Relative eigen-residual ||A X - J_n X J_p^T D||_F / ||A X||_F
     with D = diag(d, d) for positive finite d, both J products formed by
-    permuting and negating blocks.
+    permuting and negating blocks, the subtraction fused into the second.
 
     `ax` is A X when the caller already holds it (as `srr` does); the
     operator is applied otherwise."""
@@ -62,5 +62,5 @@ def residue(op, x, d, ax=None):
     elif np.shape(ax) != x.shape:
         raise ValueError(f"image shape {np.shape(ax)} does not match basis {x.shape}")
     # X J_p^T = [X_2, -X_1]: roll the column halves, and put the sign on D
-    target = j_left(np.roll(x, d.size, axis=1) * np.concatenate([d, -d]))
-    return float(np.linalg.norm(ax - target) / np.linalg.norm(ax))
+    r = j_left(np.roll(x, d.size, axis=1) * np.concatenate([d, -d]), minuend=ax)
+    return float(np.linalg.norm(r) / np.linalg.norm(ax))

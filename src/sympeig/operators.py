@@ -269,12 +269,13 @@ class SpdOperator:
         return True
 
 
-def j_left(x, out=None):
-    """Return J_k x for an array x with 2k rows, written into `out` when
-    given (an array of x's shape and dtype that does not overlap x).
+def j_left(x, out=None, minuend=None):
+    """Return J_k x for an array x with 2k rows, or minuend - J_k x for a
+    `minuend` of x's shape, written into `out` when given (an array of
+    x's shape and dtype that does not overlap x).
 
-    Computed by block row permutation and negation; no 2k-by-2k matrix
-    is formed.
+    Computed by block row permutation and negation, or as the half-block
+    ufuncs m_1 - x_2 and m_2 + x_1; no 2k-by-2k matrix is formed.
     """
     x = np.asarray(x)
     if x.shape[0] % 2:
@@ -282,8 +283,12 @@ def j_left(x, out=None):
     k = x.shape[0] // 2
     if out is None:
         out = np.empty_like(x)
-    out[:k] = x[k:]
-    np.negative(x[:k], out=out[k:])
+    if minuend is None:
+        out[:k] = x[k:]
+        np.negative(x[:k], out=out[k:])
+    else:
+        np.subtract(minuend[:k], x[k:], out=out[:k])
+        np.add(minuend[k:], x[:k], out=out[k:])
     return out
 
 

@@ -56,19 +56,26 @@ class PenaltyEval:
     x: np.ndarray = field(repr=False)
     ax: np.ndarray = field(repr=False)
     violation: np.ndarray = field(repr=False)
-    # a block of X's shape for X (beta V), made by the first gradient
+    # a block of X's shape for M, made by the first gradient
     _scratch: np.ndarray = field(default=None, repr=False, compare=False)
+    # products of a block of X's shape with a 2p x 2p matrix that form M
+    _m_products = 1
 
     def ensure_gradient(self, out=None):
-        """The gradient A X - J_n (X (beta V)) at the current X, formed
-        anew from the held blocks into `out` when given (a block of X's
-        shape and dtype); nothing is cached, so call it once per point."""
-        add_flops(self.x.size * self.violation.shape[1] + self.ax.size)
+        """The gradient A X - J_n M at the current X (M from :meth:`_j_operand`),
+        formed anew into `out` when given (a block of X's shape and dtype);
+        nothing is cached, so call it once per point."""
+        add_flops(self._m_products * (self.x.size * self.violation.shape[1] + self.ax.size))
+        if out is None:
+            out = np.empty_like(self.ax)
+        return j_left(self._j_operand(out), out=out, minuend=self.ax)
+
+    def _j_operand(self, buf):
+        """M = X (beta V), in the scratch block; `buf`, the gradient's
+        output block, is free until J_n M is subtracted."""
         if self._scratch is None:
             self._scratch = np.empty_like(self.x)
-        xv = np.matmul(self.x, self.beta * self.violation, out=self._scratch)
-        gr = j_left(xv, out=out)
-        return np.subtract(self.ax, gr, out=gr)
+        return np.matmul(self.x, self.beta * self.violation, out=self._scratch)
 
     def move(self, sd, ray_model, s, value):
         """Carry this evaluation to X - s D along `ray_model` (the ray of
@@ -103,8 +110,10 @@ class BasedEval(PenaltyEval):
 
         G = A X0 + A E - beta J X V = H - J (X (beta (V - V0)) + E (beta V0)) .
 
-    V and f stay float64.
+    V and f stay float64; only M differs from a :class:`PenaltyEval`'s.
     """
+
+    _m_products = 2
 
     def __init__(self, base, c0, dtype):
         x = base.x.astype(dtype)
@@ -116,26 +125,18 @@ class BasedEval(PenaltyEval):
         self._beta_v0 = (base.beta * base.violation).astype(dtype)
         self._beta_dv = np.empty_like(self._beta_v0)
 
-    def ensure_gradient(self, out=None):
-        """The gradient H - J (X (beta dV) + E (beta V0)) at the current X,
-        into `out` when given (a block of X's shape and dtype)."""
-        add_flops(2 * self.x.size * self.violation.shape[1] + 2 * self.ax.size)
+    def _j_operand(self, buf):
+        """M = X (beta dV) + E (beta V0), in the scratch block; `buf` holds
+        E (beta V0) until the sum."""
         # two products rather than one of a stacked [X | E]: E as a strided
         # half of that block made each move's E - sd cost more than the
         # second product saves (400 x 20 float32, one Xeon vCPU: 14 against
         # 2.5 us)
-        if out is None:
-            out = np.empty_like(self.ax)
         beta_dv = np.subtract(self.violation, self._base.violation, out=self._beta_dv)
         beta_dv *= self.beta
         m = np.matmul(self.x, beta_dv, out=self._scratch)
-        # `out` holds E (beta V0) until M = X (beta dV) + E (beta V0) is summed
-        m += np.matmul(self._e, self._beta_v0, out=out)
-        # J M = [M_2; -M_1]
-        h = m.shape[0] // 2
-        np.subtract(self.ax[:h], m[h:], out=out[:h])
-        np.add(self.ax[h:], m[:h], out=out[h:])
-        return out
+        m += np.matmul(self._e, self._beta_v0, out=buf)
+        return m
 
     def move(self, sd, ray_model, s, value):
         """:meth:`PenaltyEval.move`, and E - sd in place."""

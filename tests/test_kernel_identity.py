@@ -12,7 +12,7 @@ import pytest
 from conftest import KINDS, make_operator, random_spd
 from sympeig import residue, symplectic_gram
 from sympeig.operators import j_left
-from sympeig.penalty import evaluate, ray, violation
+from sympeig.penalty import BasedEval, evaluate, ray, violation
 from sympeig.stepper import DELTA, gll_search
 
 PAIRS = (1, 2, 5)
@@ -28,6 +28,17 @@ def test_j_left_matches_concatenation(p):
     for x in (_block(rng, 7, p), rng.standard_normal(14)):
         k = x.shape[0] // 2
         assert np.array_equal(j_left(x), np.concatenate((x[k:], -x[:k]), axis=0))
+        # the fused minuend - J x, in float64 and float32, into a new
+        # block and into a caller's
+        for dtype in (np.float64, np.float32):
+            xd = x.astype(dtype)
+            m = rng.standard_normal(x.shape).astype(dtype)
+            expected = m - np.concatenate((xd[k:], -xd[:k]), axis=0)
+            got = j_left(xd, minuend=m)
+            assert got.dtype == dtype and np.array_equal(got, expected)
+            out = np.empty_like(xd)
+            assert j_left(xd, out=out, minuend=m) is out
+            assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("p", PAIRS)
@@ -58,6 +69,35 @@ def test_gradient_matches_expression(kind, p):
     expected = ev.ax - j_left(ev.x @ (ev.beta * ev.violation))
     assert np.array_equal(ev.ensure_gradient(), expected)
     # the same blocks, formed again into a caller's buffer
+    out = np.empty_like(expected)
+    assert ev.ensure_gradient(out=out) is out
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("p", PAIRS)
+def test_based_gradient_matches_expression(kind, p):
+    # after three moves of a float32 correction, H - J (X (beta dV) +
+    # E (beta V0)) with every product and sum in the dtypes the based
+    # evaluation keeps
+    rng = np.random.default_rng(80 + p)
+    op = make_operator(kind, random_spd(rng, 16))
+    base = evaluate(op, _block(rng, 8, p), 3.7)
+    ev = BasedEval(base, base.ensure_gradient(), np.float32)
+    for frac in (0.2, 0.05, 0.3):
+        g = ev.ensure_gradient()
+        d = (g + 0.1 * rng.standard_normal(g.shape)).astype(np.float32)
+        model = ray(ev.x, ev.violation, d, op.apply(d), ev.beta, float(np.vdot(g, d)))
+        # a move of `frac` ||X||
+        step = frac * float(np.linalg.norm(ev.x) / np.linalg.norm(d))
+        ev.move(step * d, model, step, ev.value)
+    assert np.linalg.norm(ev._e) > 0.1 * np.linalg.norm(base.x)
+    beta_dv = (ev.violation - base.violation).astype(np.float32)
+    beta_dv *= ev.beta
+    beta_v0 = (base.beta * base.violation).astype(np.float32)
+    expected = ev.ax - j_left(ev.x @ beta_dv + ev._e @ beta_v0)
+    assert expected.dtype == np.float32
+    assert np.array_equal(ev.ensure_gradient(), expected)
     out = np.empty_like(expected)
     assert ev.ensure_gradient(out=out) is out
     assert np.array_equal(out, expected)

@@ -96,6 +96,8 @@ def test_one_step_length_and_one_line_search_per_inner_step():
         assert res.inner_iterations > 0
         assert layers["stepper.bb_step"]["calls"] == 0
         assert layers["stepper.gll_search"]["calls"] == res.inner_iterations
+        # every step forms a gradient, tight stages' included
+        assert layers["penalty.ensure_gradient"]["calls"] >= res.inner_iterations
         refused = sum(st.refused for st in res.trace.outer)
         assert (layers[tracing.APPLY]["calls"] == proxy.applies
                 == res.inner_iterations + res.outer_iterations + 1 + refused)

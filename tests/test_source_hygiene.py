@@ -305,3 +305,21 @@ def test_solve_basic_shares_no_code_with_solve_steps():
     # and conversely: `solve`'s exact step takes no BB length or GLL window
     leaked = sorted({"bb_step", "WINDOW"} & names_read_from(functions, "solve"))
     assert not leaked, f"solve reaches {leaked}"
+
+
+def test_one_gradient_method_and_one_j_kernel():
+    # `BasedEval` differs from `PenaltyEval` only in the gradient's M, and
+    # `operators.j_left` forms every J x and m - J x of the gradient and the
+    # residue: no other row-half slice in `penalty` or `metrics` than the
+    # ray's thin products and the violation's identity blocks
+    from sympeig.penalty import BasedEval
+
+    assert "ensure_gradient" not in BasedEval.__dict__
+    for name in ("penalty.py", "metrics.py"):
+        tree = ast.parse((SRC / name).read_text())
+        slicing = set()
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice):
+                    slicing.add(top.name)
+        assert slicing <= {"ray", "violation"}, f"{name}: {sorted(slicing)}"
